@@ -8,20 +8,11 @@ contingency tables (69,45,8,57) and (101,38,17,10).
 Run with: python demos/01_headline_reproduction.py
 """
 
-from notedta.cli import PRESETS
 from notedta.evaluate import EvaluationConfig, emit_report, evaluate_condition
-from notedta.synth import SynthesisSpec, synthesize_exact
+from notedta.synth import PRESETS, preset_spec, synthesize_exact
 
-for name, preset in PRESETS.items():
-    spec = SynthesisSpec(
-        condition=preset["condition"],
-        target_table=preset["table"],
-        n_missing=preset["n_missing"],
-        age_mean=preset["age_mean"],
-        age_sd=preset["age_sd"],
-        sex_split=preset["sex_split"],
-        seed=1,
-    )
+for name in PRESETS:
+    spec = preset_spec(name, seed=1)
     cohort = synthesize_exact(spec)
     result = evaluate_condition(cohort, EvaluationConfig(spec.condition))
     print(f"=== preset {name}: {len(cohort)} records, "

@@ -6,7 +6,6 @@ Exit codes: 0 success, 1 input error, 2 internal invariant failure.
 """
 
 import argparse
-import json
 import os
 import sys
 from pathlib import Path
@@ -14,6 +13,7 @@ from pathlib import Path
 from .classifier import classify_note, default_lexicon, load_lexicon
 from .evaluate import (
     EvaluationConfig,
+    EvaluationResult,
     emit_demographics_csv,
     emit_plot_data,
     emit_report,
@@ -25,31 +25,12 @@ from .ingest import (
     parse_cohort_file_with_report,
     write_cohort_file,
 )
-from .metrics import CiConfig, ContingencyTable
+from .metrics import CiConfig
 from .model import Condition
 from .serology import SerologyThresholds
-from .synth import SynthesisSpec, synthesize_exact, synthesize_random
+from .synth import PRESETS, preset_spec, synthesize_exact, synthesize_random
 
 LEXICON_ENV = "NOTEDTA_LEXICON"
-
-PRESETS = {
-    "figS1-hbv": dict(
-        condition=Condition.HEPATITIS_B,
-        table=ContingencyTable(tp=69, fp=45, fn=8, tn=57),
-        n_missing=62,
-        age_mean=38.0,
-        age_sd=14.4,
-        sex_split=(129, 112),  # analysed subset target 98:81 plus missing
-    ),
-    "figS1-hcv": dict(
-        condition=Condition.HEPATITIS_C,
-        table=ContingencyTable(tp=101, fp=38, fn=17, tn=10),
-        n_missing=161,
-        age_mean=36.0,
-        age_sd=15.8,
-        sex_split=(165, 162),
-    ),
-}
 
 _CONDITIONS = {"hbv": Condition.HEPATITIS_B, "hcv": Condition.HEPATITIS_C}
 
@@ -86,8 +67,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--condition", choices=sorted(_CONDITIONS), required=True)
     p.add_argument("--outdir", default=".", help="directory for report/plot files")
     p.add_argument("--lexicon")
-    p.add_argument("--hbsag-cutoff", type=float, default=1.6)
-    p.add_argument("--anti-hcv-cutoff", type=float, default=1.0)
+    p.add_argument("--hbsag-cutoff", type=float, default=Condition.HEPATITIS_B.default_cutoff)
+    p.add_argument("--anti-hcv-cutoff", type=float, default=Condition.HEPATITIS_C.default_cutoff)
     p.add_argument("--ci-method", choices=["exact", "score"], default="exact")
     p.add_argument("--ci-level", type=float, default=0.95)
     p.add_argument("--keep-vaccination", action="store_true",
@@ -160,17 +141,7 @@ def _cmd_evaluate(args) -> int:
 
 def _cmd_synth(args) -> int:
     if args.preset:
-        preset = PRESETS[args.preset]
-        spec = SynthesisSpec(
-            condition=preset["condition"],
-            target_table=preset["table"],
-            n_missing=preset["n_missing"],
-            age_mean=preset["age_mean"],
-            age_sd=preset["age_sd"],
-            sex_split=preset["sex_split"],
-            seed=args.seed,
-        )
-        cohort = synthesize_exact(spec)
+        cohort = synthesize_exact(preset_spec(args.preset, args.seed))
     else:
         if args.n is None:
             raise CliInputError("either --preset or --n is required")
@@ -187,54 +158,15 @@ def _cmd_synth(args) -> int:
 
 
 def _cmd_report(args) -> int:
-    # Re-render from the stored full-precision JSON without recomputation.
-    with open(args.input, encoding="utf-8") as fh:
-        payload = json.load(fh)
-    if args.format == "csv":
-        print(_json_to_csv(payload), end="")
-    else:
-        print(_json_to_markdown(payload), end="")
+    # Re-render the stored full-precision result with evaluate's own renderer.
+    lexicon = _load_lexicon(None)
+    try:
+        with open(args.input, encoding="utf-8") as fh:
+            result = EvaluationResult.from_json(fh.read(), lexicon)
+    except ValueError as err:
+        raise CliInputError(f"{args.input}: {err}") from err
+    print(emit_report(result, args.format), end="")
     return 0
-
-
-def _fmt(v, nd="n.d."):
-    if v is None:
-        return nd
-    if v == "inf":
-        return "+inf"
-    return f"{v:.4f}"
-
-
-def _json_to_csv(payload: dict) -> str:
-    import csv as _csv
-    import io
-
-    buf = io.StringIO()
-    writer = _csv.writer(buf)
-    writer.writerow(["category_id", "label", "tp", "fp", "fn", "tn",
-                     "sn", "sp", "ppv", "npv", "lr_pos", "lr_neg"])
-    for block in [payload["primary"], *payload["controls"]]:
-        counts = block["counts"]
-        writer.writerow(
-            [block["category_id"], block["label"],
-             counts["tp"], counts["fp"], counts["fn"], counts["tn"]]
-            + [_fmt(block[m]["value"], nd="") for m in ("sn", "sp", "ppv", "npv", "lr_pos", "lr_neg")]
-        )
-    return buf.getvalue()
-
-
-def _json_to_markdown(payload: dict) -> str:
-    lines = [
-        f"# {payload['marker']} report (re-rendered)",
-        "",
-        "| Category | Sn | Sp | PPV | NPV | LR+ | LR- |",
-        "|---|---|---|---|---|---|---|",
-    ]
-    for block in [payload["primary"], *payload["controls"]]:
-        cells = [_fmt(block[m]["value"]) for m in ("sn", "sp", "ppv", "npv", "lr_pos", "lr_neg")]
-        lines.append(f"| {block['category_id']}: {block['label']} | " + " | ".join(cells) + " |")
-    lines.append("")
-    return "\n".join(lines)
 
 
 class CliInputError(ValueError):

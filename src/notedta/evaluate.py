@@ -85,6 +85,27 @@ class EvaluationResult:
     def all_results(self) -> tuple[CategoryResult, ...]:
         return (self.primary, *self.controls)
 
+    @classmethod
+    def from_json(cls, text: str, lexicon: Lexicon) -> "EvaluationResult":
+        """Inverse of ``emit_report(result, "json")``.
+
+        The JSON stores no ICD-10 chapters, so they come from ``lexicon``,
+        whose labels must match the stored ones. The summary fields the JSON
+        does not store (missing-marker counts, age histogram) are None.
+        """
+        payload = json.loads(text)
+        try:
+            return cls(
+                Condition(payload["condition"]),
+                _panel_from_json(payload["primary"], lexicon),
+                tuple(_panel_from_json(c, lexicon) for c in payload["controls"]),
+                CohortSummary(**payload["demographics"]),
+            )
+        except KeyError as err:
+            raise ValueError(f"malformed report: missing or unknown key {err}") from err
+        except TypeError as err:
+            raise ValueError(f"malformed report: {err}") from err
+
 
 def _member_ids(cls: NoteClassification) -> set[int]:
     ids = {m.category_id for m in cls.all_matches}
@@ -195,6 +216,33 @@ def _panel_json(result: CategoryResult) -> dict:
         "lr_neg": est(p.lr_neg),
         "prevalence_sample": p.prevalence_sample,
     }
+
+
+def _panel_from_json(block: dict, lexicon: Lexicon) -> CategoryResult:
+    def est(d: dict) -> MetricEstimate:
+        def num(v):
+            return math.inf if v == "inf" else v
+
+        return MetricEstimate(num(d["value"]), num(d["ci_low"]), num(d["ci_high"]),
+                              method=d["method"], note=d["note"])
+
+    rule = lexicon.rule(block["category_id"])
+    if block["label"] != rule.label:
+        raise ValueError(
+            f"category {rule.category_id}: label {block['label']!r} differs from "
+            f"the lexicon's {rule.label!r}"
+        )
+    return CategoryResult(
+        category_id=rule.category_id,
+        label=rule.label,
+        icd10_chapter=rule.icd10_chapter,
+        n_evaluated=block["n_evaluated"],
+        n_missing_excluded=block["n_missing_excluded"],
+        n_vaccination_excluded=block["n_vaccination_excluded"],
+        table=ContingencyTable(**block["counts"]),
+        panel=MetricPanel(*(est(block[m]) for m in ("sn", "sp", "ppv", "npv", "lr_pos", "lr_neg")),
+                          prevalence_sample=block["prevalence_sample"]),
+    )
 
 
 def emit_report(result: EvaluationResult, format: str) -> str:

@@ -1,7 +1,7 @@
 """Cohort file parsing, serialization, and demographic summaries.
 
-The on-disk format is UTF-8 CSV with header
-``record_id,age,sex,note_text,hbsag_iu,anti_hcv_iu,collection_year``;
+The on-disk format is UTF-8 CSV (a leading byte-order mark is accepted)
+with header ``record_id,age,sex,note_text,hbsag_iu,anti_hcv_iu,collection_year``;
 free text is quoted, an empty field means absent. Sex tokens M/F/1/2 are
 recognised; anything else maps to unspecified (with a warning recorded in
 the validation report).
@@ -89,7 +89,7 @@ def parse_cohort_file_with_report(
     report = ValidationReport(path=str(path), strict=strict)
     records: list[PathologyRecord] = []
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
@@ -99,25 +99,27 @@ def parse_cohort_file_with_report(
             raise CohortFormatError(f"{path}: bad header {header!r}, expected {HEADER!r}")
         for rownum, row in enumerate(reader, start=2):
             report.n_rows += 1
+            if row and row[0] in seen:  # never skipped, even in lenient mode
+                raise CohortFormatError(f"row {rownum}: duplicate record_id {row[0]!r}")
             try:
-                records.append(_parse_row(row, rownum, seen, report))
+                records.append(_parse_row(row, rownum, report))
             except CohortFormatError as err:
                 if strict:
                     raise
                 report.skipped.append({"row": rownum, "reason": str(err)})
+                continue
+            seen.add(row[0])
     report.n_parsed = len(records)
     cohort = Cohort(tuple(records), provenance=provenance or str(path))
     return cohort, report
 
 
-def _parse_row(row, rownum: int, seen: set, report: ValidationReport) -> PathologyRecord:
+def _parse_row(row, rownum: int, report: ValidationReport) -> PathologyRecord:
     if len(row) != len(HEADER):
         raise CohortFormatError(f"row {rownum}: expected {len(HEADER)} fields, got {len(row)}")
     record_id, age_raw, sex_raw, note_text, hbsag_raw, hcv_raw, year_raw = row
     if not record_id:
         raise CohortFormatError(f"row {rownum}, column record_id: empty")
-    if record_id in seen:
-        raise CohortFormatError(f"row {rownum}: duplicate record_id {record_id!r}")
     sex_token = sex_raw.strip().lower()
     sex = _SEX_TOKENS.get(sex_token)
     if sex is None:
@@ -125,7 +127,7 @@ def _parse_row(row, rownum: int, seen: set, report: ValidationReport) -> Patholo
             f"row {rownum}: unrecognised sex token {sex_raw!r}, treated as unspecified"
         )
         sex = Sex.UNSPECIFIED
-    record = PathologyRecord(
+    return PathologyRecord(
         record_id=record_id,
         age=_parse_int(age_raw, "age", rownum, 0, 130),
         sex=sex,
@@ -134,8 +136,6 @@ def _parse_row(row, rownum: int, seen: set, report: ValidationReport) -> Patholo
         anti_hcv_iu=_parse_assay(hcv_raw, "anti_hcv_iu", rownum),
         collection_year=_parse_int(year_raw, "collection_year", rownum, 1800, 2200),
     )
-    seen.add(record_id)
-    return record
 
 
 _SEX_OUT = {Sex.MALE: "M", Sex.FEMALE: "F", Sex.UNSPECIFIED: ""}
@@ -168,9 +168,10 @@ class CohortSummary:
     n_male: int
     n_female: int
     n_unspecified: int
-    n_missing_hbsag: int
-    n_missing_anti_hcv: int
-    age_histogram: tuple[tuple[int, int], ...]  # (decade start, count)
+    # None when unknown, as in a summary decoded from report.json.
+    n_missing_hbsag: int | None = None
+    n_missing_anti_hcv: int | None = None
+    age_histogram: tuple[tuple[int, int], ...] | None = None  # (decade start, count)
 
 
 def summarize_demographics(cohort: Cohort) -> CohortSummary:

@@ -157,6 +157,15 @@ def ci_proportion(
     raise ValueError(f"unknown method: {method!r}")
 
 
+def _lr_cells(tp, fp, fn, tn, which: str):
+    """(x, x_total, y, y_total) with LR = (x / x_total) / (y / y_total)."""
+    if which == "lr_pos":
+        return tp, tp + fn, fp, fp + tn
+    if which == "lr_neg":
+        return fn, tp + fn, tn, fp + tn
+    raise ValueError(f"which must be 'lr_pos' or 'lr_neg': {which!r}")
+
+
 def ci_likelihood_ratio(
     table: ContingencyTable,
     which: str,
@@ -169,21 +178,14 @@ def ci_likelihood_ratio(
     returns None when the precondition fails. With ``haldane`` set, 0.5 is
     added to every cell before evaluation.
     """
-    if which not in ("lr_pos", "lr_neg"):
-        raise ValueError(f"which must be 'lr_pos' or 'lr_neg': {which!r}")
     tp, fp, fn, tn = table.tp, table.fp, table.fn, table.tn
     if haldane:
         tp, fp, fn, tn = tp + 0.5, fp + 0.5, fn + 0.5, tn + 0.5
-    if which == "lr_pos":
-        if tp <= 0 or fp <= 0:
-            return None
-        lr = (tp / (tp + fn)) / (fp / (fp + tn))
-        se = math.sqrt(1 / tp - 1 / (tp + fn) + 1 / fp - 1 / (fp + tn))
-    else:
-        if fn <= 0 or tn <= 0:
-            return None
-        lr = (fn / (tp + fn)) / (tn / (fp + tn))
-        se = math.sqrt(1 / fn - 1 / (tp + fn) + 1 / tn - 1 / (fp + tn))
+    x, x_tot, y, y_tot = _lr_cells(tp, fp, fn, tn, which)
+    if x <= 0 or y <= 0:
+        return None
+    lr = (x / x_tot) / (y / y_tot)
+    se = math.sqrt(1 / x - 1 / x_tot + 1 / y - 1 / y_tot)
     z = _z_quantile(level)
     return math.exp(math.log(lr) - z * se), math.exp(math.log(lr) + z * se)
 
@@ -210,24 +212,18 @@ def _logit_estimate(successes: int, trials: int, ci: CiConfig) -> MetricEstimate
     return MetricEstimate(p, 1 / (1 + math.exp(-lo)), 1 / (1 + math.exp(-hi)), method="logit")
 
 
+_INFINITE_LR_NOTE = {"lr_pos": "specificity 1 with Sn > 0", "lr_neg": "specificity 0 with Sn < 1"}
+
+
 def _lr_estimate(table: ContingencyTable, which: str, ci: CiConfig) -> MetricEstimate:
-    tp, fp, fn, tn = table.tp, table.fp, table.fn, table.tn
-    if which == "lr_pos":
-        if tp + fn == 0 or tn + fp == 0:
-            return MetricEstimate(None, note="undefined Sn or Sp")
-        if fp == 0:
-            if tp == 0:
-                return MetricEstimate(None, note="0/0 likelihood ratio")
-            return MetricEstimate(math.inf, method="log", note="specificity 1 with Sn > 0")
-        value = (tp * (fp + tn)) / ((tp + fn) * fp)
-    else:
-        if tp + fn == 0 or tn + fp == 0:
-            return MetricEstimate(None, note="undefined Sn or Sp")
-        if tn == 0:
-            if fn == 0:
-                return MetricEstimate(None, note="0/0 likelihood ratio")
-            return MetricEstimate(math.inf, method="log", note="specificity 0 with Sn < 1")
-        value = (fn * (fp + tn)) / ((tp + fn) * tn)
+    x, x_tot, y, y_tot = _lr_cells(table.tp, table.fp, table.fn, table.tn, which)
+    if x_tot == 0 or y_tot == 0:
+        return MetricEstimate(None, note="undefined Sn or Sp")
+    if y == 0:
+        if x == 0:
+            return MetricEstimate(None, note="0/0 likelihood ratio")
+        return MetricEstimate(math.inf, method="log", note=_INFINITE_LR_NOTE[which])
+    value = (x * y_tot) / (x_tot * y)
     bounds = ci_likelihood_ratio(table, which, ci.level, ci.haldane)
     if bounds is None:
         return MetricEstimate(value, method="log", note="interval needs all relevant cells >= 1")

@@ -1,8 +1,8 @@
 """Gold-standard classification of raw immunoassay values.
 
-Cutoffs default to the originating laboratory's values (HBsAg 1.6 IU,
-anti-HCV 1.0 IU) but are plain configuration: other laboratories use
-different assay calibrations.
+Cutoffs default to the originating laboratory's values, defined once as
+``Condition.default_cutoff`` (HBsAg 1.6 IU, anti-HCV 1.0 IU), but are plain
+configuration: other laboratories use different assay calibrations.
 """
 
 from dataclasses import dataclass
@@ -12,8 +12,8 @@ from .model import Condition, PathologyRecord, SerologyStatus
 
 @dataclass(frozen=True)
 class SerologyThresholds:
-    hbsag_cutoff: float = 1.6
-    anti_hcv_cutoff: float = 1.0
+    hbsag_cutoff: float = Condition.HEPATITIS_B.default_cutoff
+    anti_hcv_cutoff: float = Condition.HEPATITIS_C.default_cutoff
 
     def __post_init__(self):
         if self.hbsag_cutoff <= 0 or self.anti_hcv_cutoff <= 0:

@@ -17,7 +17,7 @@ seed therefore yields byte-identical cohorts on any platform.
 """
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .classifier import Lexicon, default_lexicon
 from .metrics import ContingencyTable
@@ -98,6 +98,32 @@ class SynthesisSpec:
             raise ValueError(
                 f"sex_split {self.sex_split} must sum to table n + n_missing = {total}"
             )
+
+
+# The paper's two reference cohorts, by the figure they reproduce.
+PRESETS = {
+    "figS1-hbv": SynthesisSpec(
+        condition=Condition.HEPATITIS_B,
+        target_table=ContingencyTable(tp=69, fp=45, fn=8, tn=57),
+        n_missing=62,
+        age_mean=38.0,
+        age_sd=14.4,
+        sex_split=(129, 112),  # analysed subset target 98:81 plus missing
+    ),
+    "figS1-hcv": SynthesisSpec(
+        condition=Condition.HEPATITIS_C,
+        target_table=ContingencyTable(tp=101, fp=38, fn=17, tn=10),
+        n_missing=161,
+        age_mean=36.0,
+        age_sd=15.8,
+        sex_split=(165, 162),
+    ),
+}
+
+
+def preset_spec(name: str, seed: int = 0) -> SynthesisSpec:
+    """The named preset's spec, drawing from ``seed``."""
+    return replace(PRESETS[name], seed=seed)
 
 
 def synthesize_exact(

@@ -1,6 +1,10 @@
 import json
+from importlib.resources import files
 
+from notedta.classifier import default_lexicon
 from notedta.cli import main
+from notedta.ingest import write_cohort_file
+from notedta.synth import preset_spec, synthesize_exact
 
 
 def run(capsys, *argv):
@@ -83,15 +87,71 @@ def test_missing_input_is_exit_1(capsys):
 
 
 def test_report_rerender(tmp_path, capsys):
+    # report re-renders report.json into exactly the files evaluate wrote
+    for preset, condition in (("figS1-hbv", "hbv"), ("figS1-hcv", "hcv")):
+        cohort = tmp_path / f"{preset}.csv"
+        outdir = tmp_path / preset
+        run(capsys, "synth", str(cohort), "--preset", preset, "--seed", "1")
+        run(capsys, "evaluate", str(cohort), "--condition", condition, "--outdir", str(outdir))
+        for fmt, name in (("csv", "report.csv"), ("markdown", "report.md")):
+            code, out, _ = run(capsys, "report", str(outdir / "report.json"), "--format", fmt)
+            assert code == 0
+            # bytes, so the CSV's \r\n line ends are compared too
+            assert out == (outdir / name).read_bytes().decode("utf-8")
+
+
+def _evaluated_report(tmp_path, capsys):
     cohort = tmp_path / "cohort.csv"
-    outdir = tmp_path / "out"
-    run(capsys, "synth", str(cohort), "--preset", "figS1-hcv", "--seed", "1")
-    run(capsys, "evaluate", str(cohort), "--condition", "hcv", "--outdir", str(outdir))
-    code, out, _ = run(capsys, "report", str(outdir / "report.json"), "--format", "csv")
-    assert code == 0
-    assert out.splitlines()[1].split(",")[2:6] == ["101", "38", "17", "10"]
-    code, out, _ = run(capsys, "report", str(outdir / "report.json"))
-    assert code == 0 and "0.8559" in out
+    run(capsys, "synth", str(cohort), "--preset", "figS1-hbv", "--seed", "1")
+    run(capsys, "evaluate", str(cohort), "--condition", "hbv", "--outdir", str(tmp_path))
+    return tmp_path / "report.json"
+
+
+def test_report_missing_key_is_exit_1(tmp_path, capsys):
+    path = _evaluated_report(tmp_path, capsys)
+    payload = json.loads(path.read_text())
+    del payload["primary"]["counts"]
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "report", str(path))
+    assert code == 1 and out == ""
+    assert str(path) in err and "counts" in err
+    assert "internal error" not in err
+
+
+def test_report_label_not_in_lexicon_is_exit_1(tmp_path, capsys, monkeypatch):
+    path = _evaluated_report(tmp_path, capsys)
+    label = default_lexicon().rule(37).label
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_text(
+        (files("notedta") / "data/default_lexicon.txt").read_text("utf-8")
+        .replace(f"label: {label}\n", "label: Tiredness\n"),
+        encoding="utf-8",
+    )
+    monkeypatch.setenv("NOTEDTA_LEXICON", str(lexicon))
+    code, out, err = run(capsys, "report", str(path))
+    assert code == 1 and out == ""
+    assert str(path) in err and "Tiredness" in err
+
+
+def test_validate_lenient_duplicate_id_is_exit_1(tmp_path, capsys):
+    cohort = tmp_path / "c.csv"
+    cohort.write_text(
+        "record_id,age,sex,note_text,hbsag_iu,anti_hcv_iu,collection_year\n"
+        "r1,38,M,Hep B,2.4,,\n"
+        "r1,40,F,x,,,\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, "validate", str(cohort))
+    assert code == 1
+    assert "duplicate record_id 'r1'" in err
+
+
+def test_synth_preset_matches_preset_spec(tmp_path, capsys):
+    path = tmp_path / "hcv.csv"
+    assert run(capsys, "synth", str(path), "--preset", "figS1-hcv", "--seed", "4")[0] == 0
+    expected = tmp_path / "expected.csv"
+    write_cohort_file(synthesize_exact(preset_spec("figS1-hcv", seed=4)), expected)
+    assert path.read_bytes() == expected.read_bytes()
 
 
 def test_synth_random_mode(tmp_path, capsys):

@@ -1,17 +1,21 @@
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from notedta.classifier import default_lexicon
 from notedta.evaluate import (
     EvaluationConfig,
+    EvaluationResult,
     emit_demographics_csv,
     emit_plot_data,
     emit_report,
     evaluate_condition,
 )
-from notedta.metrics import ContingencyTable
+from notedta.metrics import CiConfig, ContingencyTable
 from notedta.model import Cohort, Condition, PathologyRecord
-from notedta.synth import SynthesisSpec, synthesize_exact
+from notedta.synth import SynthesisSpec, preset_spec, synthesize_exact, synthesize_random
 
 HBV = Condition.HEPATITIS_B
 HCV = Condition.HEPATITIS_C
@@ -121,6 +125,65 @@ def test_json_report_round_trip(hbv_result):
     assert primary["sn"]["display"] == "0.90"
     assert primary["lr_pos"]["value"] == hbv_result.primary.panel.lr_pos.value
     assert payload["demographics"]["n_total"] == 241
+
+
+def _assert_decodes_to_same_reports(result):
+    text = emit_report(result, "json")
+    decoded = EvaluationResult.from_json(text, default_lexicon())
+    for fmt in ("json", "markdown", "csv"):
+        assert emit_report(decoded, fmt) == emit_report(result, fmt)
+    assert decoded.all_results() == result.all_results()
+    return decoded
+
+
+def test_from_json_inverts_emit_report(hbv_result):
+    decoded = _assert_decodes_to_same_reports(hbv_result)
+    assert decoded.condition is HBV
+    assert decoded.summary.n_total == hbv_result.summary.n_total
+    # not stored in report.json, so absent rather than made up
+    assert decoded.summary.age_histogram is None
+    assert decoded.summary.n_missing_hbsag is None
+    assert decoded.summary.n_missing_anti_hcv is None
+
+
+def test_from_json_with_no_evaluated_records():
+    # the hbv preset carries no anti-HCV values: every hcv table is empty
+    result = evaluate_condition(synthesize_exact(preset_spec("figS1-hbv")), EvaluationConfig(HCV))
+    assert result.primary.n_evaluated == 0
+    _assert_decodes_to_same_reports(result)
+
+
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32), hcv=st.booleans(), score=st.booleans(),
+       level=st.sampled_from([0.90, 0.95, 0.99]))
+def test_from_json_round_trip_random_cohorts(seed, hcv, score, level):
+    condition = HCV if hcv else HBV
+    cohort = synthesize_random(
+        60, 0.3, note_mix={condition.category_id: 0.5, 10: 0.2, 32: 0.2, 45: 0.1}, seed=seed
+    )
+    config = EvaluationConfig(
+        condition, ci=CiConfig(level=level, proportion_method="score" if score else "exact")
+    )
+    _assert_decodes_to_same_reports(evaluate_condition(cohort, config))
+
+
+def test_from_json_rejects_label_not_in_lexicon(hbv_result):
+    payload = json.loads(emit_report(hbv_result, "json"))
+    payload["controls"][0]["label"] = "Something else"
+    with pytest.raises(ValueError, match="differs from the lexicon"):
+        EvaluationResult.from_json(json.dumps(payload), default_lexicon())
+
+
+@pytest.mark.parametrize("path", [("primary", "counts"), ("demographics",), ("controls",)])
+def test_from_json_rejects_missing_keys(hbv_result, path):
+    payload = json.loads(emit_report(hbv_result, "json"))
+    *parents, key = path
+    target = payload
+    for parent in parents:
+        target = target[parent]
+    del target[key]
+    with pytest.raises(ValueError, match="malformed report.*" + key):
+        EvaluationResult.from_json(json.dumps(payload), default_lexicon())
 
 
 def test_csv_report_has_counts(hbv_result):

@@ -43,6 +43,27 @@ def test_duplicate_record_id_error(tmp_path):
         parse_cohort_file(path)
 
 
+def test_duplicate_record_id_error_in_lenient_mode(tmp_path):
+    path = _write(tmp_path, "r1,38,M,a,,,\nr1,40,F,b,,,\n")
+    with pytest.raises(CohortFormatError, match="row 3: duplicate record_id 'r1'"):
+        parse_cohort_file_with_report(path, strict=False)
+
+
+def test_id_of_a_skipped_row_may_recur(tmp_path):
+    # the skipped row never entered the cohort, so r1 is not a duplicate
+    path = _write(tmp_path, "r1,oops,M,a,,,\nr1,40,F,b,,,\n")
+    cohort, report = parse_cohort_file_with_report(path, strict=False)
+    assert [r.record_id for r in cohort] == ["r1"]
+    assert [s["row"] for s in report.skipped] == [2]
+
+
+def test_utf8_bom_header_accepted(tmp_path):
+    path = tmp_path / "bom.csv"
+    path.write_bytes(b"\xef\xbb\xbf" + (HEADER_LINE + "\nr1,38,M,Hep B,2.4,,\n").encode("utf-8"))
+    (record,) = parse_cohort_file(path).records
+    assert record.record_id == "r1" and record.hbsag_iu == 2.4
+
+
 def test_header_mismatch(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("id,age\nr1,2\n", encoding="utf-8")

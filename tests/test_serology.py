@@ -56,3 +56,15 @@ def test_exhaustive_three_states(v):
     status = classify_marker(_rec(hbsag=v), Condition.HEPATITIS_B)
     assert status in (SerologyStatus.POSITIVE, SerologyStatus.NEGATIVE, SerologyStatus.MISSING)
     assert (status is SerologyStatus.MISSING) == (v is None)
+
+
+def test_default_cutoffs_come_from_condition():
+    from notedta.cli import build_parser
+
+    defaults = SerologyThresholds()
+    args = build_parser().parse_args(["evaluate", "c.csv", "--condition", "hbv"])
+    for condition, cli_default in (
+        (Condition.HEPATITIS_B, args.hbsag_cutoff),
+        (Condition.HEPATITIS_C, args.anti_hcv_cutoff),
+    ):
+        assert defaults.cutoff(condition) == cli_default == condition.default_cutoff

@@ -10,8 +10,9 @@ negative. Polarity applies to the two hepatitis categories only.
 Category 45 absorbs empty notes, category 46 everything unmatched.
 """
 
+import functools
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from importlib import resources
 
 NO_NOTE_CATEGORY = 45
@@ -72,6 +73,16 @@ class CategoryRule:
             raise ValueError(f"category_id out of range: {self.category_id}")
         if not self.patterns:
             raise ValueError(f"category {self.category_id} has no patterns")
+        if () in self.patterns:
+            raise ValueError(f"category {self.category_id} has an empty pattern")
+
+
+def _first_token_index(patterns) -> dict[str, tuple]:
+    """Map each first token to the ``(*key, pattern)`` entries it starts, in input order."""
+    index: dict[str, list] = {}
+    for *key, pattern in patterns:
+        index.setdefault(pattern[0], []).append((*key, pattern))
+    return {token: tuple(entries) for token, entries in index.items()}
 
 
 @dataclass(frozen=True)
@@ -79,6 +90,10 @@ class Lexicon:
     rules: tuple[CategoryRule, ...]
     query_keywords: tuple[tuple[str, ...], ...]
     statement_keywords: tuple[tuple[str, ...], ...]
+    # Derived in __post_init__: first token -> (rule position, pattern
+    # position, pattern) and first token -> (keyword,), in lexicon order.
+    _pattern_index: dict = field(init=False, compare=False, repr=False)
+    _query_index: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         ids = sorted(r.category_id for r in self.rules)
@@ -91,6 +106,15 @@ class Lexicon:
         prios = [r.priority for r in self.rules]
         if len(set(prios)) != len(prios):
             raise ValueError("rule priorities must be unique")
+        if () in self.query_keywords:
+            raise ValueError("empty query keyword")
+        object.__setattr__(self, "_pattern_index", _first_token_index(
+            (r, p, pattern)
+            for r, rule in enumerate(self.rules)
+            for p, pattern in enumerate(rule.patterns)
+        ))
+        object.__setattr__(self, "_query_index",
+                           _first_token_index((kw,) for kw in self.query_keywords))
 
     def rule(self, category_id: int) -> CategoryRule:
         for r in self.rules:
@@ -115,54 +139,54 @@ class NoteClassification:
     all_matches: tuple[Match, ...]
 
 
-def _contains(tokens: tuple[str, ...], pattern: tuple[str, ...]) -> int:
-    """Index of the first contiguous occurrence of pattern, or -1."""
-    w = len(pattern)
-    for i in range(len(tokens) - w + 1):
-        if tuple(tokens[i : i + w]) == pattern:
-            return i
-    return -1
-
-
 def classify_note(text: str, lexicon: Lexicon) -> NoteClassification:
     """Assign a category and per-condition polarity to one note.
 
-    Deterministic: ties between categories are broken by rule priority
-    (the hepatitis categories rank highest so polarity is never masked).
+    Each rule contributes its first pattern, in lexicon order, that occurs
+    in the note, at that pattern's first token position. Deterministic:
+    ties between categories are broken by rule priority (the hepatitis
+    categories rank highest so polarity is never masked).
     """
     tokens = normalize_note(text)
     if not tokens:
         return NoteClassification(NO_NOTE_CATEGORY, "", "negative", "negative", ())
 
-    matches: list[Match] = []
-    best: tuple[int, Match] | None = None
-    for rule in lexicon.rules:
-        for pattern in rule.patterns:
-            pos = _contains(tokens, pattern)
-            if pos >= 0:
-                m = Match(rule.category_id, " ".join(pattern), pos)
-                matches.append(m)
-                if best is None or rule.priority < best[0]:
-                    best = (rule.priority, m)
-                break  # one match per category is enough
+    # rule position -> (pattern position, token position, pattern); tokens are
+    # scanned left to right, so the first hit of a pattern is its first position.
+    found: dict[int, tuple[int, int, tuple[str, ...]]] = {}
+    index = lexicon._pattern_index
+    for i, token in enumerate(tokens):
+        for r, p, pattern in index.get(token, ()):
+            if (r not in found or p < found[r][0]) and tokens[i : i + len(pattern)] == pattern:
+                found[r] = (p, i, pattern)
 
-    if best is None:
+    if not found:
         return NoteClassification(NONSPECIFIC_CATEGORY, "", "negative", "negative", ())
 
+    rules = lexicon.rules
+    ranked = [
+        (rules[r].priority, Match(rules[r].category_id, " ".join(pattern), i))
+        for r, (_, i, pattern) in sorted(found.items())
+    ]
+    matches = tuple(m for _, m in ranked)
+    best = min(ranked, key=lambda pm: pm[0])[1]
     is_query = _note_is_query(tokens, lexicon)
     matched_ids = {m.category_id for m in matches}
     hbv = "positive" if (HBV_CATEGORY in matched_ids and not is_query) else "negative"
     hcv = "positive" if (HCV_CATEGORY in matched_ids and not is_query) else "negative"
-    return NoteClassification(
-        best[1].category_id, best[1].pattern, hbv, hcv, tuple(matches)
-    )
+    return NoteClassification(best.category_id, best.pattern, hbv, hcv, matches)
 
 
 def _note_is_query(tokens: tuple[str, ...], lexicon: Lexicon) -> bool:
     """A '?' token anywhere or any query keyword marks the note as a query."""
     if "?" in tokens:
         return True
-    return any(_contains(tokens, kw) >= 0 for kw in lexicon.query_keywords)
+    index = lexicon._query_index
+    return any(
+        tokens[i : i + len(kw)] == kw
+        for i, token in enumerate(tokens)
+        for (kw,) in index.get(token, ())
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -177,7 +201,9 @@ def load_lexicon(path) -> Lexicon:
         return parse_lexicon(fh.read())
 
 
+@functools.cache
 def default_lexicon() -> Lexicon:
+    """The built-in lexicon, parsed once per process and shared (it is immutable)."""
     text = resources.files("notedta").joinpath("data/default_lexicon.txt").read_text("utf-8")
     return parse_lexicon(text)
 

@@ -136,6 +136,15 @@ def _cmd_evaluate(args) -> int:
         f"table tp={p.table.tp} fp={p.table.fp} fn={p.table.fn} tn={p.table.tn}; "
         f"reports in {outdir}"
     )
+    if p.n_evaluated == 0:
+        why = (
+            f"every {result.condition.marker_name} value was missing "
+            f"({p.n_missing_excluded} records)"
+            if p.n_missing_excluded
+            else "no notes matched it"
+        )
+        print(f"warning: category {p.category_id} ({p.label}) evaluated no records: {why}",
+              file=sys.stderr)
     return 0
 
 

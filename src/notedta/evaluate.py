@@ -18,7 +18,6 @@ from dataclasses import dataclass, field
 from .classifier import (
     VACCINATION_CATEGORY,
     Lexicon,
-    NoteClassification,
     classify_note,
     default_lexicon,
 )
@@ -107,39 +106,33 @@ class EvaluationResult:
             raise ValueError(f"malformed report: {err}") from err
 
 
-def _member_ids(cls: NoteClassification) -> set[int]:
-    ids = {m.category_id for m in cls.all_matches}
-    ids.add(cls.category_id)
-    return ids
-
-
 def evaluate_condition(
     cohort: Cohort, config: EvaluationConfig, lexicon: Lexicon | None = None
 ) -> EvaluationResult:
-    """Classify every note once, then tally per-category 2x2 tables."""
+    """Classify every note once, then tally per-category 2x2 tables in one pass."""
     lexicon = lexicon or default_lexicon()
     condition = config.target_condition
-    classified = [(rec, classify_note(rec.note_text, lexicon)) for rec in cohort]
-    if config.exclude_vaccination:
-        kept = [(r, c) for r, c in classified if VACCINATION_CATEGORY not in _member_ids(c)]
-    else:
-        kept = classified
-    n_vacc = {cid: 0 for cid in (condition.category_id, *config.control_category_ids)}
-    if config.exclude_vaccination:
-        for rec, cls in classified:
-            if VACCINATION_CATEGORY in _member_ids(cls):
-                for cid in n_vacc:
-                    if cid in _member_ids(cls):
-                        n_vacc[cid] += 1
+    evaluated = (condition.category_id, *config.control_category_ids)
+    pairs: dict[int, list] = {cid: [] for cid in evaluated}
+    n_vacc = {cid: 0 for cid in evaluated}
+    for rec in cohort:
+        cls = classify_note(rec.note_text, lexicon)
+        member_ids = {m.category_id for m in cls.all_matches}
+        member_ids.add(cls.category_id)
+        cids = member_ids.intersection(pairs)
+        if config.exclude_vaccination and VACCINATION_CATEGORY in member_ids:
+            for cid in cids:
+                n_vacc[cid] += 1
+            continue
+        if not cids:
+            continue
+        label = cls.hbv_label if condition is Condition.HEPATITIS_B else cls.hcv_label
+        pair = (label, classify_marker(rec, condition, config.thresholds))
+        for cid in cids:
+            pairs[cid].append(pair)
 
     def category_result(cid: int) -> CategoryResult:
-        members = [(r, c) for r, c in kept if cid in _member_ids(c)]
-        label_of = lambda c: c.hbv_label if condition is Condition.HEPATITIS_B else c.hcv_label
-        pairs = [
-            (label_of(cls), classify_marker(rec, condition, config.thresholds))
-            for rec, cls in members
-        ]
-        table, n_missing = build_contingency(pairs)
+        table, n_missing = build_contingency(pairs[cid])
         rule = lexicon.rule(cid)
         return CategoryResult(
             category_id=cid,

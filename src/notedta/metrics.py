@@ -20,8 +20,9 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
-from scipy.stats import beta as _beta
-from scipy.stats import norm as _norm
+# scipy.special gives the quantiles of scipy.stats' beta.ppf and norm.ppf bit
+# for bit (tests/test_metrics.py), without the ~1 s import of scipy.stats.
+from scipy.special import betaincinv, ndtri
 
 from .model import SerologyStatus
 
@@ -32,7 +33,7 @@ Z_95 = 1.959964
 def _z_quantile(level: float) -> float:
     if abs(level - 0.95) < 1e-12:
         return Z_95
-    return float(_norm.ppf(1.0 - (1.0 - level) / 2.0))
+    return float(ndtri(1.0 - (1.0 - level) / 2.0))
 
 
 @dataclass(frozen=True)
@@ -144,8 +145,8 @@ def ci_proportion(
     alpha = 1.0 - level
     k, n = successes, trials
     if method == "exact":
-        low = 0.0 if k == 0 else float(_beta.ppf(alpha / 2.0, k, n - k + 1))
-        high = 1.0 if k == n else float(_beta.ppf(1.0 - alpha / 2.0, k + 1, n - k))
+        low = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2.0))
+        high = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - alpha / 2.0))
         return low, high
     if method == "score":
         z = _z_quantile(level)

@@ -53,6 +53,10 @@ def test_default_lexicon_key_patterns():
     assert ("rants",) in LEX.rule(29).patterns
 
 
+def test_default_lexicon_parsed_once():
+    assert default_lexicon() is default_lexicon()
+
+
 def test_lexicon_missing_category_rejected():
     text = "\n".join(
         f"[category {i}]\nlabel: c{i}\npriority: {i}\npattern: tok{i}"

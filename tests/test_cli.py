@@ -54,6 +54,32 @@ def test_classify_streams_labels(tmp_path, capsys):
     assert lines[2].split("\t")[0] == "45"
 
 
+def test_evaluate_warns_when_primary_category_evaluates_nothing(tmp_path, capsys):
+    hbv = tmp_path / "hbv.csv"
+    assert run(capsys, "synth", str(hbv), "--preset", "figS1-hbv")[0] == 0
+    code, out, err = run(capsys, "evaluate", str(hbv), "--condition", "hcv",
+                         "--outdir", str(tmp_path / "a"))
+    assert code == 0
+    assert out.startswith("hcv: n=0 (missing excluded: 0);")
+    assert err == ("warning: category 2 (Hepatitis C) evaluated no records: "
+                   "no notes matched it\n")
+
+    # Hep C notes, but no anti-HCV values.
+    notes = tmp_path / "notes.csv"
+    notes.write_text(
+        "record_id,age,sex,note_text,hbsag_iu,anti_hcv_iu,collection_year\n"
+        "r1,40,F,Known Hep C,,,2001\nr2,50,M,Hep C,0.2,,2002\n", encoding="utf-8")
+    code, _, err = run(capsys, "evaluate", str(notes), "--condition", "hcv",
+                       "--outdir", str(tmp_path / "b"))
+    assert code == 0
+    assert err == ("warning: category 2 (Hepatitis C) evaluated no records: "
+                   "every anti-HCV value was missing (2 records)\n")
+
+    code, _, err = run(capsys, "evaluate", str(hbv), "--condition", "hbv",
+                       "--outdir", str(tmp_path / "c"))
+    assert (code, err) == (0, "")
+
+
 def test_validate_writes_report(tmp_path, capsys):
     cohort = tmp_path / "c.csv"
     cohort.write_text(

@@ -1,11 +1,17 @@
 import itertools
 import math
 import random
+import subprocess
+import sys
+from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.stats import beta, norm
 
+import notedta
 from notedta.metrics import (
     CiConfig,
     ContingencyTable,
@@ -18,6 +24,7 @@ from notedta.metrics import (
     format_percent_1dp,
     format_proportion,
     format_ratio,
+    _z_quantile,
 )
 from notedta.model import SerologyStatus
 
@@ -177,6 +184,47 @@ def test_clopper_pearson_coverage_exhaustive():
                 if bounds[k][0] <= p <= bounds[k][1]
             )
             assert coverage >= 0.95 - 1e-12, (n, p, coverage)
+
+
+LEVELS = (0.80, 0.90, 0.95, 0.99)
+
+
+def test_clopper_pearson_equals_scipy_stats_bit_for_bit():
+    # scipy.special.betaincinv stands in for scipy.stats.beta.ppf: every
+    # k <= n < 200 at four levels, plus a seeded sample of large n.
+    rng = random.Random(20240601)
+    cases = [(k, n) for n in range(1, 200) for k in range(n + 1)]
+    cases += [(rng.randint(0, n), n) for n in (rng.randint(200, 300_000) for _ in range(300))]
+    k = np.array([c[0] for c in cases])
+    n = np.array([c[1] for c in cases])
+    for level in LEVELS:
+        alpha = 1.0 - level
+        # beta.ppf is vectorised here for speed; undefined parameters give nan,
+        # replaced by the closed-form 0 and 1 bounds.
+        with np.errstate(invalid="ignore"):
+            low = np.where(k == 0, 0.0, beta.ppf(alpha / 2.0, k, n - k + 1))
+            high = np.where(k == n, 1.0, beta.ppf(1.0 - alpha / 2.0, k + 1, n - k))
+        for (kk, nn), lo, hi in zip(cases, low.tolist(), high.tolist()):
+            got = ci_proportion(kk, nn, level, "exact")
+            assert (got[0].hex(), got[1].hex()) == (lo.hex(), hi.hex()), (kk, nn, level)
+
+
+def test_z_quantile_equals_scipy_stats_norm_ppf():
+    assert _z_quantile(0.95) == 1.959964  # fixed for stable reports
+    for level in (*LEVELS, *(i / 1000 for i in range(1, 1000))):
+        if abs(level - 0.95) < 1e-12:
+            continue
+        expected = float(norm.ppf(1.0 - (1.0 - level) / 2.0))
+        assert _z_quantile(level).hex() == expected.hex(), level
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    # scipy.stats costs ~1 s of start-up; only the tests may import it.
+    src = str(Path(notedta.__file__).resolve().parents[1])
+    code = "import sys, notedta.cli; print('scipy.stats' in sys.modules)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env={"PYTHONPATH": src}, check=True)
+    assert out.stdout.strip() == "False"
 
 
 # -- likelihood ratio confidence intervals -----------------------------------

@@ -36,6 +36,7 @@ _CANONICAL: dict[tuple[str, ...], tuple[str, ...]] = {
     ("fi",): ("for", "investigation"),
 }
 _MAX_ABBREV = max(len(k) for k in _CANONICAL)
+_ABBREV_STARTS = frozenset(k[0] for k in _CANONICAL)
 
 
 def normalize_note(text: str) -> tuple[str, ...]:
@@ -48,6 +49,10 @@ def normalize_note(text: str) -> tuple[str, ...]:
     out: list[str] = []
     i = 0
     while i < len(raw):
+        if raw[i] not in _ABBREV_STARTS:
+            out.append(raw[i])
+            i += 1
+            continue
         for width in range(_MAX_ABBREV, 0, -1):
             chunk = tuple(raw[i : i + width])
             if chunk in _CANONICAL:

@@ -196,7 +196,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.subcommand](args)
-    except (CliInputError, CohortFormatError, FileNotFoundError, ValueError) as err:
+    except (CliInputError, CohortFormatError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
     except Exception as err:  # internal invariant failure

@@ -20,19 +20,22 @@ import math
 from dataclasses import dataclass
 from decimal import ROUND_HALF_UP, Decimal
 
-# scipy.special gives the quantiles of scipy.stats' beta.ppf and norm.ppf bit
-# for bit (tests/test_metrics.py), without the ~1 s import of scipy.stats.
-from scipy.special import betaincinv, ndtri
-
 from .model import SerologyStatus
 
 # Standard-normal two-sided quantile at 95%, fixed so reports are stable.
 Z_95 = 1.959964
 
 
+# scipy.special gives the quantiles of scipy.stats' beta.ppf and norm.ppf bit
+# for bit (tests/test_metrics.py), without the ~1 s import of scipy.stats. It
+# is imported only where a quantile is computed: numpy and scipy cost ~0.45 s
+# of start-up, and only an exact or non-95% `evaluate` needs them.
+
 def _z_quantile(level: float) -> float:
     if abs(level - 0.95) < 1e-12:
         return Z_95
+    from scipy.special import ndtri
+
     return float(ndtri(1.0 - (1.0 - level) / 2.0))
 
 
@@ -145,6 +148,8 @@ def ci_proportion(
     alpha = 1.0 - level
     k, n = successes, trials
     if method == "exact":
+        from scipy.special import betaincinv
+
         low = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2.0))
         high = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - alpha / 2.0))
         return low, high

@@ -5,6 +5,7 @@ Cutoffs default to the originating laboratory's values, defined once as
 configuration: other laboratories use different assay calibrations.
 """
 
+import math
 from dataclasses import dataclass
 
 from .model import Condition, PathologyRecord, SerologyStatus
@@ -16,8 +17,9 @@ class SerologyThresholds:
     anti_hcv_cutoff: float = Condition.HEPATITIS_C.default_cutoff
 
     def __post_init__(self):
-        if self.hbsag_cutoff <= 0 or self.anti_hcv_cutoff <= 0:
-            raise ValueError("cutoffs must be > 0")
+        for c in (self.hbsag_cutoff, self.anti_hcv_cutoff):
+            if not (math.isfinite(c) and c > 0):
+                raise ValueError("cutoffs must be finite and > 0")
 
     def cutoff(self, condition: Condition) -> float:
         if condition is Condition.HEPATITIS_B:

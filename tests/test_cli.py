@@ -1,6 +1,8 @@
 import json
 from importlib.resources import files
 
+import pytest
+
 from notedta.classifier import default_lexicon
 from notedta.cli import main
 from notedta.ingest import write_cohort_file
@@ -112,6 +114,29 @@ def test_missing_input_is_exit_1(capsys):
     assert "error" in err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("evaluate", "{dir}", "--condition", "hbv", "--outdir", "{tmp}/o"),
+        ("classify", "{dir}"),
+        ("validate", "{dir}"),
+        ("evaluate", "{cohort}", "--condition", "hbv", "--outdir", "{cohort}"),
+    ],
+    ids=["evaluate-dir", "classify-dir", "validate-dir", "evaluate-outdir-is-file"],
+)
+def test_unreadable_path_is_exit_1(tmp_path, capsys, argv):
+    # A directory given as input, or an --outdir that is an existing file, is
+    # an input error (exit 1), not an internal failure (exit 2).
+    cohort = tmp_path / "c.csv"
+    run(capsys, "synth", str(cohort), "--preset", "figS1-hbv", "--seed", "1")
+    (tmp_path / "d").mkdir()
+    fill = {"dir": str(tmp_path / "d"), "tmp": str(tmp_path), "cohort": str(cohort)}
+    code, _, err = run(capsys, *(a.format(**fill) for a in argv))
+    assert code == 1
+    assert err.startswith("error: ")
+    assert "internal error" not in err
+
+
 def test_report_rerender(tmp_path, capsys):
     # report re-renders report.json into exactly the files evaluate wrote
     for preset, condition in (("figS1-hbv", "hbv"), ("figS1-hcv", "hcv")):
@@ -208,6 +233,16 @@ def test_cutoff_flags(tmp_path, capsys):
     payload = json.loads((outdir / "report.json").read_text())
     # 2.0 < 5.0, so the known-positive note becomes a false positive
     assert payload["primary"]["counts"] == {"tp": 0, "fp": 1, "fn": 0, "tn": 0}
+
+
+@pytest.mark.parametrize("flag,value", [("--hbsag-cutoff", "nan"), ("--anti-hcv-cutoff", "inf")])
+def test_non_finite_cutoff_is_exit_1(tmp_path, capsys, flag, value):
+    cohort = tmp_path / "c.csv"
+    run(capsys, "synth", str(cohort), "--preset", "figS1-hbv", "--seed", "1")
+    code, _, err = run(capsys, "evaluate", str(cohort), "--condition", "hbv",
+                       "--outdir", str(tmp_path / "o"), flag, value)
+    assert code == 1
+    assert "error: cutoffs must be finite and > 0" in err
 
 
 def test_inputs_not_mutated(tmp_path, capsys):

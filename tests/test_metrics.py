@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import random
 import subprocess
@@ -218,13 +219,71 @@ def test_z_quantile_equals_scipy_stats_norm_ppf():
         assert _z_quantile(level).hex() == expected.hex(), level
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    # scipy.stats costs ~1 s of start-up; only the tests may import it.
+_PROBE = """
+import json, sys
+{setup}
+print(json.dumps(sorted(m for m in ("numpy", "scipy", "scipy.special", "scipy.stats")
+                        if m in sys.modules)))
+"""
+_RUN_CLI = """
+import contextlib, io
+from notedta.cli import main
+with contextlib.redirect_stdout(io.StringIO()):
+    assert main({argv!r}) == 0
+"""
+
+
+def _modules_loaded_by(setup: str) -> list[str]:
+    """Run `setup` in a fresh interpreter; list which of numpy/scipy it loaded."""
     src = str(Path(notedta.__file__).resolve().parents[1])
-    code = "import sys, notedta.cli; print('scipy.stats' in sys.modules)"
-    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env={"PYTHONPATH": src}, check=True)
-    assert out.stdout.strip() == "False"
+    out = subprocess.run([sys.executable, "-c", _PROBE.format(setup=setup)],
+                         capture_output=True, text=True, env={"PYTHONPATH": src}, check=True)
+    return json.loads(out.stdout.splitlines()[-1])
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tmp_path_factory):
+    from notedta.cli import main
+
+    d = tmp_path_factory.mktemp("startup")
+    assert main(["synth", str(d / "cohort.csv"), "--preset", "figS1-hbv", "--seed", "1"]) == 0
+    assert main(["evaluate", str(d / "cohort.csv"), "--condition", "hbv",
+                 "--outdir", str(d / "out")]) == 0
+    (d / "notes.txt").write_text("Known Hep C\n?Hep B\nscreen\n\n", encoding="utf-8")
+    return d
+
+
+@pytest.mark.parametrize("module", ["notedta", "notedta.cli"])
+def test_import_loads_neither_numpy_nor_scipy(module):
+    assert _modules_loaded_by(f"import {module}") == []
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["synth", "{d}/a.csv", "--preset", "figS1-hcv"],
+        ["synth", "{d}/b.csv", "--n", "200", "--seed", "3"],
+        ["classify", "{d}/notes.txt"],
+        ["validate", "{d}/cohort.csv"],
+        ["report", "{d}/out/report.json", "--format", "markdown"],
+        ["evaluate", "{d}/cohort.csv", "--condition", "hbv", "--outdir", "{d}/score",
+         "--ci-method", "score"],
+    ],
+    ids=["synth-preset", "synth-n", "classify", "validate", "report", "evaluate-score"],
+)
+def test_cli_command_loads_neither_numpy_nor_scipy(cli_inputs, argv):
+    # Only exact intervals and z quantiles at levels other than 0.95 need scipy.
+    argv = [a.format(d=cli_inputs) for a in argv]
+    assert _modules_loaded_by(_RUN_CLI.format(argv=argv)) == []
+
+
+def test_default_evaluate_loads_scipy_special_not_scipy_stats(cli_inputs):
+    # scipy.stats costs ~1 s of start-up; only the tests may import it.
+    argv = ["evaluate", f"{cli_inputs}/cohort.csv", "--condition", "hbv",
+            "--outdir", f"{cli_inputs}/exact"]
+    loaded = _modules_loaded_by(_RUN_CLI.format(argv=argv))
+    assert "scipy.special" in loaded
+    assert "scipy.stats" not in loaded
 
 
 # -- likelihood ratio confidence intervals -----------------------------------

@@ -32,6 +32,16 @@ def test_invalid_thresholds_rejected():
         SerologyThresholds(anti_hcv_cutoff=-1.0)
 
 
+@pytest.mark.parametrize("cutoff", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_thresholds_rejected(cutoff):
+    # nan <= 0 is False, so a bare "> 0" check would let nan through and
+    # make every marker read negative; inf does the same.
+    with pytest.raises(ValueError, match="finite and > 0"):
+        SerologyThresholds(hbsag_cutoff=cutoff)
+    with pytest.raises(ValueError, match="finite and > 0"):
+        SerologyThresholds(anti_hcv_cutoff=cutoff)
+
+
 def test_custom_thresholds_respected():
     t = SerologyThresholds(hbsag_cutoff=5.0)
     assert classify_marker(_rec(hbsag=2.0), Condition.HEPATITIS_B, t) is SerologyStatus.NEGATIVE

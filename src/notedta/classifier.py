@@ -46,6 +46,8 @@ def normalize_note(text: str) -> tuple[str, ...]:
     sequence.
     """
     raw = _TOKEN_RE.findall(text.lower())
+    if _ABBREV_STARTS.isdisjoint(raw):
+        return tuple(raw)
     out: list[str] = []
     i = 0
     while i < len(raw):
@@ -96,7 +98,8 @@ class Lexicon:
     query_keywords: tuple[tuple[str, ...], ...]
     statement_keywords: tuple[tuple[str, ...], ...]
     # Derived in __post_init__: first token -> (rule position, pattern
-    # position, pattern) and first token -> (keyword,), in lexicon order.
+    # position, pattern length, category id, priority, joined pattern,
+    # pattern) and first token -> (keyword,), in lexicon order.
     _pattern_index: dict = field(init=False, compare=False, repr=False)
     _query_index: dict = field(init=False, compare=False, repr=False)
 
@@ -114,7 +117,7 @@ class Lexicon:
         if () in self.query_keywords:
             raise ValueError("empty query keyword")
         object.__setattr__(self, "_pattern_index", _first_token_index(
-            (r, p, pattern)
+            (r, p, len(pattern), rule.category_id, rule.priority, " ".join(pattern), pattern)
             for r, rule in enumerate(self.rules)
             for p, pattern in enumerate(rule.patterns)
         ))
@@ -144,6 +147,12 @@ class NoteClassification:
     all_matches: tuple[Match, ...]
 
 
+# Shared by every empty or unmatched note; safe because results are immutable.
+_NO_NOTE = NoteClassification(NO_NOTE_CATEGORY, "", "negative", "negative", ())
+_UNMATCHED = NoteClassification(NONSPECIFIC_CATEGORY, "", "negative", "negative", ())
+_LABELS = {True: "positive", False: "negative"}
+
+
 def classify_note(text: str, lexicon: Lexicon) -> NoteClassification:
     """Assign a category and per-condition polarity to one note.
 
@@ -154,32 +163,37 @@ def classify_note(text: str, lexicon: Lexicon) -> NoteClassification:
     """
     tokens = normalize_note(text)
     if not tokens:
-        return NoteClassification(NO_NOTE_CATEGORY, "", "negative", "negative", ())
+        return _NO_NOTE
 
-    # rule position -> (pattern position, token position, pattern); tokens are
-    # scanned left to right, so the first hit of a pattern is its first position.
-    found: dict[int, tuple[int, int, tuple[str, ...]]] = {}
+    # rule position -> (pattern position, token position, category id,
+    # priority, joined pattern); tokens are scanned left to right, so the
+    # first hit of a pattern is its first position.
+    found: dict[int, tuple[int, int, int, int, str]] = {}
     index = lexicon._pattern_index
     for i, token in enumerate(tokens):
-        for r, p, pattern in index.get(token, ()):
-            if (r not in found or p < found[r][0]) and tokens[i : i + len(pattern)] == pattern:
-                found[r] = (p, i, pattern)
+        for r, p, width, category_id, priority, joined, pattern in index.get(token, ()):
+            if (r not in found or p < found[r][0]) and (
+                width == 1 or tokens[i : i + width] == pattern
+            ):
+                found[r] = (p, i, category_id, priority, joined)
 
     if not found:
-        return NoteClassification(NONSPECIFIC_CATEGORY, "", "negative", "negative", ())
+        return _UNMATCHED
 
-    rules = lexicon.rules
-    ranked = [
-        (rules[r].priority, Match(rules[r].category_id, " ".join(pattern), i))
-        for r, (_, i, pattern) in sorted(found.items())
-    ]
-    matches = tuple(m for _, m in ranked)
-    best = min(ranked, key=lambda pm: pm[0])[1]
-    is_query = _note_is_query(tokens, lexicon)
-    matched_ids = {m.category_id for m in matches}
-    hbv = "positive" if (HBV_CATEGORY in matched_ids and not is_query) else "negative"
-    hcv = "positive" if (HCV_CATEGORY in matched_ids and not is_query) else "negative"
-    return NoteClassification(best.category_id, best.pattern, hbv, hcv, matches)
+    matches = []
+    best_priority = None
+    hbv = hcv = False
+    for r in sorted(found):
+        _, i, category_id, priority, joined = found[r]
+        matches.append(Match(category_id, joined, i))
+        if best_priority is None or priority < best_priority:
+            best_priority, best_id, best_pattern = priority, category_id, joined
+        hbv = hbv or category_id == HBV_CATEGORY
+        hcv = hcv or category_id == HCV_CATEGORY
+    # A query never labels positive; only a hepatitis match needs the scan.
+    if (hbv or hcv) and _note_is_query(tokens, lexicon):
+        hbv = hcv = False
+    return NoteClassification(best_id, best_pattern, _LABELS[hbv], _LABELS[hcv], tuple(matches))
 
 
 def _note_is_query(tokens: tuple[str, ...], lexicon: Lexicon) -> bool:

@@ -2,33 +2,58 @@
 
 Subcommands: validate, classify, evaluate, synth, report. Batch,
 file-based: each run writes its artifacts and prints a terse summary.
-Exit codes: 0 success, 1 input error, 2 internal invariant failure.
+Exit codes: 0 success, 1 input error (a malformed command line included),
+2 internal invariant failure.
 """
 
 import argparse
+import importlib
 import os
 import sys
 from pathlib import Path
 
 from .classifier import classify_note, default_lexicon, load_lexicon
-from .evaluate import (
-    EvaluationConfig,
-    EvaluationResult,
-    emit_demographics_csv,
-    emit_plot_data,
-    emit_report,
-    evaluate_condition,
-)
-from .ingest import (
-    CohortFormatError,
-    parse_cohort_file,
-    parse_cohort_file_with_report,
-    write_cohort_file,
-)
 from .metrics import CiConfig
 from .model import Condition
 from .serology import SerologyThresholds
 from .synth import PRESETS, preset_spec, synthesize_exact, synthesize_random
+
+# Bound on first use, so that each command imports only the modules it runs
+# (`classify` never loads evaluate or ingest). They stay attributes of this
+# module, looked up at call time, so a caller can replace them here.
+_LAZY = {
+    "evaluate": ("EvaluationConfig", "EvaluationResult", "emit_demographics_csv",
+                 "emit_plot_data", "emit_report", "evaluate_condition"),
+    "ingest": ("parse_cohort_file", "parse_cohort_file_with_report", "write_cohort_file"),
+}
+TYPE_CHECKING = False  # read as true by type checkers; spares importing typing
+if TYPE_CHECKING:
+    from .evaluate import (
+        EvaluationConfig,
+        EvaluationResult,
+        emit_demographics_csv,
+        emit_plot_data,
+        emit_report,
+        evaluate_condition,
+    )
+    from .ingest import parse_cohort_file, parse_cohort_file_with_report, write_cohort_file
+
+
+def _load(*modules: str) -> None:
+    """Bind the `_LAZY` names of `modules` here, keeping any already bound."""
+    for module in modules:
+        imported = importlib.import_module(f"{__package__}.{module}")
+        for name in _LAZY[module]:
+            globals().setdefault(name, getattr(imported, name))
+
+
+def __getattr__(name):
+    for module, names in _LAZY.items():
+        if name in names:
+            _load(module)
+            return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 LEXICON_ENV = "NOTEDTA_LEXICON"
 
@@ -40,14 +65,16 @@ def _load_lexicon(path: str | None):
     return load_lexicon(path) if path else default_lexicon()
 
 
-def _thresholds(args) -> SerologyThresholds:
-    return SerologyThresholds(
-        hbsag_cutoff=args.hbsag_cutoff, anti_hcv_cutoff=args.anti_hcv_cutoff
-    )
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        # A usage error is an input error: exit 1, not argparse's 2, which
+        # this CLI reserves for internal failures.
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="notedta",
         description="Diagnostic accuracy of clinical notes against serological gold standards.",
     )
@@ -89,6 +116,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_validate(args) -> int:
+    _load("ingest")
     cohort, report = parse_cohort_file_with_report(args.input, strict=args.strict)
     if args.report:
         Path(args.report).write_text(report.to_json(), encoding="utf-8")
@@ -110,11 +138,14 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    _load("ingest", "evaluate")
     cohort = parse_cohort_file(args.input)
     config = EvaluationConfig(
         target_condition=_CONDITIONS[args.condition],
         exclude_vaccination=not args.keep_vaccination,
-        thresholds=_thresholds(args),
+        thresholds=SerologyThresholds(
+            hbsag_cutoff=args.hbsag_cutoff, anti_hcv_cutoff=args.anti_hcv_cutoff
+        ),
         ci=CiConfig(level=args.ci_level, proportion_method=args.ci_method),
     )
     result = evaluate_condition(cohort, config, _load_lexicon(args.lexicon))
@@ -149,6 +180,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_synth(args) -> int:
+    _load("ingest")
     if args.preset:
         cohort = synthesize_exact(preset_spec(args.preset, args.seed))
     else:
@@ -168,6 +200,7 @@ def _cmd_synth(args) -> int:
 
 def _cmd_report(args) -> int:
     # Re-render the stored full-precision result with evaluate's own renderer.
+    _load("evaluate")
     lexicon = _load_lexicon(None)
     try:
         with open(args.input, encoding="utf-8") as fh:
@@ -196,7 +229,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.subcommand](args)
-    except (CliInputError, CohortFormatError, OSError, ValueError) as err:
+    except (OSError, ValueError) as err:  # CliInputError and CohortFormatError included
         print(f"error: {err}", file=sys.stderr)
         return 1
     except Exception as err:  # internal invariant failure

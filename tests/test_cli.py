@@ -251,3 +251,75 @@ def test_inputs_not_mutated(tmp_path, capsys):
     before = cohort.read_bytes()
     run(capsys, "evaluate", str(cohort), "--condition", "hbv", "--outdir", str(tmp_path / "o"))
     assert cohort.read_bytes() == before
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("synth", "x.csv", "--preset", "nope"), "argument --preset: invalid choice: 'nope'"),
+        (("evaluate", "c.csv"), "the following arguments are required: --condition"),
+        (("synth", "x.csv", "--n", "abc"), "argument --n: invalid int value: 'abc'"),
+        (("bogus",), "argument subcommand: invalid choice: 'bogus'"),
+    ],
+    ids=["bad-choice", "missing-required", "bad-int", "unknown-subcommand"],
+)
+def test_usage_error_is_exit_1(capsys, argv, message):
+    # Exit 2 means an internal failure; a bad command line is an input error.
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    assert exit_info.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: notedta")
+    assert f"error: {message}" in err.splitlines()[-1]
+
+
+@pytest.mark.parametrize("argv", [("--help",), ("synth", "--help")])
+def test_help_is_exit_0(capsys, argv):
+    with pytest.raises(SystemExit) as exit_info:
+        main(list(argv))
+    assert exit_info.value.code == 0
+    assert capsys.readouterr().out.startswith("usage: notedta")
+
+
+# The names `notedta.cli` commands call through its module attributes (the
+# benchmark traces them there); most are bound on first use.
+_CALL_SITES = {
+    "synthesize_exact": ("synth", "{d}/a.csv", "--preset", "figS1-hbv"),
+    "synthesize_random": ("synth", "{d}/b.csv", "--n", "50", "--seed", "2"),
+    "write_cohort_file": ("synth", "{d}/c.csv", "--preset", "figS1-hbv"),
+    "parse_cohort_file": ("evaluate", "{d}/cohort.csv", "--condition", "hbv", "--outdir", "{d}/o"),
+    "evaluate_condition": ("evaluate", "{d}/cohort.csv", "--condition", "hbv", "--outdir", "{d}/o"),
+    "emit_report": ("report", "{d}/out/report.json"),
+    "emit_plot_data": ("evaluate", "{d}/cohort.csv", "--condition", "hbv", "--outdir", "{d}/o"),
+    "emit_demographics_csv": (
+        "evaluate", "{d}/cohort.csv", "--condition", "hbv", "--outdir", "{d}/o"),
+}
+
+
+@pytest.mark.parametrize("bound", [True, False], ids=["bound", "not-yet-bound"])
+@pytest.mark.parametrize("name", sorted(_CALL_SITES))
+def test_commands_call_through_module_attributes(tmp_path, capsys, monkeypatch, name, bound):
+    import notedta.cli as cli
+
+    cohort = tmp_path / "cohort.csv"
+    write_cohort_file(synthesize_exact(preset_spec("figS1-hbv", seed=1)), cohort)
+    assert main(["evaluate", str(cohort), "--condition", "hbv",
+                 "--outdir", str(tmp_path / "out")]) == 0
+    original = getattr(cli, name)
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    if bound:
+        monkeypatch.setattr(cli, name, recording)
+    else:
+        # As in a fresh process: no lazy name is bound yet, and the command
+        # must keep a replacement made before it binds the rest.
+        for names in cli._LAZY.values():
+            for lazy in names:
+                monkeypatch.delitem(vars(cli), lazy, raising=False)
+        monkeypatch.setitem(vars(cli), name, recording)
+    assert run(capsys, *(a.format(d=tmp_path) for a in _CALL_SITES[name]))[0] == 0
+    assert calls

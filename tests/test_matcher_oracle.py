@@ -7,6 +7,8 @@ of every rule is searched at every token position. Whole
 of `all_matches`.
 """
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -197,3 +199,68 @@ def test_empty_pattern_and_query_keyword_rejected():
     rules = LATER_PATTERN_FIRST.rules
     with pytest.raises(ValueError, match="empty query keyword"):
         Lexicon(rules, (("?",), ()), ())
+
+
+# -- cases the fast paths skip work on ----------------------------------------
+
+_HEPATITIS_TOKENS = {"hepatitis-b", "hepatitis-c"}
+_NON_HEPATITIS_PHRASES = [
+    " ".join(p)
+    for r in _DEFAULT.rules
+    if r.category_id not in (HBV_CATEGORY, HCV_CATEGORY)
+    for p in r.patterns
+    if _HEPATITIS_TOKENS.isdisjoint(p)
+]
+_QUERY_PHRASES = [" ".join(kw) for kw in _DEFAULT.query_keywords]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.sampled_from(_NON_HEPATITIS_PHRASES + _QUERY_PHRASES + _FILLER),
+                min_size=1, max_size=10).map(" ".join))
+def test_query_without_hepatitis_match_matches_oracle(text):
+    # The query scan runs only when category 1 or 2 matched.
+    c = classify_note(text, _DEFAULT)
+    assert not {HBV_CATEGORY, HCV_CATEGORY} & {m.category_id for m in c.all_matches}
+    _assert_same(text, _DEFAULT)
+
+
+@pytest.mark.parametrize("text", ["? anaemia", "possible depression", "fatigue screen",
+                                  "for investigation of malaise", "?", "screen ?"])
+def test_query_without_hepatitis_match_examples(text):
+    _assert_same(text, _DEFAULT)
+
+
+_ABBREVIATION_STARTS = {"hepatitis", "hep", "hbv", "hcv", "hx", "pos", "fi"}
+
+
+def _raw_tokens(text: str) -> list[str]:
+    return re.findall(r"[a-z0-9]+|\?", text.lower())
+
+
+_PLAIN_WORDS = sorted(
+    {w for w in _DEFAULT_PHRASES + _QUERY_PHRASES + _FILLER
+     if _ABBREVIATION_STARTS.isdisjoint(_raw_tokens(w))}
+    | {t for p in _DEFAULT_PHRASES for t in _raw_tokens(p)} - _ABBREVIATION_STARTS
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(_PLAIN_WORDS), st.sampled_from([" ", ", ", "?"])),
+                max_size=14).map(lambda parts: "".join(w + sep for w, sep in parts)))
+def test_notes_without_abbreviation_start_match_oracle(text):
+    # normalize_note returns these notes' raw tokens without the abbreviation scan.
+    assert _ABBREVIATION_STARTS.isdisjoint(_raw_tokens(text))
+    _assert_same(text, _DEFAULT)
+
+
+@pytest.mark.parametrize("lexicon", [_DEFAULT, *HAND_BUILT.values()],
+                         ids=["default", *HAND_BUILT])
+@pytest.mark.parametrize("text, category", [("", NO_NOTE_CATEGORY), (" - , ", NO_NOTE_CATEGORY),
+                                            ("zzz qqq", NONSPECIFIC_CATEGORY)])
+def test_shared_empty_and_unmatched_results(lexicon, text, category):
+    fresh = NoteClassification(category, "", "negative", "negative", ())
+    c = classify_note(text, lexicon)
+    assert c == fresh and hash(c) == hash(fresh) and repr(c) == repr(fresh)
+    assert c == _oracle_classify_note(text, lexicon)
+    with pytest.raises(AttributeError):
+        c.category_id = 1  # shared between notes, so it must stay immutable

@@ -222,9 +222,11 @@ def test_z_quantile_equals_scipy_stats_norm_ppf():
 _PROBE = """
 import json, sys
 {setup}
-print(json.dumps(sorted(m for m in ("numpy", "scipy", "scipy.special", "scipy.stats")
-                        if m in sys.modules)))
+print(json.dumps(sorted(m for m in {watch!r} if m in sys.modules)))
 """
+_SCIPY = ("numpy", "scipy", "scipy.special", "scipy.stats")
+_SUBMODULES = tuple(f"notedta.{m}" for m in (
+    "classifier", "cli", "evaluate", "ingest", "metrics", "model", "serology", "synth"))
 _RUN_CLI = """
 import contextlib, io
 from notedta.cli import main
@@ -233,10 +235,10 @@ with contextlib.redirect_stdout(io.StringIO()):
 """
 
 
-def _modules_loaded_by(setup: str) -> list[str]:
-    """Run `setup` in a fresh interpreter; list which of numpy/scipy it loaded."""
+def _modules_loaded_by(setup: str, watch: tuple[str, ...] = _SCIPY) -> list[str]:
+    """Run `setup` in a fresh interpreter; list which of the `watch` modules it loaded."""
     src = str(Path(notedta.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", _PROBE.format(setup=setup)],
+    out = subprocess.run([sys.executable, "-c", _PROBE.format(setup=setup, watch=watch)],
                          capture_output=True, text=True, env={"PYTHONPATH": src}, check=True)
     return json.loads(out.stdout.splitlines()[-1])
 
@@ -284,6 +286,67 @@ def test_default_evaluate_loads_scipy_special_not_scipy_stats(cli_inputs):
     loaded = _modules_loaded_by(_RUN_CLI.format(argv=argv))
     assert "scipy.special" in loaded
     assert "scipy.stats" not in loaded
+
+
+def test_import_notedta_loads_no_submodule():
+    # dir() still lists every public name before any is loaded.
+    setup = ("import notedta\n"
+             "assert [n for n in dir(notedta) if n[0] != '_'] == sorted(notedta.__all__)")
+    assert _modules_loaded_by(setup, _SUBMODULES) == []
+
+
+@pytest.mark.parametrize(
+    "setup, absent",
+    [
+        ("import notedta.cli", ("notedta.evaluate", "notedta.ingest")),
+        (_RUN_CLI.format(argv=["classify", "/dev/null"]), ("notedta.evaluate", "notedta.ingest")),
+        (_RUN_CLI.format(argv=["synth", "{d}/s.csv", "--preset", "figS1-hbv"]),
+         ("notedta.evaluate",)),
+    ],
+    ids=["import-cli", "classify", "synth"],
+)
+def test_cli_loads_only_what_the_command_runs(cli_inputs, setup, absent):
+    loaded = _modules_loaded_by(setup.replace("{d}", str(cli_inputs)), _SUBMODULES)
+    assert "notedta.classifier" in loaded
+    # perfbench's import probe times notedta.metrics inside `import notedta.cli`.
+    assert "notedta.metrics" in loaded
+    assert not set(absent) & set(loaded), loaded
+
+
+# The package's public names, by the submodule that defines each.
+_EXPORTED = {
+    "classifier": ("CategoryRule", "Lexicon", "NoteClassification", "classify_note",
+                   "default_lexicon", "load_lexicon", "normalize_note"),
+    "evaluate": ("CategoryResult", "EvaluationConfig", "EvaluationResult", "emit_plot_data",
+                 "emit_report", "evaluate_condition"),
+    "ingest": ("CohortFormatError", "CohortSummary", "parse_cohort_file",
+               "summarize_demographics", "write_cohort_file"),
+    "metrics": ("CiConfig", "ContingencyTable", "MetricEstimate", "MetricPanel",
+                "adjust_predictive_values", "build_contingency", "ci_likelihood_ratio",
+                "ci_proportion", "compute_metrics"),
+    "model": ("Cohort", "Condition", "PathologyRecord", "SerologyStatus", "Sex"),
+    "serology": ("SerologyThresholds", "classify_marker"),
+    "synth": ("SynthesisSpec", "synthesize_exact", "synthesize_random"),
+}
+
+
+def test_lazy_exports_are_the_submodules_objects():
+    import importlib
+
+    public = sorted([*_EXPORTED, *(n for names in _EXPORTED.values() for n in names)])
+    for module, names in _EXPORTED.items():
+        defining = importlib.import_module(f"notedta.{module}")
+        assert getattr(notedta, module) is defining
+        for name in names:
+            assert getattr(notedta, name) is getattr(defining, name), name
+    # `cli` is listed too once imported, as it was before.
+    assert {n for n in dir(notedta) if not n.startswith("_")} - {"cli"} == set(public)
+    assert sorted(notedta.__all__) == public
+    namespace = {}
+    exec("from notedta import *", namespace)
+    assert sorted(n for n in namespace if n != "__builtins__") == public
+    with pytest.raises(AttributeError, match="no attribute 'nope'"):
+        notedta.nope
 
 
 # -- likelihood ratio confidence intervals -----------------------------------

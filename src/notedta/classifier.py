@@ -11,9 +11,9 @@ Category 45 absorbs empty notes, category 46 everything unmatched.
 """
 
 import functools
+import os
 import re
 from dataclasses import dataclass, field
-from importlib import resources
 
 NO_NOTE_CATEGORY = 45
 NONSPECIFIC_CATEGORY = 46
@@ -96,7 +96,6 @@ def _first_token_index(patterns) -> dict[str, tuple]:
 class Lexicon:
     rules: tuple[CategoryRule, ...]
     query_keywords: tuple[tuple[str, ...], ...]
-    statement_keywords: tuple[tuple[str, ...], ...]
     # Derived in __post_init__: first token -> (rule position, pattern
     # position, pattern length, category id, priority, joined pattern,
     # pattern) and first token -> (keyword,), in lexicon order.
@@ -211,8 +210,9 @@ def _note_is_query(tokens: tuple[str, ...], lexicon: Lexicon) -> bool:
 # ---------------------------------------------------------------------------
 # Lexicon file format: blocks introduced by "[category N]" with "label:",
 # "chapter:", "priority:" and one "pattern:" line per phrase, plus a
-# "[polarity]" block of "query:" / "statement:" lines. Patterns and
-# keywords are normalized on load.
+# "[polarity]" block of "query:" and "statement:" lines. Patterns and query
+# keywords are normalized on load; "statement:" lines document the lexicon
+# and are not read (a hepatitis note without a query is a statement).
 
 
 def load_lexicon(path) -> Lexicon:
@@ -223,14 +223,12 @@ def load_lexicon(path) -> Lexicon:
 @functools.cache
 def default_lexicon() -> Lexicon:
     """The built-in lexicon, parsed once per process and shared (it is immutable)."""
-    text = resources.files("notedta").joinpath("data/default_lexicon.txt").read_text("utf-8")
-    return parse_lexicon(text)
+    return load_lexicon(os.path.join(os.path.dirname(__file__), "data", "default_lexicon.txt"))
 
 
 def parse_lexicon(text: str) -> Lexicon:
     rules: list[CategoryRule] = []
     query: list[tuple[str, ...]] = []
-    statement: list[tuple[str, ...]] = []
     current: dict | None = None
     in_polarity = False
 
@@ -268,9 +266,7 @@ def parse_lexicon(text: str) -> Lexicon:
         if in_polarity:
             if key == "query":
                 query.append(("?",) if value == "?" else normalize_note(value))
-            elif key == "statement":
-                statement.append(normalize_note(value))
-            else:
+            elif key != "statement":
                 raise ValueError(f"line {lineno}: unknown polarity key {key!r}")
             continue
         if current is None:
@@ -289,4 +285,4 @@ def parse_lexicon(text: str) -> Lexicon:
         else:
             raise ValueError(f"line {lineno}: unknown key {key!r}")
     flush()
-    return Lexicon(tuple(rules), tuple(query), tuple(statement))
+    return Lexicon(tuple(rules), tuple(query))

@@ -32,7 +32,6 @@ from .metrics import (
     format_percent,
     format_percent_1dp,
     format_proportion,
-    format_ratio,
 )
 from .model import Cohort, Condition
 from .serology import SerologyThresholds, classify_marker
@@ -80,6 +79,7 @@ class EvaluationResult:
     primary: CategoryResult
     controls: tuple[CategoryResult, ...]
     summary: CohortSummary
+    ci_level: float = 0.95  # confidence level of every interval in the panels
 
     def all_results(self) -> tuple[CategoryResult, ...]:
         return (self.primary, *self.controls)
@@ -99,6 +99,7 @@ class EvaluationResult:
                 _panel_from_json(payload["primary"], lexicon),
                 tuple(_panel_from_json(c, lexicon) for c in payload["controls"]),
                 CohortSummary(**payload["demographics"]),
+                CiConfig(payload.get("ci_level", 0.95)).level,  # checks a stored level
             )
         except KeyError as err:
             raise ValueError(f"malformed report: missing or unknown key {err}") from err
@@ -147,7 +148,9 @@ def evaluate_condition(
 
     primary = category_result(condition.category_id)
     controls = tuple(category_result(cid) for cid in config.control_category_ids)
-    return EvaluationResult(condition, primary, controls, summarize_demographics(cohort))
+    return EvaluationResult(
+        condition, primary, controls, summarize_demographics(cohort), config.ci.level
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -167,8 +170,11 @@ def _ci_ratio(est: MetricEstimate) -> str:
     if not est.defined:
         return "n.d."
     if est.ci_low is None:
-        return format_ratio(est)
-    return f"{format_ratio(est)} ({format_ratio(est.ci_low)}-{format_ratio(est.ci_high)})"
+        return format_proportion(est)
+    return (
+        f"{format_proportion(est)} "
+        f"({format_proportion(est.ci_low)}-{format_proportion(est.ci_high)})"
+    )
 
 
 def _panel_json(result: CategoryResult) -> dict:
@@ -184,7 +190,7 @@ def _panel_json(result: CategoryResult) -> dict:
             "ci_high": num(e.ci_high),
             "method": e.method,
             "note": e.note,
-            "display": format_proportion(e) if e.method != "log" else format_ratio(e),
+            "display": format_proportion(e),
         }
 
     p = result.panel
@@ -241,9 +247,10 @@ def _panel_from_json(block: dict, lexicon: Lexicon) -> CategoryResult:
 def emit_report(result: EvaluationResult, format: str) -> str:
     """Render an evaluation as markdown, csv, or json.
 
-    Markdown mirrors the reference table layout (percent metrics with 95%
-    CIs, 2-dp likelihood ratios); CSV and JSON carry full-precision values
-    plus the raw counts so every number is reproducible.
+    Markdown mirrors the reference table layout (percent metrics with CIs
+    at ``result.ci_level``, 2-dp likelihood ratios); CSV and JSON carry
+    full-precision values plus the raw counts so every number is
+    reproducible. JSON stores ``ci_level`` only when it is not 0.95.
     """
     if format == "json":
         payload = {
@@ -260,6 +267,8 @@ def emit_report(result: EvaluationResult, format: str) -> str:
             "primary": _panel_json(result.primary),
             "controls": [_panel_json(c) for c in result.controls],
         }
+        if result.ci_level != 0.95:  # default reports stay as they were
+            payload["ci_level"] = result.ci_level
         return json.dumps(payload, indent=2)
     if format == "csv":
         buf = io.StringIO()
@@ -292,6 +301,7 @@ def emit_report(result: EvaluationResult, format: str) -> str:
 def _markdown_report(result: EvaluationResult) -> str:
     cond = result.condition
     p = result.primary
+    ci = f"{100 * result.ci_level:g}% CI"
     lines = [
         f"# Clinical-note diagnostic accuracy: {cond.marker_name}",
         "",
@@ -301,8 +311,8 @@ def _markdown_report(result: EvaluationResult) -> str:
         "",
         "## Primary category",
         "",
-        "| Clinical note | Sn (%) (95% CI) | Sp (%) (95% CI) | PPV (%) (95% CI) "
-        "| NPV (%) (95% CI) | LR+ | LR- |",
+        f"| Clinical note | Sn (%) ({ci}) | Sp (%) ({ci}) | PPV (%) ({ci}) "
+        f"| NPV (%) ({ci}) | LR+ | LR- |",
         "|---|---|---|---|---|---|---|",
         (
             f"| Category {p.category_id}: {p.label} "

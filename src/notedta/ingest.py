@@ -4,12 +4,13 @@ The on-disk format is UTF-8 CSV (a leading byte-order mark is accepted)
 with header ``record_id,age,sex,note_text,hbsag_iu,anti_hcv_iu,collection_year``;
 free text is quoted, an empty field means absent. Sex tokens M/F/1/2 are
 recognised; anything else maps to unspecified (with a warning recorded in
-the validation report).
+the validation report). Parsing only turns text into values: the record
+rules (age, year and assay ranges, a non-empty id) are
+``PathologyRecord``'s, reported here with the row and column.
 """
 
 import csv
 import json
-import math
 import statistics
 from dataclasses import dataclass, field
 
@@ -48,38 +49,30 @@ class ValidationReport:
         )
 
 
-def _parse_int(raw: str, column: str, row: int, low: int, high: int) -> int | None:
+def _parse_int(raw: str, column: str, row: int) -> int | None:
     if raw == "":
         return None
     try:
-        value = int(raw)
+        return int(raw)
     except ValueError:
         raise CohortFormatError(f"row {row}, column {column}: not an integer: {raw!r}")
-    if not (low <= value <= high):
-        raise CohortFormatError(f"row {row}, column {column}: out of range [{low},{high}]: {value}")
-    return value
 
 
-def _parse_assay(raw: str, column: str, row: int) -> float | None:
+def _parse_float(raw: str, column: str, row: int) -> float | None:
     if raw == "":
         return None
     try:
-        value = float(raw)
+        return float(raw)
     except ValueError:
         raise CohortFormatError(f"row {row}, column {column}: not a number: {raw!r}")
-    if not math.isfinite(value) or value < 0:
-        raise CohortFormatError(f"row {row}, column {column}: must be finite and >= 0: {raw!r}")
-    return value
 
 
-def parse_cohort_file(path, strict: bool = True, provenance: str | None = None) -> Cohort:
-    cohort, _ = parse_cohort_file_with_report(path, strict=strict, provenance=provenance)
+def parse_cohort_file(path, strict: bool = True) -> Cohort:
+    cohort, _ = parse_cohort_file_with_report(path, strict=strict)
     return cohort
 
 
-def parse_cohort_file_with_report(
-    path, strict: bool = True, provenance: str | None = None
-) -> tuple[Cohort, ValidationReport]:
+def parse_cohort_file_with_report(path, strict: bool = True) -> tuple[Cohort, ValidationReport]:
     """Parse a cohort CSV.
 
     In strict mode any malformed row raises CohortFormatError with the row
@@ -110,16 +103,13 @@ def parse_cohort_file_with_report(
                 continue
             seen.add(row[0])
     report.n_parsed = len(records)
-    cohort = Cohort(tuple(records), provenance=provenance or str(path))
-    return cohort, report
+    return Cohort(tuple(records)), report
 
 
 def _parse_row(row, rownum: int, report: ValidationReport) -> PathologyRecord:
     if len(row) != len(HEADER):
         raise CohortFormatError(f"row {rownum}: expected {len(HEADER)} fields, got {len(row)}")
     record_id, age_raw, sex_raw, note_text, hbsag_raw, hcv_raw, year_raw = row
-    if not record_id:
-        raise CohortFormatError(f"row {rownum}, column record_id: empty")
     sex_token = sex_raw.strip().lower()
     sex = _SEX_TOKENS.get(sex_token)
     if sex is None:
@@ -127,15 +117,18 @@ def _parse_row(row, rownum: int, report: ValidationReport) -> PathologyRecord:
             f"row {rownum}: unrecognised sex token {sex_raw!r}, treated as unspecified"
         )
         sex = Sex.UNSPECIFIED
-    return PathologyRecord(
-        record_id=record_id,
-        age=_parse_int(age_raw, "age", rownum, 0, 130),
-        sex=sex,
-        note_text=note_text,
-        hbsag_iu=_parse_assay(hbsag_raw, "hbsag_iu", rownum),
-        anti_hcv_iu=_parse_assay(hcv_raw, "anti_hcv_iu", rownum),
-        collection_year=_parse_int(year_raw, "collection_year", rownum, 1800, 2200),
-    )
+    # Converted outside the try, whose handler would wrap their CohortFormatError
+    # (a ValueError) again.
+    age = _parse_int(age_raw, "age", rownum)
+    hbsag_iu = _parse_float(hbsag_raw, "hbsag_iu", rownum)
+    anti_hcv_iu = _parse_float(hcv_raw, "anti_hcv_iu", rownum)
+    collection_year = _parse_int(year_raw, "collection_year", rownum)
+    try:
+        return PathologyRecord(
+            record_id, age, sex, note_text, hbsag_iu, anti_hcv_iu, collection_year
+        )
+    except ValueError as err:  # a record rule, worded "<field>: <problem>"
+        raise CohortFormatError(f"row {rownum}, column {err}") from None
 
 
 _SEX_OUT = {Sex.MALE: "M", Sex.FEMALE: "F", Sex.UNSPECIFIED: ""}

@@ -73,10 +73,6 @@ class ContingencyTable:
     def diseased(self) -> int:
         return self.tp + self.fn
 
-    @property
-    def test_positive(self) -> int:
-        return self.tp + self.fp
-
 
 @dataclass(frozen=True)
 class MetricEstimate:
@@ -277,14 +273,17 @@ def _round_half_up(value: float, places: int) -> Decimal:
     return Decimal(repr(value)).quantize(q, rounding=ROUND_HALF_UP)
 
 
-def format_proportion(estimate_or_value, places: int = 2) -> str:
-    """Proportion as a fixed-decimal string, e.g. 0.8961 -> '0.90'."""
+def format_proportion(estimate_or_value) -> str:
+    """Proportion or likelihood ratio to two decimals, e.g. 0.8961 -> '0.90'.
+
+    An undefined value shows as 'n.d.', an infinite one as '+inf'.
+    """
     value = getattr(estimate_or_value, "value", estimate_or_value)
     if value is None:
         return "n.d."
     if math.isinf(value):
         return "+inf"
-    return str(_round_half_up(value, places))
+    return str(_round_half_up(value, 2))
 
 def format_percent(value: float | None) -> str:
     """Percentage derived from the 2-dp proportion: 0.8769 -> '88'.
@@ -308,12 +307,3 @@ def format_percent_1dp(value: float | None) -> str:
         return str(pct.quantize(Decimal(1)))
     return str(pct)
 
-
-def format_ratio(estimate_or_value) -> str:
-    """Likelihood ratio to two decimals; 'n.d.' / '+inf' when not finite."""
-    value = getattr(estimate_or_value, "value", estimate_or_value)
-    if value is None:
-        return "n.d."
-    if math.isinf(value):
-        return "+inf"
-    return str(_round_half_up(value, 2))

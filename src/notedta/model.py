@@ -43,11 +43,14 @@ class Condition(Enum):
         return {"hepatitis_b": 1, "hepatitis_c": 2}[self.value]
 
 
+def _check_range(name: str, value, low: int, high: int):
+    if value is not None and not (low <= value <= high):
+        raise ValueError(f"{name}: out of range [{low},{high}]: {value}")
+
+
 def _check_assay(name: str, value):
-    if value is None:
-        return
-    if not math.isfinite(value) or value < 0:
-        raise ValueError(f"{name} must be finite and >= 0, got {value!r}")
+    if value is not None and not (math.isfinite(value) and value >= 0):
+        raise ValueError(f"{name}: must be finite and >= 0: {value!r}")
 
 
 @dataclass(frozen=True)
@@ -56,6 +59,10 @@ class PathologyRecord:
 
     Assay values and age may be absent (``None``); absent serology is
     excluded from contingency tables downstream rather than imputed.
+
+    These are the only record rules; the cohort CSV parser applies them by
+    constructing records. A record breaking one raises ``ValueError`` with
+    the message ``"<field>: <problem>"``.
     """
     record_id: str
     age: int | None = None
@@ -67,11 +74,11 @@ class PathologyRecord:
 
     def __post_init__(self):
         if not self.record_id:
-            raise ValueError("record_id must be non-empty")
-        if self.age is not None and not (0 <= self.age <= 130):
-            raise ValueError(f"age out of range [0, 130]: {self.age}")
+            raise ValueError("record_id: empty")
+        _check_range("age", self.age, 0, 130)
         _check_assay("hbsag_iu", self.hbsag_iu)
         _check_assay("anti_hcv_iu", self.anti_hcv_iu)
+        _check_range("collection_year", self.collection_year, 1800, 2200)
 
     def assay_value(self, condition: Condition) -> float | None:
         if condition is Condition.HEPATITIS_B:
@@ -83,7 +90,6 @@ class PathologyRecord:
 class Cohort:
     """Ordered, immutable collection of records with unique ids."""
     records: tuple[PathologyRecord, ...]
-    provenance: str = ""
 
     def __post_init__(self):
         object.__setattr__(self, "records", tuple(self.records))

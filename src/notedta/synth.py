@@ -19,10 +19,9 @@ seed therefore yields byte-identical cohorts on any platform.
 import math
 from dataclasses import dataclass, replace
 
-from .classifier import Lexicon, default_lexicon
+from .classifier import default_lexicon
 from .metrics import ContingencyTable
 from .model import Cohort, Condition, PathologyRecord, Sex
-from .serology import SerologyThresholds
 
 _MASK = (1 << 64) - 1
 
@@ -80,17 +79,10 @@ class SynthesisSpec:
     age_sd: float = 17.0
     sex_split: tuple[int, int] | None = None  # (male, female); None = even split
     seed: int = 0
-    statement_phrases: tuple[str, ...] = ()
-    query_phrases: tuple[str, ...] = ()
 
     def __post_init__(self):
         if self.n_missing < 0:
             raise ValueError("n_missing must be >= 0")
-        stm, qry = _default_phrases(self.condition)
-        if not self.statement_phrases:
-            object.__setattr__(self, "statement_phrases", stm)
-        if not self.query_phrases:
-            object.__setattr__(self, "query_phrases", qry)
         total = self.target_table.n + self.n_missing
         if self.sex_split is None:
             object.__setattr__(self, "sex_split", (total // 2, total - total // 2))
@@ -126,26 +118,26 @@ def preset_spec(name: str, seed: int = 0) -> SynthesisSpec:
     return replace(PRESETS[name], seed=seed)
 
 
-def synthesize_exact(
-    spec: SynthesisSpec, thresholds: SerologyThresholds = SerologyThresholds()
-) -> Cohort:
+def synthesize_exact(spec: SynthesisSpec) -> Cohort:
     """Cohort whose evaluation reproduces ``spec.target_table`` exactly.
 
     Statement phrases carry the test-positive records (tp, fp), query
     phrases the test-negative ones (fn, tn); marker values strictly respect
-    the cutoff side; ``n_missing`` extra records carry no marker value.
+    the condition's default cutoff side; ``n_missing`` extra records carry
+    no marker value.
     """
     rng = SplitMix64(spec.seed)
-    cutoff = thresholds.cutoff(spec.condition)
+    cutoff = spec.condition.default_cutoff
     t = spec.target_table
     tag = "hbv" if spec.condition is Condition.HEPATITIS_B else "hcv"
+    statement, query = _default_phrases(spec.condition)
 
     groups = [
-        ("tp", t.tp, spec.statement_phrases, True),
-        ("fp", t.fp, spec.statement_phrases, False),
-        ("fn", t.fn, spec.query_phrases, True),
-        ("tn", t.tn, spec.query_phrases, False),
-        ("na", spec.n_missing, spec.statement_phrases + spec.query_phrases, None),
+        ("tp", t.tp, statement, True),
+        ("fp", t.fp, statement, False),
+        ("fn", t.fn, query, True),
+        ("tn", t.tn, query, False),
+        ("na", spec.n_missing, statement + query, None),
     ]
 
     sexes = [Sex.MALE] * spec.sex_split[0] + [Sex.FEMALE] * spec.sex_split[1]
@@ -177,23 +169,19 @@ def synthesize_exact(
                 )
             )
             idx += 1
-    return Cohort(tuple(records), provenance=f"synthesize_exact(seed={spec.seed})")
+    return Cohort(tuple(records))
 
 
 def synthesize_random(
-    n: int,
-    prevalence: float,
-    note_mix: dict[int, float],
-    seed: int = 0,
-    lexicon: Lexicon | None = None,
-    thresholds: SerologyThresholds = SerologyThresholds(),
+    n: int, prevalence: float, note_mix: dict[int, float], seed: int = 0
 ) -> Cohort:
     """Seeded stochastic cohort for stress and property testing.
 
     Each record's note comes from a category sampled by ``note_mix``
     weights (hepatitis categories use the statement/query phrase pools,
-    others the first lexicon pattern of the category); each marker is
-    positive independently with probability ``prevalence``.
+    others one of the first three patterns of the category in the built-in
+    lexicon); each marker is positive independently with probability
+    ``prevalence`` at the condition's default cutoff.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -201,7 +189,7 @@ def synthesize_random(
         raise ValueError("prevalence must be in [0,1]")
     if not note_mix or any(w < 0 for w in note_mix.values()) or sum(note_mix.values()) <= 0:
         raise ValueError("note_mix weights must be non-negative and not all zero")
-    lexicon = lexicon or default_lexicon()
+    lexicon = default_lexicon()
     rng = SplitMix64(seed)
     cats = sorted(note_mix)
     total_w = sum(note_mix.values())
@@ -239,9 +227,9 @@ def synthesize_random(
                 age=min(100, max(0, int(round(rng.normal(40.0, 17.0))))),
                 sex=Sex.MALE if rng.uniform() < 0.5 else Sex.FEMALE,
                 note_text=note,
-                hbsag_iu=sample_value(thresholds.hbsag_cutoff),
-                anti_hcv_iu=sample_value(thresholds.anti_hcv_cutoff),
+                hbsag_iu=sample_value(Condition.HEPATITIS_B.default_cutoff),
+                anti_hcv_iu=sample_value(Condition.HEPATITIS_C.default_cutoff),
                 collection_year=rng.randint(1997, 2007),
             )
         )
-    return Cohort(tuple(records), provenance=f"synthesize_random(seed={seed})")
+    return Cohort(tuple(records))

@@ -57,6 +57,22 @@ def test_default_lexicon_parsed_once():
     assert default_lexicon() is default_lexicon()
 
 
+_MINIMAL_LEXICON = "\n".join(
+    f"[category {i}]\nlabel: c{i}\npriority: {i}\npattern: tok{i}" for i in range(1, 47)
+)
+
+
+def test_statement_lines_are_documentation_only():
+    polarity = "\n[polarity]\nquery: possible\n"
+    documented = parse_lexicon(_MINIMAL_LEXICON + polarity + "statement: known\nstatement: tok1\n")
+    assert documented == parse_lexicon(_MINIMAL_LEXICON + polarity)
+
+
+def test_unknown_polarity_key_rejected():
+    with pytest.raises(ValueError, match="unknown polarity key 'maybe'"):
+        parse_lexicon(_MINIMAL_LEXICON + "\n[polarity]\nmaybe: x\n")
+
+
 def test_lexicon_missing_category_rejected():
     text = "\n".join(
         f"[category {i}]\nlabel: c{i}\npriority: {i}\npattern: tok{i}"

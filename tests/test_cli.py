@@ -151,6 +151,19 @@ def test_report_rerender(tmp_path, capsys):
             assert out == (outdir / name).read_bytes().decode("utf-8")
 
 
+def test_report_rerender_at_non_default_ci_level(tmp_path, capsys):
+    cohort = tmp_path / "cohort.csv"
+    run(capsys, "synth", str(cohort), "--preset", "figS1-hbv", "--seed", "1")
+    code, _, _ = run(capsys, "evaluate", str(cohort), "--condition", "hbv",
+                     "--outdir", str(tmp_path), "--ci-level", "0.8")
+    assert code == 0
+    written = (tmp_path / "report.md").read_text(encoding="utf-8")
+    assert "(80% CI)" in written and "95%" not in written
+    assert json.loads((tmp_path / "report.json").read_text())["ci_level"] == 0.8
+    code, out, _ = run(capsys, "report", str(tmp_path / "report.json"), "--format", "markdown")
+    assert code == 0 and out == written
+
+
 def _evaluated_report(tmp_path, capsys):
     cohort = tmp_path / "cohort.csv"
     run(capsys, "synth", str(cohort), "--preset", "figS1-hbv", "--seed", "1")
@@ -167,6 +180,17 @@ def test_report_missing_key_is_exit_1(tmp_path, capsys):
     assert code == 1 and out == ""
     assert str(path) in err and "counts" in err
     assert "internal error" not in err
+
+
+@pytest.mark.parametrize("level", [None, "0.8", 1.5, 0.0])
+def test_report_bad_ci_level_is_exit_1(tmp_path, capsys, level):
+    path = _evaluated_report(tmp_path, capsys)
+    payload = json.loads(path.read_text())
+    payload["ci_level"] = level
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "report", str(path))
+    assert code == 1 and out == ""
+    assert str(path) in err and "internal error" not in err
 
 
 def test_report_label_not_in_lexicon_is_exit_1(tmp_path, capsys, monkeypatch):

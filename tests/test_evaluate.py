@@ -211,3 +211,28 @@ def test_demographics_csv(hbv_result):
     text = emit_demographics_csv(hbv_result.summary)
     assert text.startswith("kind,key,count")
     assert "sex,male," in text and "age_decade," in text
+
+
+def test_default_ci_level_is_not_stored(hbv_result):
+    assert hbv_result.ci_level == 0.95
+    assert "ci_level" not in json.loads(emit_report(hbv_result, "json"))
+    assert emit_report(hbv_result, "markdown").count("(95% CI)") == 4
+
+
+@pytest.mark.parametrize("level, label", [(0.8, "80% CI"), (0.9, "90% CI"), (0.975, "97.5% CI")])
+def test_ci_level_labels_markdown_and_is_stored(level, label):
+    config = EvaluationConfig(HBV, ci=CiConfig(level=level, proportion_method="score"))
+    result = evaluate_condition(synthesize_exact(HBV_SPEC), config)
+    assert result.ci_level == level
+    markdown = emit_report(result, "markdown")
+    assert markdown.count(f"({label})") == 4 and "95%" not in markdown
+    assert json.loads(emit_report(result, "json"))["ci_level"] == level
+    assert _assert_decodes_to_same_reports(result).ci_level == level
+
+
+def test_from_json_reads_missing_ci_level_as_default(hbv_result):
+    payload = json.loads(emit_report(hbv_result, "json"))
+    payload["ci_level"] = 0.8
+    assert EvaluationResult.from_json(json.dumps(payload), default_lexicon()).ci_level == 0.8
+    del payload["ci_level"]
+    assert EvaluationResult.from_json(json.dumps(payload), default_lexicon()).ci_level == 0.95

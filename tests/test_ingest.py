@@ -1,6 +1,9 @@
+import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from notedta.ingest import (
     HEADER,
@@ -99,7 +102,7 @@ def test_round_trip_identity(tmp_path):
         )
         for i in range(25)
     )
-    cohort = Cohort(records, provenance="test")
+    cohort = Cohort(records)
     path = tmp_path / "out.csv"
     write_cohort_file(cohort, path)
     reparsed = parse_cohort_file(path)
@@ -108,6 +111,110 @@ def test_round_trip_identity(tmp_path):
     path2 = tmp_path / "out2.csv"
     write_cohort_file(reparsed, path2)
     assert path.read_text() == path2.read_text()
+
+
+# -- record rules -------------------------------------------------------------
+
+# (column, raw CSV field, the value PathologyRecord is given): each breaks one
+# record rule, which only the model defines.
+_RULE_BREAKS = [
+    ("age", "131", 131),
+    ("collection_year", "1799", 1799),
+    ("collection_year", "2201", 2201),
+    ("hbsag_iu", "-2", -2.0),
+    ("anti_hcv_iu", "inf", math.inf),
+    ("hbsag_iu", "nan", math.nan),
+    ("record_id", "", ""),
+]
+
+
+def _row(column, raw):
+    fields = dict(zip(HEADER, ["r1", "40", "M", "a", "", "", ""]))
+    fields[column] = raw
+    return ",".join(fields[h] for h in HEADER)
+
+
+def _rule_message(column, value):
+    with pytest.raises(ValueError) as err:
+        PathologyRecord(**{"record_id": "r1", column: value})
+    return str(err.value)
+
+
+@pytest.mark.parametrize("column, raw, value", _RULE_BREAKS)
+def test_record_rule_strict_names_row_and_column(tmp_path, column, raw, value):
+    path = _write(tmp_path, "r0,38,M,a,,,\n" + _row(column, raw) + "\n")
+    with pytest.raises(CohortFormatError) as err:
+        parse_cohort_file(path)
+    assert str(err.value) == f"row 3, column {_rule_message(column, value)}"
+    assert str(err.value).startswith(f"row 3, column {column}: ")
+
+
+@pytest.mark.parametrize("column, raw, value", _RULE_BREAKS)
+def test_record_rule_lenient_skips_row_with_same_reason(tmp_path, column, raw, value):
+    path = _write(tmp_path, "r0,38,M,a,,,\n" + _row(column, raw) + "\n")
+    cohort, report = parse_cohort_file_with_report(path, strict=False)
+    assert [r.record_id for r in cohort] == ["r0"]
+    assert report.skipped == [{"row": 3, "reason": f"row 3, column {_rule_message(column, value)}"}]
+
+
+@pytest.mark.parametrize(
+    "column, raw, problem",
+    [
+        ("age", "oops", "not an integer: 'oops'"),
+        ("collection_year", "1e3", "not an integer: '1e3'"),
+        ("anti_hcv_iu", "x", "not a number: 'x'"),
+    ],
+)
+def test_conversion_error_is_not_wrapped_again(tmp_path, column, raw, problem):
+    path = _write(tmp_path, _row(column, raw) + "\n")
+    with pytest.raises(CohortFormatError) as err:
+        parse_cohort_file(path)
+    assert str(err.value) == f"row 2, column {column}: {problem}"
+
+
+@pytest.mark.parametrize("column, raw", [("age", "0"), ("age", "130"), ("collection_year", "1800"),
+                                         ("collection_year", "2200"), ("hbsag_iu", "0")])
+def test_record_rule_bounds_are_inclusive(tmp_path, column, raw):
+    (record,) = parse_cohort_file(_write(tmp_path, _row(column, raw) + "\n")).records
+    assert getattr(record, column) == float(raw)
+
+
+# Text with the characters CSV quoting must survive: commas, quotes, newlines.
+_TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12) | st.sampled_from(
+    ['a,b', 'say "hi"', '"', "two\nlines", "cr\rlf\r\n", " padded ", ","]
+)
+_ASSAY = st.none() | st.floats() | st.floats(min_value=0.0) | st.sampled_from([0.0, -0.0, 1e-300])
+_CANDIDATE = st.builds(
+    dict,
+    record_id=_TEXT,
+    age=st.none() | st.integers(-5, 140),
+    sex=st.sampled_from(Sex),
+    note_text=_TEXT,
+    hbsag_iu=_ASSAY,
+    anti_hcv_iu=_ASSAY,
+    collection_year=st.none() | st.integers(-5000, 5000) | st.integers(1790, 2210),
+)
+
+
+def _accepted(fields):
+    try:
+        return PathologyRecord(**fields)
+    except ValueError:
+        return None  # a record the model rejects cannot be written
+
+
+@settings(max_examples=300, deadline=None)
+@given(candidates=st.lists(_CANDIDATE, max_size=6))
+def test_write_then_parse_returns_every_accepted_record(tmp_path_factory, candidates):
+    records = {}
+    for fields in candidates:
+        record = _accepted(fields)
+        if record is not None:
+            records.setdefault(record.record_id, record)
+    cohort = Cohort(tuple(records.values()))
+    path = tmp_path_factory.mktemp("round_trip") / "cohort.csv"
+    write_cohort_file(cohort, path)
+    assert parse_cohort_file(path).records == cohort.records
 
 
 # -- demographics -------------------------------------------------------------

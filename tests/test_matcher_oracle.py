@@ -91,7 +91,7 @@ def _lexicon(custom: dict[int, tuple[str, ...]], priorities: dict[int, int] | No
     )
     # No "?" keyword: a "?" token must make a query on its own.
     query = (("possible",), ("for", "investigation"), ("screen", "now"))
-    return Lexicon(rules, query, (("known",),))
+    return Lexicon(rules, query)
 
 
 # A rule's second pattern occurs before its first pattern in these notes.
@@ -198,7 +198,7 @@ def test_empty_pattern_and_query_keyword_rejected():
         CategoryRule(3, "c3", None, 3, (("x",), ()))
     rules = LATER_PATTERN_FIRST.rules
     with pytest.raises(ValueError, match="empty query keyword"):
-        Lexicon(rules, (("?",), ()), ())
+        Lexicon(rules, (("?",), ()))
 
 
 # -- cases the fast paths skip work on ----------------------------------------

@@ -24,7 +24,6 @@ from notedta.metrics import (
     format_percent,
     format_percent_1dp,
     format_proportion,
-    format_ratio,
     _z_quantile,
 )
 from notedta.model import SerologyStatus
@@ -235,10 +234,13 @@ with contextlib.redirect_stdout(io.StringIO()):
 """
 
 
-def _modules_loaded_by(setup: str, watch: tuple[str, ...] = _SCIPY) -> list[str]:
-    """Run `setup` in a fresh interpreter; list which of the `watch` modules it loaded."""
+def _modules_loaded_by(
+    setup: str, watch: tuple[str, ...] = _SCIPY, flags: tuple[str, ...] = ()
+) -> list[str]:
+    """Run `setup` in a fresh interpreter started with `flags`; list which of
+    the `watch` modules it loaded."""
     src = str(Path(notedta.__file__).resolve().parents[1])
-    out = subprocess.run([sys.executable, "-c", _PROBE.format(setup=setup, watch=watch)],
+    out = subprocess.run([sys.executable, *flags, "-c", _PROBE.format(setup=setup, watch=watch)],
                          capture_output=True, text=True, env={"PYTHONPATH": src}, check=True)
     return json.loads(out.stdout.splitlines()[-1])
 
@@ -311,6 +313,14 @@ def test_cli_loads_only_what_the_command_runs(cli_inputs, setup, absent):
     # perfbench's import probe times notedta.metrics inside `import notedta.cli`.
     assert "notedta.metrics" in loaded
     assert not set(absent) & set(loaded), loaded
+
+
+def test_classify_without_site_loads_no_importlib_resources(cli_inputs):
+    # Under -S no site hook loads them first. importlib.resources would pull
+    # in tempfile, typing and zipfile to read the built-in lexicon.
+    argv = ["classify", f"{cli_inputs}/notes.txt"]
+    watch = ("importlib.resources", "tempfile", "typing", "zipfile")
+    assert _modules_loaded_by(_RUN_CLI.format(argv=argv), watch, flags=("-S",)) == []
 
 
 # The package's public names, by the submodule that defines each.
@@ -479,9 +489,9 @@ def test_display_roundings():
     assert format_percent(57 / 65) == "88"
     assert format_percent_1dp(0.80599) == "80.6"
     assert format_percent_1dp(1.0) == "100"
-    assert format_ratio(2.0312) == "2.03"
-    assert format_ratio(None) == "n.d."
-    assert format_ratio(math.inf) == "+inf"
+    assert format_proportion(2.0312) == "2.03"
+    assert format_proportion(None) == "n.d."
+    assert format_proportion(math.inf) == "+inf"
 
 
 def test_wilson_available_via_config():

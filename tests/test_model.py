@@ -56,3 +56,21 @@ def test_assay_value_selects_marker():
     rec = PathologyRecord("r1", hbsag_iu=2.4, anti_hcv_iu=0.4)
     assert rec.assay_value(Condition.HEPATITIS_B) == 2.4
     assert rec.assay_value(Condition.HEPATITIS_C) == 0.4
+
+
+@pytest.mark.parametrize("year", [1799, 2201, 3000, 0])
+def test_collection_year_out_of_range(year):
+    message = rf"^collection_year: out of range \[1800,2200\]: {year}$"
+    with pytest.raises(ValueError, match=message):
+        PathologyRecord("r1", collection_year=year)
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("record_id", ""), ("age", 131), ("hbsag_iu", -1.0), ("anti_hcv_iu", math.nan),
+     ("collection_year", 1799)],
+)
+def test_rule_message_starts_with_the_field(field, value):
+    # The cohort CSV parser relies on this to name the offending column.
+    with pytest.raises(ValueError, match=f"^{field}: "):
+        PathologyRecord(**{"record_id": "r1", field: value})

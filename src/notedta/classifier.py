@@ -236,6 +236,8 @@ def parse_lexicon(text: str) -> Lexicon:
         nonlocal current
         if current is None:
             return
+        if "priority" not in current:
+            raise ValueError(f"line {current['line']}: category {current['id']} has no priority")
         rules.append(
             CategoryRule(
                 category_id=current["id"],
@@ -259,13 +261,13 @@ def parse_lexicon(text: str) -> Lexicon:
         if header:
             flush()
             in_polarity = False
-            current = {"id": int(header.group(1)), "patterns": []}
+            current = {"id": int(header.group(1)), "line": lineno, "patterns": []}
             continue
         key, _, value = line.partition(":")
         key, value = key.strip(), value.strip()
         if in_polarity:
             if key == "query":
-                query.append(("?",) if value == "?" else normalize_note(value))
+                query.append(normalize_note(value))
             elif key != "statement":
                 raise ValueError(f"line {lineno}: unknown polarity key {key!r}")
             continue
@@ -276,7 +278,10 @@ def parse_lexicon(text: str) -> Lexicon:
         elif key == "chapter":
             current["chapter"] = None if value == "-" else value
         elif key == "priority":
-            current["priority"] = int(value)
+            try:
+                current["priority"] = int(value)
+            except ValueError:
+                raise ValueError(f"line {lineno}: priority not an integer: {value!r}") from None
         elif key == "pattern":
             pat = normalize_note(value)
             if not pat:

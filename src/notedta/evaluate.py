@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 from .classifier import (
     VACCINATION_CATEGORY,
@@ -23,6 +23,7 @@ from .classifier import (
 )
 from .ingest import CohortSummary, summarize_demographics
 from .metrics import (
+    METRICS,
     CiConfig,
     ContingencyTable,
     MetricEstimate,
@@ -36,23 +37,16 @@ from .metrics import (
 from .model import Cohort, Condition
 from .serology import SerologyThresholds, classify_marker
 
-DEFAULT_CONTROL_CATEGORIES = (10, 16, 17, 22, 24, 26, 29, 31, 32, 37)
+# The paper's control categories, evaluated alongside either condition.
+CONTROL_CATEGORIES = (10, 16, 17, 22, 24, 26, 29, 31, 32, 37)
 
 
 @dataclass(frozen=True)
 class EvaluationConfig:
     target_condition: Condition
-    control_category_ids: tuple[int, ...] = DEFAULT_CONTROL_CATEGORIES
     exclude_vaccination: bool = True
     thresholds: SerologyThresholds = field(default_factory=SerologyThresholds)
     ci: CiConfig = field(default_factory=CiConfig)
-
-    def __post_init__(self):
-        bad = [c for c in self.control_category_ids if not (1 <= c <= 46)]
-        if bad:
-            raise ValueError(f"control category ids out of range: {bad}")
-        if self.target_condition.category_id in self.control_category_ids:
-            raise ValueError("control categories must not include the target's own category")
 
 
 @dataclass(frozen=True)
@@ -60,11 +54,14 @@ class CategoryResult:
     category_id: int
     label: str
     icd10_chapter: str | None
-    n_evaluated: int
     n_missing_excluded: int
     n_vaccination_excluded: int
     table: ContingencyTable
     panel: MetricPanel
+
+    @property
+    def n_evaluated(self) -> int:
+        return self.table.n
 
     @property
     def percent_marker_positive(self) -> float | None:
@@ -89,8 +86,8 @@ class EvaluationResult:
         """Inverse of ``emit_report(result, "json")``.
 
         The JSON stores no ICD-10 chapters, so they come from ``lexicon``,
-        whose labels must match the stored ones. The summary fields the JSON
-        does not store (missing-marker counts, age histogram) are None.
+        whose labels must match the stored ones. The JSON stores no age
+        histogram either, so the summary's is None.
         """
         payload = json.loads(text)
         try:
@@ -113,7 +110,7 @@ def evaluate_condition(
     """Classify every note once, then tally per-category 2x2 tables in one pass."""
     lexicon = lexicon or default_lexicon()
     condition = config.target_condition
-    evaluated = (condition.category_id, *config.control_category_ids)
+    evaluated = (condition.category_id, *CONTROL_CATEGORIES)
     pairs: dict[int, list] = {cid: [] for cid in evaluated}
     n_vacc = {cid: 0 for cid in evaluated}
     for rec in cohort:
@@ -139,7 +136,6 @@ def evaluate_condition(
             category_id=cid,
             label=rule.label,
             icd10_chapter=rule.icd10_chapter,
-            n_evaluated=table.n,
             n_missing_excluded=n_missing,
             n_vaccination_excluded=n_vacc[cid],
             table=table,
@@ -147,7 +143,7 @@ def evaluate_condition(
         )
 
     primary = category_result(condition.category_id)
-    controls = tuple(category_result(cid) for cid in config.control_category_ids)
+    controls = tuple(category_result(cid) for cid in CONTROL_CATEGORIES)
     return EvaluationResult(
         condition, primary, controls, summarize_demographics(cohort), config.ci.level
     )
@@ -157,24 +153,13 @@ def evaluate_condition(
 # Report emission
 
 
-def _ci_pct(est: MetricEstimate) -> str:
-    if not est.defined or est.ci_low is None:
-        return "n.d." if not est.defined else format_percent(est.value)
-    return (
-        f"{format_percent(est.value)} "
-        f"({format_percent_1dp(est.ci_low)}-{format_percent_1dp(est.ci_high)})"
-    )
-
-
-def _ci_ratio(est: MetricEstimate) -> str:
+def _with_ci(est: MetricEstimate, fmt, fmt_bound) -> str:
+    """``fmt(value) (fmt_bound(low)-fmt_bound(high))``, without the interval if it has none."""
     if not est.defined:
         return "n.d."
     if est.ci_low is None:
-        return format_proportion(est)
-    return (
-        f"{format_proportion(est)} "
-        f"({format_proportion(est.ci_low)}-{format_proportion(est.ci_high)})"
-    )
+        return fmt(est.value)
+    return f"{fmt(est.value)} ({fmt_bound(est.ci_low)}-{fmt_bound(est.ci_high)})"
 
 
 def _panel_json(result: CategoryResult) -> dict:
@@ -190,7 +175,7 @@ def _panel_json(result: CategoryResult) -> dict:
             "ci_high": num(e.ci_high),
             "method": e.method,
             "note": e.note,
-            "display": format_proportion(e),
+            "display": format_proportion(e.value),
         }
 
     p = result.panel
@@ -207,12 +192,7 @@ def _panel_json(result: CategoryResult) -> dict:
             "tn": result.table.tn,
         },
         "percent_marker_positive": result.percent_marker_positive,
-        "sn": est(p.sn),
-        "sp": est(p.sp),
-        "ppv": est(p.ppv),
-        "npv": est(p.npv),
-        "lr_pos": est(p.lr_pos),
-        "lr_neg": est(p.lr_neg),
+        **{m: est(getattr(p, m)) for m in METRICS},
         "prevalence_sample": p.prevalence_sample,
     }
 
@@ -231,15 +211,20 @@ def _panel_from_json(block: dict, lexicon: Lexicon) -> CategoryResult:
             f"category {rule.category_id}: label {block['label']!r} differs from "
             f"the lexicon's {rule.label!r}"
         )
+    table = ContingencyTable(**block["counts"])
+    if block["n_evaluated"] != table.n:
+        raise ValueError(
+            f"malformed report: category {rule.category_id}: n_evaluated "
+            f"{block['n_evaluated']!r} differs from the counts' total {table.n}"
+        )
     return CategoryResult(
         category_id=rule.category_id,
         label=rule.label,
         icd10_chapter=rule.icd10_chapter,
-        n_evaluated=block["n_evaluated"],
         n_missing_excluded=block["n_missing_excluded"],
         n_vaccination_excluded=block["n_vaccination_excluded"],
-        table=ContingencyTable(**block["counts"]),
-        panel=MetricPanel(*(est(block[m]) for m in ("sn", "sp", "ppv", "npv", "lr_pos", "lr_neg")),
+        table=table,
+        panel=MetricPanel(*(est(block[m]) for m in METRICS),
                           prevalence_sample=block["prevalence_sample"]),
     )
 
@@ -256,13 +241,9 @@ def emit_report(result: EvaluationResult, format: str) -> str:
         payload = {
             "condition": result.condition.value,
             "marker": result.condition.marker_name,
-            "demographics": {
-                "n_total": result.summary.n_total,
-                "age_mean": result.summary.age_mean,
-                "age_sd": result.summary.age_sd,
-                "n_male": result.summary.n_male,
-                "n_female": result.summary.n_female,
-                "n_unspecified": result.summary.n_unspecified,
+            "demographics": {  # every summary field but the age histogram
+                f.name: getattr(result.summary, f.name)
+                for f in fields(CohortSummary) if f.name != "age_histogram"
             },
             "primary": _panel_json(result.primary),
             "controls": [_panel_json(c) for c in result.controls],
@@ -277,19 +258,17 @@ def emit_report(result: EvaluationResult, format: str) -> str:
             [
                 "category_id", "label", "role", "n_evaluated", "n_missing_excluded",
                 "tp", "fp", "fn", "tn", "percent_marker_positive",
-                "sn", "sn_low", "sn_high", "sp", "sp_low", "sp_high",
-                "ppv", "ppv_low", "ppv_high", "npv", "npv_low", "npv_high",
-                "lr_pos", "lr_pos_low", "lr_pos_high", "lr_neg", "lr_neg_low", "lr_neg_high",
+                *(m + suffix for m in METRICS for suffix in ("", "_low", "_high")),
             ]
         )
         for role, res in [("primary", result.primary)] + [("control", c) for c in result.controls]:
-            p = res.panel
             row = [
                 res.category_id, res.label, role, res.n_evaluated, res.n_missing_excluded,
                 res.table.tp, res.table.fp, res.table.fn, res.table.tn,
                 res.percent_marker_positive,
             ]
-            for e in (p.sn, p.sp, p.ppv, p.npv, p.lr_pos, p.lr_neg):
+            for m in METRICS:
+                e = getattr(res.panel, m)
                 row.extend(v if v is not None else "" for v in (e.value, e.ci_low, e.ci_high))
             writer.writerow(row)
         return buf.getvalue()
@@ -302,6 +281,10 @@ def _markdown_report(result: EvaluationResult) -> str:
     cond = result.condition
     p = result.primary
     ci = f"{100 * result.ci_level:g}% CI"
+    sn, sp, ppv, npv = (_with_ci(getattr(p.panel, m), format_percent, format_percent_1dp)
+                        for m in METRICS[:4])
+    lr_pos, lr_neg = (_with_ci(getattr(p.panel, m), format_proportion, format_proportion)
+                      for m in METRICS[4:])
     lines = [
         f"# Clinical-note diagnostic accuracy: {cond.marker_name}",
         "",
@@ -316,16 +299,14 @@ def _markdown_report(result: EvaluationResult) -> str:
         "|---|---|---|---|---|---|---|",
         (
             f"| Category {p.category_id}: {p.label} "
-            f"| {_ci_pct(p.panel.sn)} | {_ci_pct(p.panel.sp)} "
-            f"| {_ci_pct(p.panel.ppv)} | {_ci_pct(p.panel.npv)} "
-            f"| {_ci_ratio(p.panel.lr_pos)}* | {_ci_ratio(p.panel.lr_neg)}* |"
+            f"| {sn} | {sp} | {ppv} | {npv} | {lr_pos}* | {lr_neg}* |"
         ),
         "",
         "\\* Likelihood ratios are computed from raw counts; recomputing them "
         "from the 2-dp rounded Sn/Sp shown here gives slightly different "
         "point values.",
         "",
-        f"Summary line: Sn {_ci_pct(p.panel.sn)}, Sp {_ci_pct(p.panel.sp)}.",
+        f"Summary line: Sn {sn}, Sp {sp}.",
         "",
         "## Control categories",
         "",

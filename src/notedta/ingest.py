@@ -77,31 +77,39 @@ def parse_cohort_file_with_report(path, strict: bool = True) -> tuple[Cohort, Va
 
     In strict mode any malformed row raises CohortFormatError with the row
     number; in lenient mode malformed rows are skipped and listed in the
-    report. Duplicate record ids are an error in both modes.
+    report. Duplicate record ids and fields longer than the csv module's
+    limit are an error in both modes.
     """
     report = ValidationReport(path=str(path), strict=strict)
     records: list[PathologyRecord] = []
     seen: set[str] = set()
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
+        # csv.Error (a field over csv.field_size_limit()) is raised while a row
+        # is read, before it is counted; it fails the file in both modes.
         try:
             header = next(reader)
         except StopIteration:
             raise CohortFormatError(f"{path}: empty file, header row required")
+        except csv.Error as err:
+            raise CohortFormatError(f"row 1: {err}") from None
         if header != HEADER:
             raise CohortFormatError(f"{path}: bad header {header!r}, expected {HEADER!r}")
-        for rownum, row in enumerate(reader, start=2):
-            report.n_rows += 1
-            if row and row[0] in seen:  # never skipped, even in lenient mode
-                raise CohortFormatError(f"row {rownum}: duplicate record_id {row[0]!r}")
-            try:
-                records.append(_parse_row(row, rownum, report))
-            except CohortFormatError as err:
-                if strict:
-                    raise
-                report.skipped.append({"row": rownum, "reason": str(err)})
-                continue
-            seen.add(row[0])
+        try:
+            for rownum, row in enumerate(reader, start=2):
+                report.n_rows += 1
+                if row and row[0] in seen:  # never skipped, even in lenient mode
+                    raise CohortFormatError(f"row {rownum}: duplicate record_id {row[0]!r}")
+                try:
+                    records.append(_parse_row(row, rownum, report))
+                except CohortFormatError as err:
+                    if strict:
+                        raise
+                    report.skipped.append({"row": rownum, "reason": str(err)})
+                    continue
+                seen.add(row[0])
+        except csv.Error as err:
+            raise CohortFormatError(f"row {report.n_rows + 2}: {err}") from None
     report.n_parsed = len(records)
     return Cohort(tuple(records)), report
 
@@ -161,10 +169,8 @@ class CohortSummary:
     n_male: int
     n_female: int
     n_unspecified: int
-    # None when unknown, as in a summary decoded from report.json.
-    n_missing_hbsag: int | None = None
-    n_missing_anti_hcv: int | None = None
-    age_histogram: tuple[tuple[int, int], ...] | None = None  # (decade start, count)
+    # (decade start, count); None in a summary decoded from report.json.
+    age_histogram: tuple[tuple[int, int], ...] | None = None
 
 
 def summarize_demographics(cohort: Cohort) -> CohortSummary:
@@ -186,7 +192,5 @@ def summarize_demographics(cohort: Cohort) -> CohortSummary:
         n_male=sum(1 for r in cohort if r.sex is Sex.MALE),
         n_female=sum(1 for r in cohort if r.sex is Sex.FEMALE),
         n_unspecified=sum(1 for r in cohort if r.sex is Sex.UNSPECIFIED),
-        n_missing_hbsag=sum(1 for r in cohort if r.hbsag_iu is None),
-        n_missing_anti_hcv=sum(1 for r in cohort if r.anti_hcv_iu is None),
         age_histogram=tuple(sorted(decades.items())),
     )

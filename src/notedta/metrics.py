@@ -43,7 +43,7 @@ def _z_quantile(level: float) -> float:
 class CiConfig:
     level: float = 0.95
     proportion_method: str = "exact"  # "exact" (Clopper-Pearson) or "score" (Wilson)
-    haldane: bool = False  # +0.5 continuity correction for LR intervals
+    haldane: bool = False  # add 0.5 to all four cells for the LR intervals
 
     def __post_init__(self):
         if not (0.0 < self.level < 1.0):
@@ -87,9 +87,9 @@ class MetricEstimate:
     def defined(self) -> bool:
         return self.value is not None
 
-    @property
-    def infinite(self) -> bool:
-        return self.value is not None and math.isinf(self.value)
+
+# The panel's estimates, in the order every report lists them.
+METRICS = ("sn", "sp", "ppv", "npv", "lr_pos", "lr_neg")
 
 
 @dataclass(frozen=True)
@@ -273,12 +273,11 @@ def _round_half_up(value: float, places: int) -> Decimal:
     return Decimal(repr(value)).quantize(q, rounding=ROUND_HALF_UP)
 
 
-def format_proportion(estimate_or_value) -> str:
+def format_proportion(value: float | None) -> str:
     """Proportion or likelihood ratio to two decimals, e.g. 0.8961 -> '0.90'.
 
     An undefined value shows as 'n.d.', an infinite one as '+inf'.
     """
-    value = getattr(estimate_or_value, "value", estimate_or_value)
     if value is None:
         return "n.d."
     if math.isinf(value):

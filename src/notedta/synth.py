@@ -118,6 +118,18 @@ def preset_spec(name: str, seed: int = 0) -> SynthesisSpec:
     return replace(PRESETS[name], seed=seed)
 
 
+def _marker_value(rng: SplitMix64, cutoff: float, positive: bool) -> float:
+    """A 3-dp marker value on the given side of ``cutoff`` (positive at >= cutoff)."""
+    if positive:
+        return max(round(rng.uniform(cutoff, 10.0 * cutoff), 3), cutoff)
+    value = round(rng.uniform(0.0, cutoff), 3)
+    return value if value < cutoff else cutoff / 2.0
+
+
+def _age(rng: SplitMix64, mean: float, sd: float) -> int:
+    return min(100, max(0, int(round(rng.normal(mean, sd)))))
+
+
 def synthesize_exact(spec: SynthesisSpec) -> Cohort:
     """Cohort whose evaluation reproduces ``spec.target_table`` exactly.
 
@@ -147,16 +159,8 @@ def synthesize_exact(spec: SynthesisSpec) -> Cohort:
     idx = 0
     for group, count, phrases, marker_positive in groups:
         for k in range(count):
-            if marker_positive is None:
-                value = None
-            elif marker_positive:
-                value = round(rng.uniform(cutoff, 10.0 * cutoff), 3)
-                value = max(value, cutoff)
-            else:
-                value = round(rng.uniform(0.0, cutoff), 3)
-                if value >= cutoff:
-                    value = cutoff / 2.0
-            age = min(100, max(0, int(round(rng.normal(spec.age_mean, spec.age_sd)))))
+            value = None if marker_positive is None else _marker_value(rng, cutoff, marker_positive)
+            age = _age(rng, spec.age_mean, spec.age_sd)
             records.append(
                 PathologyRecord(
                     record_id=f"{tag}-{group}-{k:05d}",
@@ -204,10 +208,7 @@ def synthesize_random(
         return cats[-1]
 
     def sample_value(cutoff: float) -> float:
-        if rng.uniform() < prevalence:
-            return round(max(rng.uniform(cutoff, 10.0 * cutoff), cutoff), 3)
-        v = round(rng.uniform(0.0, cutoff), 3)
-        return v if v < cutoff else cutoff / 2.0
+        return _marker_value(rng, cutoff, rng.uniform() < prevalence)
 
     records = []
     for i in range(n):
@@ -224,7 +225,7 @@ def synthesize_random(
         records.append(
             PathologyRecord(
                 record_id=f"syn-{i:06d}",
-                age=min(100, max(0, int(round(rng.normal(40.0, 17.0))))),
+                age=_age(rng, 40.0, 17.0),
                 sex=Sex.MALE if rng.uniform() < 0.5 else Sex.FEMALE,
                 note_text=note,
                 hbsag_iu=sample_value(Condition.HEPATITIS_B.default_cutoff),

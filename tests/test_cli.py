@@ -1,3 +1,4 @@
+import hashlib
 import json
 from importlib.resources import files
 
@@ -21,6 +22,46 @@ def test_synth_preset_deterministic(tmp_path, capsys):
     assert run(capsys, "synth", str(b), "--preset", "figS1-hbv", "--seed", "1")[0] == 0
     assert a.read_bytes() == b.read_bytes()
     assert len(a.read_text().splitlines()) == 1 + 241
+
+
+# sha256 of `synth --preset P --seed 1` and of the report.md and
+# demographics.csv that `evaluate` writes for it. Any change to them is an
+# output change and must be made on purpose.
+PRESET_DIGESTS = {
+    ("figS1-hbv", "hbv"): {
+        "cohort.csv": "5f14de999c286a3f9c450c935326fa8b8ac17d1971708b9295966c267804b953",
+        "report.md": "a73fbb5a1bedf44c319180078bb164908333c8dac08558a3cea250b1775d258b",
+        "demographics.csv": "ac3f1dbe7299fb85d57b0bb7e599f758216e41acd476f783021a4ad21ba4a9a4",
+    },
+    ("figS1-hcv", "hcv"): {
+        "cohort.csv": "61680e16fd14a3b5c59b7c7f2b618ad5057319dd0fce798e5ac4759c51bd1bc7",
+        "report.md": "17d0855b92663a480694651cfab634238226efbdaebca8315baeeae12977e6e7",
+        "demographics.csv": "fe462fbe48b7d8e7c779933c2e85482465d72c7d157ce71d395385e66999656b",
+    },
+}
+
+
+@pytest.mark.parametrize("preset,condition", sorted(PRESET_DIGESTS))
+def test_preset_outputs_pinned(tmp_path, capsys, preset, condition):
+    cohort = tmp_path / "cohort.csv"
+    assert run(capsys, "synth", str(cohort), "--preset", preset, "--seed", "1")[0] == 0
+    code, _, _ = run(capsys, "evaluate", str(cohort), "--condition", condition,
+                     "--outdir", str(tmp_path))
+    assert code == 0
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+               for name in PRESET_DIGESTS[preset, condition]}
+    assert digests == PRESET_DIGESTS[preset, condition]
+
+
+RANDOM_COHORT_DIGEST = "cf9398b591268391ec29b7e7076ba50f9834a5885725a8009d187b40ce21532e"
+
+
+def test_random_cohort_pinned(tmp_path, capsys):
+    cohort = tmp_path / "cohort.csv"
+    code, _, _ = run(capsys, "synth", str(cohort), "--n", "200", "--prevalence", "0.2",
+                     "--condition", "hcv", "--seed", "3")
+    assert code == 0
+    assert hashlib.sha256(cohort.read_bytes()).hexdigest() == RANDOM_COHORT_DIGEST
 
 
 def test_synth_then_evaluate_pipeline(tmp_path, capsys):
@@ -193,6 +234,17 @@ def test_report_bad_ci_level_is_exit_1(tmp_path, capsys, level):
     assert str(path) in err and "internal error" not in err
 
 
+def test_report_n_evaluated_disagreeing_with_counts_is_exit_1(tmp_path, capsys):
+    path = _evaluated_report(tmp_path, capsys)
+    payload = json.loads(path.read_text())
+    payload["controls"][0]["n_evaluated"] += 1
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "report", str(path))
+    assert code == 1 and out == ""
+    assert str(path) in err and "n_evaluated" in err
+    assert "internal error" not in err
+
+
 def test_report_label_not_in_lexicon_is_exit_1(tmp_path, capsys, monkeypatch):
     path = _evaluated_report(tmp_path, capsys)
     label = default_lexicon().rule(37).label
@@ -219,6 +271,42 @@ def test_validate_lenient_duplicate_id_is_exit_1(tmp_path, capsys):
     code, out, err = run(capsys, "validate", str(cohort))
     assert code == 1
     assert "duplicate record_id 'r1'" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("evaluate", "{cohort}", "--condition", "hbv", "--outdir", "{tmp}"),
+    ("validate", "{cohort}"),
+])
+def test_field_over_csv_limit_is_exit_1(tmp_path, capsys, argv):
+    cohort = tmp_path / "c.csv"
+    cohort.write_text(
+        "record_id,age,sex,note_text,hbsag_iu,anti_hcv_iu,collection_year\n"
+        "r1,38,M,Hep B,2.4,,\n"
+        f"r2,40,F,{'x' * 140_000},,,\n",
+        encoding="utf-8",
+    )
+    code, out, err = run(capsys, *(a.format(cohort=cohort, tmp=tmp_path) for a in argv))
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: row 3: field larger than field limit (131072)"]
+
+
+_LEXICON_BLOCKS = [f"[category {i}]\nlabel: c{i}\npriority: {i}\npattern: tok{i}"
+                   for i in range(1, 47)]
+
+
+@pytest.mark.parametrize("priority_line,message", [
+    ("", "error: line 25: category 7 has no priority"),
+    ("priority: one\n", "error: line 27: priority not an integer: 'one'"),
+])
+def test_classify_lexicon_bad_priority_is_exit_1(tmp_path, capsys, priority_line, message):
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_text("\n".join(_LEXICON_BLOCKS).replace("priority: 7\n", priority_line),
+                       encoding="utf-8")
+    notes = tmp_path / "notes.txt"
+    notes.write_text("tok7\n", encoding="utf-8")
+    code, out, err = run(capsys, "classify", str(notes), "--lexicon", str(lexicon))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [message]
 
 
 def test_synth_preset_matches_preset_spec(tmp_path, capsys):

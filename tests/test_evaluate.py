@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from notedta.classifier import default_lexicon
 from notedta.evaluate import (
+    CONTROL_CATEGORIES,
     EvaluationConfig,
     EvaluationResult,
     emit_demographics_csv,
@@ -95,11 +96,10 @@ def test_accounting_identity(hbv_result):
     assert p.n_evaluated + p.n_missing_excluded == 241
 
 
-def test_config_rejects_target_in_controls():
-    with pytest.raises(ValueError):
-        EvaluationConfig(HBV, control_category_ids=(1, 10))
-    with pytest.raises(ValueError):
-        EvaluationConfig(HBV, control_category_ids=(0, 10))
+def test_control_categories_exclude_both_targets(hbv_result):
+    assert all(1 <= c <= 46 for c in CONTROL_CATEGORIES)
+    assert not {c.category_id for c in Condition}.intersection(CONTROL_CATEGORIES)
+    assert tuple(c.category_id for c in hbv_result.controls) == CONTROL_CATEGORIES
 
 
 # -- reports ------------------------------------------------------------------
@@ -142,8 +142,14 @@ def test_from_json_inverts_emit_report(hbv_result):
     assert decoded.summary.n_total == hbv_result.summary.n_total
     # not stored in report.json, so absent rather than made up
     assert decoded.summary.age_histogram is None
-    assert decoded.summary.n_missing_hbsag is None
-    assert decoded.summary.n_missing_anti_hcv is None
+
+
+@pytest.mark.parametrize("stored", [180, 0, "179"])
+def test_from_json_rejects_n_evaluated_disagreeing_with_counts(hbv_result, stored):
+    payload = json.loads(emit_report(hbv_result, "json"))
+    payload["primary"]["n_evaluated"] = stored
+    with pytest.raises(ValueError, match="malformed report: category 1: n_evaluated"):
+        EvaluationResult.from_json(json.dumps(payload), default_lexicon())
 
 
 def test_from_json_with_no_evaluated_records():

@@ -101,10 +101,10 @@ def test_hbv_panel_point_estimates():
 
 def test_hcv_panel_point_estimates():
     p = compute_metrics(HCV_TABLE)
-    assert format_proportion(p.sn) == "0.86"
-    assert format_proportion(p.sp) == "0.21"
-    assert format_proportion(p.ppv) == "0.73"
-    assert format_proportion(p.npv) == "0.37"
+    assert format_proportion(p.sn.value) == "0.86"
+    assert format_proportion(p.sp.value) == "0.21"
+    assert format_proportion(p.ppv.value) == "0.73"
+    assert format_proportion(p.npv.value) == "0.37"
     assert p.lr_pos.value == pytest.approx(1.0812, abs=5e-5)
 
 
@@ -112,7 +112,7 @@ def test_perfect_test_degenerate():
     p = compute_metrics(ContingencyTable(5, 0, 0, 5))
     assert p.sn.value == 1 and p.sp.value == 1
     assert p.ppv.value == 1 and p.npv.value == 1
-    assert p.lr_pos.infinite
+    assert p.lr_pos.value == math.inf
     assert p.lr_neg.value == 0
 
 
@@ -123,8 +123,8 @@ def test_all_negative_category():
     assert p.sp.value == 1.0
     assert not p.ppv.defined
     assert p.npv.value == 1.0
-    assert format_proportion(p.sn) == "n.d."
-    assert format_proportion(p.ppv) == "n.d."
+    assert format_proportion(p.sn.value) == "n.d."
+    assert format_proportion(p.ppv.value) == "n.d."
 
 
 # -- proportion confidence intervals ----------------------------------------
@@ -450,7 +450,7 @@ def test_lr_and_bayes_identities_random_tables():
 def test_ci_contains_point_estimate(tp, fp, fn, tn):
     p = compute_metrics(ContingencyTable(tp, fp, fn, tn))
     for est in (p.sn, p.sp, p.ppv, p.npv, p.lr_pos, p.lr_neg):
-        if est.defined and est.ci_low is not None and not est.infinite:
+        if est.defined and est.ci_low is not None and not math.isinf(est.value):
             assert est.ci_low <= est.value <= est.ci_high
 
 

@@ -236,12 +236,13 @@ def parse_lexicon(text: str) -> Lexicon:
         nonlocal current
         if current is None:
             return
-        if "priority" not in current:
-            raise ValueError(f"line {current['line']}: category {current['id']} has no priority")
+        for key in ("label", "priority"):
+            if key not in current:
+                raise ValueError(f"line {current['line']}: category {current['id']} has no {key}")
         rules.append(
             CategoryRule(
                 category_id=current["id"],
-                label=current.get("label", ""),
+                label=current["label"],
                 icd10_chapter=current.get("chapter"),
                 priority=current["priority"],
                 patterns=tuple(current["patterns"]),

@@ -138,8 +138,14 @@ def _cmd_classify(args) -> int:
 
 
 def _cmd_evaluate(args) -> int:
+    """Check the flags, then read, evaluate and report the cohort.
+
+    The flags and the lexicon are checked before the cohort file is read,
+    so a bad flag is reported first. The cohort is passed to
+    `evaluate_condition` without a name: on CPython 3.11+ the callee then
+    holds its last reference and frees the records before the intervals.
+    """
     _load("ingest", "evaluate")
-    cohort = parse_cohort_file(args.input)
     config = EvaluationConfig(
         target_condition=_CONDITIONS[args.condition],
         exclude_vaccination=not args.keep_vaccination,
@@ -148,7 +154,8 @@ def _cmd_evaluate(args) -> int:
         ),
         ci=CiConfig(level=args.ci_level, proportion_method=args.ci_method),
     )
-    result = evaluate_condition(cohort, config, _load_lexicon(args.lexicon))
+    lexicon = _load_lexicon(args.lexicon)
+    result = evaluate_condition(parse_cohort_file(args.input), config, lexicon)
     outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.md").write_text(emit_report(result, "markdown"), encoding="utf-8")

@@ -34,11 +34,16 @@ from .metrics import (
     format_percent_1dp,
     format_proportion,
 )
-from .model import Cohort, Condition
+from .model import Cohort, Condition, SerologyStatus
 from .serology import SerologyThresholds, classify_marker
 
 # The paper's control categories, evaluated alongside either condition.
 CONTROL_CATEGORIES = (10, 16, 17, 22, 24, 26, 29, 31, 32, 37)
+
+# Every (test label, marker status) pair the tally appends, built once so
+# that the pair lists hold references to six shared tuples.
+_PAIRS = {(label, status): (label, status)
+          for label in ("positive", "negative") for status in SerologyStatus}
 
 
 @dataclass(frozen=True)
@@ -107,7 +112,13 @@ class EvaluationResult:
 def evaluate_condition(
     cohort: Cohort, config: EvaluationConfig, lexicon: Lexicon | None = None
 ) -> EvaluationResult:
-    """Classify every note once, then tally per-category 2x2 tables in one pass."""
+    """Classify every note once, then tally per-category 2x2 tables in one pass.
+
+    The reference to ``cohort`` is dropped once the tables and the
+    demographic summary are built, before any interval is computed. A
+    caller that keeps its own reference gets the same result, but its
+    records stay in memory while the exact bounds import scipy.
+    """
     lexicon = lexicon or default_lexicon()
     condition = config.target_condition
     evaluated = (condition.category_id, *CONTROL_CATEGORIES)
@@ -125,12 +136,18 @@ def evaluate_condition(
         if not cids:
             continue
         label = cls.hbv_label if condition is Condition.HEPATITIS_B else cls.hcv_label
-        pair = (label, classify_marker(rec, condition, config.thresholds))
+        pair = _PAIRS[label, classify_marker(rec, condition, config.thresholds)]
         for cid in cids:
             pairs[cid].append(pair)
+    tables = {cid: build_contingency(pairs.pop(cid)) for cid in evaluated}
+    summary = summarize_demographics(cohort)
+    # The first exact bound imports scipy (~36 MB). Dropping the records
+    # first lets that import reuse their memory, so the peak is the larger
+    # of the two phases rather than their sum.
+    del cohort
 
     def category_result(cid: int) -> CategoryResult:
-        table, n_missing = build_contingency(pairs[cid])
+        table, n_missing = tables[cid]
         rule = lexicon.rule(cid)
         return CategoryResult(
             category_id=cid,
@@ -144,9 +161,7 @@ def evaluate_condition(
 
     primary = category_result(condition.category_id)
     controls = tuple(category_result(cid) for cid in CONTROL_CATEGORIES)
-    return EvaluationResult(
-        condition, primary, controls, summarize_demographics(cohort), config.ci.level
-    )
+    return EvaluationResult(condition, primary, controls, summary, config.ci.level)
 
 
 # ---------------------------------------------------------------------------

@@ -111,6 +111,7 @@ def parse_cohort_file_with_report(path, strict: bool = True) -> tuple[Cohort, Va
         except csv.Error as err:
             raise CohortFormatError(f"row {report.n_rows + 2}: {err}") from None
     report.n_parsed = len(records)
+    del seen  # Cohort checks the ids again with a set of its own
     return Cohort(tuple(records)), report
 
 
@@ -181,16 +182,20 @@ def summarize_demographics(cohort: Cohort) -> CohortSummary:
     """
     if len(cohort) == 0:
         raise ValueError("cannot summarize an empty cohort")
-    ages = [r.age for r in cohort if r.age is not None]
+    ages = []
     decades: dict[int, int] = {}
-    for a in ages:
-        decades[(a // 10) * 10] = decades.get((a // 10) * 10, 0) + 1
+    n_sex: dict[Sex, int] = {}
+    for r in cohort:
+        n_sex[r.sex] = n_sex.get(r.sex, 0) + 1
+        if r.age is not None:
+            ages.append(r.age)
+            decades[r.age // 10 * 10] = decades.get(r.age // 10 * 10, 0) + 1
     return CohortSummary(
         n_total=len(cohort),
         age_mean=statistics.fmean(ages) if ages else None,
         age_sd=(statistics.stdev(ages) if len(ages) > 1 else (0.0 if ages else None)),
-        n_male=sum(1 for r in cohort if r.sex is Sex.MALE),
-        n_female=sum(1 for r in cohort if r.sex is Sex.FEMALE),
-        n_unspecified=sum(1 for r in cohort if r.sex is Sex.UNSPECIFIED),
+        n_male=n_sex.get(Sex.MALE, 0),
+        n_female=n_sex.get(Sex.FEMALE, 0),
+        n_unspecified=n_sex.get(Sex.UNSPECIFIED, 0),
         age_histogram=tuple(sorted(decades.items())),
     )

@@ -53,7 +53,7 @@ def _check_assay(name: str, value):
         raise ValueError(f"{name}: must be finite and >= 0: {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PathologyRecord:
     """One de-identified pathology request.
 

@@ -83,6 +83,11 @@ def test_lexicon_missing_category_rejected():
         parse_lexicon(text)
 
 
+def test_lexicon_missing_label_rejected():
+    with pytest.raises(ValueError, match=r"^line 25: category 7 has no label$"):
+        parse_lexicon(_MINIMAL_LEXICON.replace("label: c7\n", ""))
+
+
 def test_lexicon_duplicate_priority_rejected():
     text = "\n".join(
         f"[category {i}]\nlabel: c{i}\npriority: 1\npattern: tok{i}" for i in range(1, 47)

@@ -1,9 +1,12 @@
 import hashlib
 import json
+import sys
+import weakref
 from importlib.resources import files
 
 import pytest
 
+from notedta import cli, evaluate
 from notedta.classifier import default_lexicon
 from notedta.cli import main
 from notedta.ingest import write_cohort_file
@@ -307,6 +310,51 @@ def test_classify_lexicon_bad_priority_is_exit_1(tmp_path, capsys, priority_line
     code, out, err = run(capsys, "classify", str(notes), "--lexicon", str(lexicon))
     assert code == 1 and out == ""
     assert err.splitlines() == [message]
+
+
+def test_classify_lexicon_without_label_is_exit_1(tmp_path, capsys):
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_text("\n".join(_LEXICON_BLOCKS).replace("label: c7\n", ""), encoding="utf-8")
+    notes = tmp_path / "notes.txt"
+    notes.write_text("tok7\n", encoding="utf-8")
+    code, out, err = run(capsys, "classify", str(notes), "--lexicon", str(lexicon))
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: line 25: category 7 has no label"]
+
+
+def test_evaluate_frees_the_records_before_the_first_interval(tmp_path, capsys, monkeypatch):
+    cohort_path = tmp_path / "cohort.csv"
+    assert run(capsys, "synth", str(cohort_path), "--preset", "figS1-hbv", "--seed", "1")[0] == 0
+    cohorts, freed_at_first_interval = [], []
+    parse, compute = cli.parse_cohort_file, evaluate.compute_metrics
+
+    def parse_and_watch(path):
+        cohort = parse(path)
+        cohorts.append(weakref.ref(cohort))
+        return cohort
+
+    def compute_and_check(*args, **kwargs):
+        if not freed_at_first_interval:
+            freed_at_first_interval.append(cohorts[0]() is None)
+        return compute(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "parse_cohort_file", parse_and_watch)
+    monkeypatch.setattr(evaluate, "compute_metrics", compute_and_check)
+    code, _, _ = run(capsys, "evaluate", str(cohort_path), "--condition", "hbv",
+                     "--outdir", str(tmp_path))
+    assert code == 0 and len(cohorts) == 1 and len(freed_at_first_interval) == 1
+    # CPython 3.10 keeps call arguments on the caller's stack until the call
+    # returns, so there `_cmd_evaluate` still holds the cohort; from 3.11 the
+    # callee takes them over and can drop the last reference.
+    if sys.version_info >= (3, 11):
+        assert freed_at_first_interval == [True]
+
+
+def test_evaluate_checks_flags_before_reading_the_input(tmp_path, capsys):
+    code, out, err = run(capsys, "evaluate", str(tmp_path / "missing.csv"), "--condition", "hbv",
+                         "--ci-level", "2", "--outdir", str(tmp_path))
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: confidence level must be in (0,1): 2.0"]
 
 
 def test_synth_preset_matches_preset_spec(tmp_path, capsys):

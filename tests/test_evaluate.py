@@ -242,3 +242,11 @@ def test_from_json_reads_missing_ci_level_as_default(hbv_result):
     assert EvaluationResult.from_json(json.dumps(payload), default_lexicon()).ci_level == 0.8
     del payload["ci_level"]
     assert EvaluationResult.from_json(json.dumps(payload), default_lexicon()).ci_level == 0.95
+
+
+def test_caller_keeping_its_cohort_gets_the_same_result():
+    config = EvaluationConfig(HBV)
+    cohort = synthesize_exact(HBV_SPEC)
+    kept = evaluate_condition(cohort, config)
+    handed_over = evaluate_condition(synthesize_exact(HBV_SPEC), config)
+    assert kept == handed_over

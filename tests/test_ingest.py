@@ -1,5 +1,6 @@
 import math
 import random
+import statistics
 
 import pytest
 from hypothesis import given, settings
@@ -8,6 +9,7 @@ from hypothesis import strategies as st
 from notedta.ingest import (
     HEADER,
     CohortFormatError,
+    CohortSummary,
     parse_cohort_file,
     parse_cohort_file_with_report,
     summarize_demographics,
@@ -272,3 +274,33 @@ def test_summary_permutation_invariant():
 def test_summary_empty_cohort_rejected():
     with pytest.raises(ValueError):
         summarize_demographics(Cohort(()))
+
+
+def _summarize_four_passes(cohort):
+    """The four-pass summary that the one-pass version replaced, kept as its oracle."""
+    ages = [r.age for r in cohort if r.age is not None]
+    decades = {}
+    for a in ages:
+        decades[(a // 10) * 10] = decades.get((a // 10) * 10, 0) + 1
+    return CohortSummary(
+        n_total=len(cohort),
+        age_mean=statistics.fmean(ages) if ages else None,
+        age_sd=(statistics.stdev(ages) if len(ages) > 1 else (0.0 if ages else None)),
+        n_male=sum(1 for r in cohort if r.sex is Sex.MALE),
+        n_female=sum(1 for r in cohort if r.sex is Sex.FEMALE),
+        n_unspecified=sum(1 for r in cohort if r.sex is Sex.UNSPECIFIED),
+        age_histogram=tuple(sorted(decades.items())),
+    )
+
+
+_PERSON = st.tuples(st.none() | st.integers(0, 130), st.sampled_from(Sex))
+
+
+@settings(max_examples=300, deadline=None)
+@given(people=st.lists(_PERSON, min_size=1, max_size=40)
+       | st.tuples(st.integers(0, 130), st.sampled_from(Sex)).map(lambda p: [p]))
+def test_summary_matches_four_pass_oracle(people):
+    cohort = Cohort(tuple(PathologyRecord(f"r{i}", age=age, sex=sex)
+                          for i, (age, sex) in enumerate(people)))
+    # Equal as dataclasses means bit-identical means and SDs (None when no age).
+    assert summarize_demographics(cohort) == _summarize_four_passes(cohort)

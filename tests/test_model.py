@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import pytest
@@ -74,3 +75,15 @@ def test_rule_message_starts_with_the_field(field, value):
     # The cohort CSV parser relies on this to name the offending column.
     with pytest.raises(ValueError, match=f"^{field}: "):
         PathologyRecord(**{"record_id": "r1", field: value})
+
+
+def test_slotted_record_behaves_as_before():
+    rec = PathologyRecord("r1", age=40, sex=Sex.FEMALE, note_text="Hep B", hbsag_iu=2.0)
+    assert not hasattr(rec, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        rec.age = 41
+    twin = PathologyRecord("r1", age=40, sex=Sex.FEMALE, note_text="Hep B", hbsag_iu=2.0)
+    assert rec == twin and hash(rec) == hash(twin)
+    assert rec != dataclasses.replace(rec, age=41)
+    with pytest.raises(ValueError, match="^age: out of range"):
+        dataclasses.replace(rec, age=200)

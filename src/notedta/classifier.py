@@ -268,7 +268,10 @@ def parse_lexicon(text: str) -> Lexicon:
         key, value = key.strip(), value.strip()
         if in_polarity:
             if key == "query":
-                query.append(normalize_note(value))
+                keyword = normalize_note(value)
+                if not keyword:
+                    raise ValueError(f"line {lineno}: empty query keyword")
+                query.append(keyword)
             elif key != "statement":
                 raise ValueError(f"line {lineno}: unknown polarity key {key!r}")
             continue

@@ -24,7 +24,7 @@ from .synth import PRESETS, preset_spec, synthesize_exact, synthesize_random
 _LAZY = {
     "evaluate": ("EvaluationConfig", "EvaluationResult", "emit_demographics_csv",
                  "emit_plot_data", "emit_report", "evaluate_condition"),
-    "ingest": ("parse_cohort_file", "parse_cohort_file_with_report", "write_cohort_file"),
+    "ingest": ("parse_cohort_file", "validate_cohort_file", "write_cohort_file"),
 }
 TYPE_CHECKING = False  # read as true by type checkers; spares importing typing
 if TYPE_CHECKING:
@@ -36,7 +36,7 @@ if TYPE_CHECKING:
         emit_report,
         evaluate_condition,
     )
-    from .ingest import parse_cohort_file, parse_cohort_file_with_report, write_cohort_file
+    from .ingest import parse_cohort_file, validate_cohort_file, write_cohort_file
 
 
 def _load(*modules: str) -> None:
@@ -103,10 +103,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("synth", help="write a synthetic cohort CSV")
     p.add_argument("output")
-    p.add_argument("--preset", choices=sorted(PRESETS))
-    p.add_argument("--condition", choices=sorted(_CONDITIONS))
-    p.add_argument("--n", type=int, help="random cohort size (without --preset)")
-    p.add_argument("--prevalence", type=float, default=0.1)
+    size = p.add_mutually_exclusive_group(required=True)
+    size.add_argument("--preset", choices=sorted(PRESETS))
+    size.add_argument("--n", type=int, help="random cohort size")
+    p.add_argument("--condition", choices=sorted(_CONDITIONS), help="with --n (default: hbv)")
+    p.add_argument("--prevalence", type=float, help="with --n (default: 0.1)")
     p.add_argument("--seed", type=int, default=0)
 
     p = sub.add_parser("report", help="re-render a stored JSON result")
@@ -117,7 +118,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_validate(args) -> int:
     _load("ingest")
-    cohort, report = parse_cohort_file_with_report(args.input, strict=args.strict)
+    report = validate_cohort_file(args.input, strict=args.strict)
     if args.report:
         Path(args.report).write_text(report.to_json(), encoding="utf-8")
     print(
@@ -189,14 +190,14 @@ def _cmd_evaluate(args) -> int:
 def _cmd_synth(args) -> int:
     _load("ingest")
     if args.preset:
+        if args.condition or args.prevalence is not None:
+            raise CliInputError("--condition and --prevalence apply only with --n")
         cohort = synthesize_exact(preset_spec(args.preset, args.seed))
     else:
-        if args.n is None:
-            raise CliInputError("either --preset or --n is required")
         condition = _CONDITIONS[args.condition or "hbv"]
         cohort = synthesize_random(
             args.n,
-            args.prevalence,
+            0.1 if args.prevalence is None else args.prevalence,
             note_mix={condition.category_id: 0.5, 32: 0.2, 37: 0.2, 45: 0.1},
             seed=args.seed,
         )

@@ -30,9 +30,13 @@ class ValidationReport:
     path: str
     strict: bool
     n_rows: int = 0
-    n_parsed: int = 0
     skipped: list[dict] = field(default_factory=list)
     warnings: list[str] = field(default_factory=list)
+
+    @property
+    def n_parsed(self) -> int:
+        # Every row read is parsed or skipped: a duplicate id or an oversized field raises.
+        return self.n_rows - len(self.skipped)
 
     def to_json(self) -> str:
         return json.dumps(
@@ -49,39 +53,39 @@ class ValidationReport:
         )
 
 
-def _parse_int(raw: str, column: str, row: int) -> int | None:
+def _parse_number(raw: str, kind: type, column: str, row: int) -> int | float | None:
     if raw == "":
         return None
     try:
-        return int(raw)
+        return kind(raw)
     except ValueError:
-        raise CohortFormatError(f"row {row}, column {column}: not an integer: {raw!r}")
+        what = "an integer" if kind is int else "a number"
+        raise CohortFormatError(f"row {row}, column {column}: not {what}: {raw!r}")
 
 
-def _parse_float(raw: str, column: str, row: int) -> float | None:
-    if raw == "":
-        return None
-    try:
-        return float(raw)
-    except ValueError:
-        raise CohortFormatError(f"row {row}, column {column}: not a number: {raw!r}")
+def parse_cohort_file(path) -> Cohort:
+    """Parse a cohort CSV; the first malformed row raises CohortFormatError."""
+    # tuple() exhausts the reader, and an exhausted generator's frame is
+    # cleared: its id set is freed before Cohort builds one of its own.
+    return Cohort(tuple(_read_records(path, ValidationReport(str(path), strict=True))))
 
 
-def parse_cohort_file(path, strict: bool = True) -> Cohort:
-    cohort, _ = parse_cohort_file_with_report(path, strict=strict)
-    return cohort
+def validate_cohort_file(path, strict: bool = False) -> ValidationReport:
+    """Check a cohort CSV and count its rows, keeping none of its records."""
+    report = ValidationReport(str(path), strict)
+    for _ in _read_records(path, report):
+        pass
+    return report
 
 
-def parse_cohort_file_with_report(path, strict: bool = True) -> tuple[Cohort, ValidationReport]:
-    """Parse a cohort CSV.
+def _read_records(path, report: ValidationReport):
+    """Yield the records of a cohort CSV, counting its rows into `report`.
 
-    In strict mode any malformed row raises CohortFormatError with the row
-    number; in lenient mode malformed rows are skipped and listed in the
-    report. Duplicate record ids and fields longer than the csv module's
-    limit are an error in both modes.
+    In strict mode a malformed row raises CohortFormatError with the row
+    number; in lenient mode it is skipped and listed in the report.
+    Duplicate record ids and fields longer than the csv module's limit are
+    an error in both modes.
     """
-    report = ValidationReport(path=str(path), strict=strict)
-    records: list[PathologyRecord] = []
     seen: set[str] = set()
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -101,18 +105,16 @@ def parse_cohort_file_with_report(path, strict: bool = True) -> tuple[Cohort, Va
                 if row and row[0] in seen:  # never skipped, even in lenient mode
                     raise CohortFormatError(f"row {rownum}: duplicate record_id {row[0]!r}")
                 try:
-                    records.append(_parse_row(row, rownum, report))
+                    record = _parse_row(row, rownum, report)
                 except CohortFormatError as err:
-                    if strict:
+                    if report.strict:
                         raise
                     report.skipped.append({"row": rownum, "reason": str(err)})
                     continue
                 seen.add(row[0])
+                yield record
         except csv.Error as err:
             raise CohortFormatError(f"row {report.n_rows + 2}: {err}") from None
-    report.n_parsed = len(records)
-    del seen  # Cohort checks the ids again with a set of its own
-    return Cohort(tuple(records)), report
 
 
 def _parse_row(row, rownum: int, report: ValidationReport) -> PathologyRecord:
@@ -128,10 +130,10 @@ def _parse_row(row, rownum: int, report: ValidationReport) -> PathologyRecord:
         sex = Sex.UNSPECIFIED
     # Converted outside the try, whose handler would wrap their CohortFormatError
     # (a ValueError) again.
-    age = _parse_int(age_raw, "age", rownum)
-    hbsag_iu = _parse_float(hbsag_raw, "hbsag_iu", rownum)
-    anti_hcv_iu = _parse_float(hcv_raw, "anti_hcv_iu", rownum)
-    collection_year = _parse_int(year_raw, "collection_year", rownum)
+    age = _parse_number(age_raw, int, "age", rownum)
+    hbsag_iu = _parse_number(hbsag_raw, float, "hbsag_iu", rownum)
+    anti_hcv_iu = _parse_number(hcv_raw, float, "anti_hcv_iu", rownum)
+    collection_year = _parse_number(year_raw, int, "collection_year", rownum)
     try:
         return PathologyRecord(
             record_id, age, sex, note_text, hbsag_iu, anti_hcv_iu, collection_year

@@ -58,16 +58,13 @@ class SplitMix64:
             items[i], items[j] = items[j], items[i]
 
 
-HBV_STATEMENT_PHRASES = ("Hep B", "Known Hep B", "Hep B Pos", "Hx Hep B", "Hep B exposure")
-HBV_QUERY_PHRASES = ("?Hep B", "Possible Hep B", "Screen Hep B")
-HCV_STATEMENT_PHRASES = ("Hep C", "Known Hep C", "Hep C Pos", "Hx Hep C", "Hep C exposure")
-HCV_QUERY_PHRASES = ("?Hep C", "Possible Hep C", "Screen Hep C")
-
-
-def _default_phrases(condition: Condition) -> tuple[tuple[str, ...], tuple[str, ...]]:
-    if condition is Condition.HEPATITIS_B:
-        return HBV_STATEMENT_PHRASES, HBV_QUERY_PHRASES
-    return HCV_STATEMENT_PHRASES, HCV_QUERY_PHRASES
+# Hepatitis note phrases by lexicon category: (statements, queries).
+PHRASES = {
+    1: (("Hep B", "Known Hep B", "Hep B Pos", "Hx Hep B", "Hep B exposure"),
+        ("?Hep B", "Possible Hep B", "Screen Hep B")),
+    2: (("Hep C", "Known Hep C", "Hep C Pos", "Hx Hep C", "Hep C exposure"),
+        ("?Hep C", "Possible Hep C", "Screen Hep C")),
+}
 
 
 @dataclass(frozen=True)
@@ -142,7 +139,7 @@ def synthesize_exact(spec: SynthesisSpec) -> Cohort:
     cutoff = spec.condition.default_cutoff
     t = spec.target_table
     tag = "hbv" if spec.condition is Condition.HEPATITIS_B else "hcv"
-    statement, query = _default_phrases(spec.condition)
+    statement, query = PHRASES[spec.condition.category_id]
 
     groups = [
         ("tp", t.tp, statement, True),
@@ -210,17 +207,14 @@ def synthesize_random(
     def sample_value(cutoff: float) -> float:
         return _marker_value(rng, cutoff, rng.uniform() < prevalence)
 
+    pools = {  # each sampled category's notes, built once
+        c: PHRASES[c][0] + PHRASES[c][1] if c in PHRASES else ("",) if c == 45
+        else tuple(" ".join(p) for p in lexicon.rule(c).patterns[:3])
+        for c in cats
+    }
     records = []
     for i in range(n):
-        cat = sample_category()
-        if cat == 1:
-            pool = HBV_STATEMENT_PHRASES + HBV_QUERY_PHRASES
-        elif cat == 2:
-            pool = HCV_STATEMENT_PHRASES + HCV_QUERY_PHRASES
-        elif cat == 45:
-            pool = ("",)
-        else:
-            pool = tuple(" ".join(p) for p in lexicon.rule(cat).patterns[:3])
+        pool = pools[sample_category()]
         note = pool[rng.randint(0, len(pool) - 1)]
         records.append(
             PathologyRecord(

@@ -88,6 +88,12 @@ def test_lexicon_missing_label_rejected():
         parse_lexicon(_MINIMAL_LEXICON.replace("label: c7\n", ""))
 
 
+def test_lexicon_empty_query_keyword_names_its_line():
+    # "-" normalizes to no token at all.
+    with pytest.raises(ValueError, match=r"^line 186: empty query keyword$"):
+        parse_lexicon(_MINIMAL_LEXICON + "\n[polarity]\nquery: -\n")
+
+
 def test_lexicon_duplicate_priority_rejected():
     text = "\n".join(
         f"[category {i}]\nlabel: c{i}\npriority: 1\npattern: tok{i}" for i in range(1, 47)

@@ -6,11 +6,11 @@ from importlib.resources import files
 
 import pytest
 
-from notedta import cli, evaluate
+from notedta import cli, evaluate, ingest
 from notedta.classifier import default_lexicon
 from notedta.cli import main
 from notedta.ingest import write_cohort_file
-from notedta.synth import preset_spec, synthesize_exact
+from notedta.synth import preset_spec, synthesize_exact, synthesize_random
 
 
 def run(capsys, *argv):
@@ -322,6 +322,35 @@ def test_classify_lexicon_without_label_is_exit_1(tmp_path, capsys):
     assert err.splitlines() == ["error: line 25: category 7 has no label"]
 
 
+def test_classify_lexicon_with_empty_query_keyword_is_exit_1(tmp_path, capsys):
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_text("\n".join(_LEXICON_BLOCKS) + "\n[polarity]\nquery: -\n", encoding="utf-8")
+    notes = tmp_path / "notes.txt"
+    notes.write_text("tok7\n", encoding="utf-8")
+    code, out, err = run(capsys, "classify", str(notes), "--lexicon", str(lexicon))
+    assert code == 1 and out == ""
+    assert err.splitlines() == ["error: line 186: empty query keyword"]
+
+
+def test_validate_builds_no_cohort(tmp_path, capsys, monkeypatch):
+    cohort = tmp_path / "cohort.csv"
+    cohort.write_text("record_id,age,sex,note_text,hbsag_iu,anti_hcv_iu,collection_year\n"
+                      "r1,38,M,a,,,\nr2,oops,F,b,,,\nr3,41,x,c,,,\n", encoding="utf-8")
+
+    def no_cohort(records):
+        raise AssertionError("validate built a Cohort")
+
+    monkeypatch.setattr(ingest, "Cohort", no_cohort)
+    report = ingest.validate_cohort_file(cohort)
+    assert (report.n_rows, report.n_parsed, len(report.skipped), len(report.warnings)) == (
+        3, 2, 1, 1)
+    code, out, err = run(capsys, "validate", str(cohort), "--report", str(tmp_path / "v.json"))
+    assert (code, err) == (0, "")
+    assert out == f"{cohort}: 2 records parsed, 1 skipped, 1 warnings\n"
+    report = json.loads((tmp_path / "v.json").read_text())
+    assert (report["n_rows"], report["n_parsed"], report["n_skipped"]) == (3, 2, 1)
+
+
 def test_evaluate_frees_the_records_before_the_first_interval(tmp_path, capsys, monkeypatch):
     cohort_path = tmp_path / "cohort.csv"
     assert run(capsys, "synth", str(cohort_path), "--preset", "figS1-hbv", "--seed", "1")[0] == 0
@@ -375,9 +404,20 @@ def test_synth_random_mode(tmp_path, capsys):
     assert len(out_path.read_text().splitlines()) == 51
 
 
-def test_synth_requires_preset_or_n(tmp_path, capsys):
-    code, _, err = run(capsys, "synth", str(tmp_path / "x.csv"))
-    assert code == 1
+def test_synth_random_prevalence_defaults_to_0_1(tmp_path, capsys):
+    assert run(capsys, "synth", str(tmp_path / "r.csv"), "--n", "50", "--seed", "2")[0] == 0
+    expected = tmp_path / "expected.csv"
+    write_cohort_file(synthesize_random(50, 0.1, {1: 0.5, 32: 0.2, 37: 0.2, 45: 0.1}, seed=2),
+                      expected)
+    assert (tmp_path / "r.csv").read_bytes() == expected.read_bytes()
+
+
+@pytest.mark.parametrize("flag, value", [("--condition", "hcv"), ("--prevalence", "0.1")])
+def test_synth_preset_rejects_random_cohort_flags(tmp_path, capsys, flag, value):
+    out_path = tmp_path / "x.csv"
+    code, out, err = run(capsys, "synth", str(out_path), "--preset", "figS1-hbv", flag, value)
+    assert code == 1 and out == "" and not out_path.exists()
+    assert err.splitlines() == ["error: --condition and --prevalence apply only with --n"]
 
 
 def test_cutoff_flags(tmp_path, capsys):
@@ -420,8 +460,12 @@ def test_inputs_not_mutated(tmp_path, capsys):
         (("evaluate", "c.csv"), "the following arguments are required: --condition"),
         (("synth", "x.csv", "--n", "abc"), "argument --n: invalid int value: 'abc'"),
         (("bogus",), "argument subcommand: invalid choice: 'bogus'"),
+        (("synth", "x.csv"), "one of the arguments --preset --n is required"),
+        (("synth", "x.csv", "--preset", "figS1-hbv", "--n", "500"),
+         "argument --n: not allowed with argument --preset"),
     ],
-    ids=["bad-choice", "missing-required", "bad-int", "unknown-subcommand"],
+    ids=["bad-choice", "missing-required", "bad-int", "unknown-subcommand", "synth-neither",
+         "synth-both"],
 )
 def test_usage_error_is_exit_1(capsys, argv, message):
     # Exit 2 means an internal failure; a bad command line is an input error.

@@ -1,18 +1,22 @@
+import csv
+import json
 import math
 import random
 import statistics
+from dataclasses import dataclass, field
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from notedta.ingest import (
+    _SEX_TOKENS,
     HEADER,
     CohortFormatError,
     CohortSummary,
     parse_cohort_file,
-    parse_cohort_file_with_report,
     summarize_demographics,
+    validate_cohort_file,
     write_cohort_file,
 )
 from notedta.model import Cohort, PathologyRecord, Sex
@@ -37,7 +41,7 @@ def test_parse_basic_rows(tmp_path):
 
 def test_numeric_sex_tokens(tmp_path):
     path = _write(tmp_path, "r1,30,1,n,,,\nr2,30,2,n,,,\nr3,30,x,n,,,\n")
-    cohort, report = parse_cohort_file_with_report(path)
+    cohort, report = parse_cohort_file(path), validate_cohort_file(path, strict=True)
     assert [r.sex for r in cohort] == [Sex.MALE, Sex.FEMALE, Sex.UNSPECIFIED]
     assert len(report.warnings) == 1 and "r3" not in report.warnings[0]
 
@@ -51,14 +55,14 @@ def test_duplicate_record_id_error(tmp_path):
 def test_duplicate_record_id_error_in_lenient_mode(tmp_path):
     path = _write(tmp_path, "r1,38,M,a,,,\nr1,40,F,b,,,\n")
     with pytest.raises(CohortFormatError, match="row 3: duplicate record_id 'r1'"):
-        parse_cohort_file_with_report(path, strict=False)
+        validate_cohort_file(path, strict=False)
 
 
 def test_id_of_a_skipped_row_may_recur(tmp_path):
     # the skipped row never entered the cohort, so r1 is not a duplicate
     path = _write(tmp_path, "r1,oops,M,a,,,\nr1,40,F,b,,,\n")
-    cohort, report = parse_cohort_file_with_report(path, strict=False)
-    assert [r.record_id for r in cohort] == ["r1"]
+    report = validate_cohort_file(path, strict=False)
+    assert report.n_parsed == 1
     assert [s["row"] for s in report.skipped] == [2]
 
 
@@ -86,13 +90,13 @@ def test_header_mismatch(tmp_path):
 def test_strict_mode_reports_row_and_column(tmp_path):
     path = _write(tmp_path, "r1,38,M,a,,,\nr2,oops,F,b,,,\n")
     with pytest.raises(CohortFormatError, match="row 3.*age"):
-        parse_cohort_file(path, strict=True)
+        parse_cohort_file(path)
 
 
 def test_lenient_mode_skips_and_counts(tmp_path):
     path = _write(tmp_path, "r1,38,M,a,,,\nr2,oops,F,b,,,\nr3,41,F,c,,-2,\n")
-    cohort, report = parse_cohort_file_with_report(path, strict=False)
-    assert len(cohort) == 1
+    report = validate_cohort_file(path, strict=False)
+    assert report.n_parsed == 1
     assert len(report.skipped) == 2
     assert report.skipped[0]["row"] == 3
     assert "n_skipped" in report.to_json()
@@ -161,8 +165,8 @@ def test_record_rule_strict_names_row_and_column(tmp_path, column, raw, value):
 @pytest.mark.parametrize("column, raw, value", _RULE_BREAKS)
 def test_record_rule_lenient_skips_row_with_same_reason(tmp_path, column, raw, value):
     path = _write(tmp_path, "r0,38,M,a,,,\n" + _row(column, raw) + "\n")
-    cohort, report = parse_cohort_file_with_report(path, strict=False)
-    assert [r.record_id for r in cohort] == ["r0"]
+    report = validate_cohort_file(path, strict=False)
+    assert report.n_parsed == 1
     assert report.skipped == [{"row": 3, "reason": f"row 3, column {_rule_message(column, value)}"}]
 
 
@@ -224,6 +228,166 @@ def test_write_then_parse_returns_every_accepted_record(tmp_path_factory, candid
     path = tmp_path_factory.mktemp("round_trip") / "cohort.csv"
     write_cohort_file(cohort, path)
     assert parse_cohort_file(path).records == cohort.records
+
+
+# -- the one reader against the one it replaced --------------------------------
+
+@dataclass
+class _OldReport:
+    path: str
+    strict: bool
+    n_rows: int = 0
+    n_parsed: int = 0
+    skipped: list[dict] = field(default_factory=list)
+    warnings: list[str] = field(default_factory=list)
+
+    def to_json(self) -> str:
+        return json.dumps(
+            {
+                "path": self.path,
+                "strict": self.strict,
+                "n_rows": self.n_rows,
+                "n_parsed": self.n_parsed,
+                "n_skipped": len(self.skipped),
+                "skipped_rows": self.skipped,
+                "warnings": self.warnings,
+            },
+            indent=2,
+        )
+
+
+def _old_parse_int(raw: str, column: str, row: int) -> int | None:
+    if raw == "":
+        return None
+    try:
+        return int(raw)
+    except ValueError:
+        raise CohortFormatError(f"row {row}, column {column}: not an integer: {raw!r}")
+
+
+def _old_parse_float(raw: str, column: str, row: int) -> float | None:
+    if raw == "":
+        return None
+    try:
+        return float(raw)
+    except ValueError:
+        raise CohortFormatError(f"row {row}, column {column}: not a number: {raw!r}")
+
+
+def _old_parse_cohort_file_with_report(path, strict: bool = True) -> tuple[Cohort, _OldReport]:
+    """The reader that built every record in both modes, kept as the oracle."""
+    report = _OldReport(path=str(path), strict=strict)
+    records: list[PathologyRecord] = []
+    seen: set[str] = set()
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        # csv.Error (a field over csv.field_size_limit()) is raised while a row
+        # is read, before it is counted; it fails the file in both modes.
+        try:
+            header = next(reader)
+        except StopIteration:
+            raise CohortFormatError(f"{path}: empty file, header row required")
+        except csv.Error as err:
+            raise CohortFormatError(f"row 1: {err}") from None
+        if header != HEADER:
+            raise CohortFormatError(f"{path}: bad header {header!r}, expected {HEADER!r}")
+        try:
+            for rownum, row in enumerate(reader, start=2):
+                report.n_rows += 1
+                if row and row[0] in seen:  # never skipped, even in lenient mode
+                    raise CohortFormatError(f"row {rownum}: duplicate record_id {row[0]!r}")
+                try:
+                    records.append(_old_parse_row(row, rownum, report))
+                except CohortFormatError as err:
+                    if strict:
+                        raise
+                    report.skipped.append({"row": rownum, "reason": str(err)})
+                    continue
+                seen.add(row[0])
+        except csv.Error as err:
+            raise CohortFormatError(f"row {report.n_rows + 2}: {err}") from None
+    report.n_parsed = len(records)
+    del seen  # Cohort checks the ids again with a set of its own
+    return Cohort(tuple(records)), report
+
+
+def _old_parse_row(row, rownum: int, report: _OldReport) -> PathologyRecord:
+    if len(row) != len(HEADER):
+        raise CohortFormatError(f"row {rownum}: expected {len(HEADER)} fields, got {len(row)}")
+    record_id, age_raw, sex_raw, note_text, hbsag_raw, hcv_raw, year_raw = row
+    sex_token = sex_raw.strip().lower()
+    sex = _SEX_TOKENS.get(sex_token)
+    if sex is None:
+        report.warnings.append(
+            f"row {rownum}: unrecognised sex token {sex_raw!r}, treated as unspecified"
+        )
+        sex = Sex.UNSPECIFIED
+    # Converted outside the try, whose handler would wrap their CohortFormatError
+    # (a ValueError) again.
+    age = _old_parse_int(age_raw, "age", rownum)
+    hbsag_iu = _old_parse_float(hbsag_raw, "hbsag_iu", rownum)
+    anti_hcv_iu = _old_parse_float(hcv_raw, "anti_hcv_iu", rownum)
+    collection_year = _old_parse_int(year_raw, "collection_year", rownum)
+    try:
+        return PathologyRecord(
+            record_id, age, sex, note_text, hbsag_iu, anti_hcv_iu, collection_year
+        )
+    except ValueError as err:  # a record rule, worded "<field>: <problem>"
+        raise CohortFormatError(f"row {rownum}, column {err}") from None
+
+
+# Raw CSV fields the reader accepts, by column: ids repeat now and then, and
+# an unknown sex token is accepted with a warning.
+_ACCEPTED = {
+    "record_id": st.sampled_from([f"r{i}" for i in range(30)] + [" r1", "r,1", "r1\n"]),
+    "age": st.sampled_from(["", "0", "38", "130", " 40"]),
+    "sex": st.sampled_from(["M", "F", "1", "2", "", "m ", " f", "x", "male"]),
+    "note_text": _TEXT,
+    "hbsag_iu": st.sampled_from(["", "2.4", "0", "1e-300", "-0.0"]),
+    "anti_hcv_iu": st.sampled_from(["", "0.4", "1"]),
+    "collection_year": st.sampled_from(["", "1997", "1800", "2200"]),
+}
+# Fields that break a conversion or a record rule.
+_REJECTED = {
+    "record_id": [""],
+    "age": ["131", "-1", "oops", "1e3"],
+    "hbsag_iu": ["-2", "inf", "nan", "x"],
+    "anti_hcv_iu": ["-inf", "NaN", "1,5"],
+    "collection_year": ["1799", "2201", "abc", "2e3"],
+}
+
+
+def _raw_row(faulty):
+    return st.tuples(*(
+        _ACCEPTED[h] | st.sampled_from(_REJECTED[h]) if faulty and h in _REJECTED else _ACCEPTED[h]
+        for h in HEADER
+    )).map(list)
+
+
+_WRONG_LENGTH_ROW = st.lists(st.sampled_from(["r9", "1", "M", "a,b", ""]), max_size=9).filter(
+    lambda row: len(row) != len(HEADER))
+_ROWS = st.lists(_raw_row(False), max_size=8) | st.lists(
+    _raw_row(False) | _raw_row(True) | _WRONG_LENGTH_ROW, max_size=8)
+
+
+def _outcome(read):
+    try:
+        return read()
+    except CohortFormatError as err:
+        return f"error: {err}"
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=_ROWS, bom=st.booleans())
+def test_reader_matches_the_reader_it_replaced(tmp_path_factory, rows, bom):
+    path = tmp_path_factory.mktemp("oracle") / "cohort.csv"
+    with open(path, "w", newline="", encoding="utf-8-sig" if bom else "utf-8") as fh:
+        csv.writer(fh).writerows([HEADER, *rows])
+    assert _outcome(lambda: parse_cohort_file(path).records) == _outcome(
+        lambda: _old_parse_cohort_file_with_report(path)[0].records)
+    for strict in (True, False):
+        assert _outcome(lambda: validate_cohort_file(path, strict).to_json()) == _outcome(
+            lambda: _old_parse_cohort_file_with_report(path, strict)[1].to_json())
 
 
 # -- demographics -------------------------------------------------------------

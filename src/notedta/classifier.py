@@ -84,23 +84,15 @@ class CategoryRule:
             raise ValueError(f"category {self.category_id} has an empty pattern")
 
 
-def _first_token_index(patterns) -> dict[str, tuple]:
-    """Map each first token to the ``(*key, pattern)`` entries it starts, in input order."""
-    index: dict[str, list] = {}
-    for *key, pattern in patterns:
-        index.setdefault(pattern[0], []).append((*key, pattern))
-    return {token: tuple(entries) for token, entries in index.items()}
-
-
 @dataclass(frozen=True)
 class Lexicon:
     rules: tuple[CategoryRule, ...]
     query_keywords: tuple[tuple[str, ...], ...]
     # Derived in __post_init__: first token -> (rule position, pattern
     # position, pattern length, category id, priority, joined pattern,
-    # pattern) and first token -> (keyword,), in lexicon order.
+    # pattern), in lexicon order; '?' and the query keywords follow as one
+    # more group, at rule position len(rules) with category id None.
     _pattern_index: dict = field(init=False, compare=False, repr=False)
-    _query_index: dict = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         ids = sorted(r.category_id for r in self.rules)
@@ -115,13 +107,15 @@ class Lexicon:
             raise ValueError("rule priorities must be unique")
         if () in self.query_keywords:
             raise ValueError("empty query keyword")
-        object.__setattr__(self, "_pattern_index", _first_token_index(
-            (r, p, len(pattern), rule.category_id, rule.priority, " ".join(pattern), pattern)
-            for r, rule in enumerate(self.rules)
-            for p, pattern in enumerate(rule.patterns)
-        ))
-        object.__setattr__(self, "_query_index",
-                           _first_token_index((kw,) for kw in self.query_keywords))
+        groups = [(rule.category_id, rule.priority, rule.patterns) for rule in self.rules]
+        groups.append((None, None, (("?",), *self.query_keywords)))
+        index: dict[str, list] = {}
+        for r, (category_id, priority, patterns) in enumerate(groups):
+            for p, pattern in enumerate(patterns):
+                index.setdefault(pattern[0], []).append(
+                    (r, p, len(pattern), category_id, priority, " ".join(pattern), pattern))
+        object.__setattr__(self, "_pattern_index",
+                           {token: tuple(entries) for token, entries in index.items()})
 
     def rule(self, category_id: int) -> CategoryRule:
         for r in self.rules:
@@ -166,8 +160,9 @@ def classify_note(text: str, lexicon: Lexicon) -> NoteClassification:
 
     # rule position -> (pattern position, token position, category id,
     # priority, joined pattern); tokens are scanned left to right, so the
-    # first hit of a pattern is its first position.
-    found: dict[int, tuple[int, int, int, int, str]] = {}
+    # first hit of a pattern is its first position. The same scan finds the
+    # query group, which marks the note as a query and is no match.
+    found: dict[int, tuple[int, int, int | None, int | None, str]] = {}
     index = lexicon._pattern_index
     for i, token in enumerate(tokens):
         for r, p, width, category_id, priority, joined, pattern in index.get(token, ()):
@@ -176,6 +171,7 @@ def classify_note(text: str, lexicon: Lexicon) -> NoteClassification:
             ):
                 found[r] = (p, i, category_id, priority, joined)
 
+    is_query = found.pop(len(lexicon.rules), None) is not None
     if not found:
         return _UNMATCHED
 
@@ -189,22 +185,9 @@ def classify_note(text: str, lexicon: Lexicon) -> NoteClassification:
             best_priority, best_id, best_pattern = priority, category_id, joined
         hbv = hbv or category_id == HBV_CATEGORY
         hcv = hcv or category_id == HCV_CATEGORY
-    # A query never labels positive; only a hepatitis match needs the scan.
-    if (hbv or hcv) and _note_is_query(tokens, lexicon):
+    if is_query:  # a query never labels positive
         hbv = hcv = False
     return NoteClassification(best_id, best_pattern, _LABELS[hbv], _LABELS[hcv], tuple(matches))
-
-
-def _note_is_query(tokens: tuple[str, ...], lexicon: Lexicon) -> bool:
-    """A '?' token anywhere or any query keyword marks the note as a query."""
-    if "?" in tokens:
-        return True
-    index = lexicon._query_index
-    return any(
-        tokens[i : i + len(kw)] == kw
-        for i, token in enumerate(tokens)
-        for (kw,) in index.get(token, ())
-    )
 
 
 # ---------------------------------------------------------------------------

@@ -96,16 +96,18 @@ class EvaluationResult:
         """
         payload = json.loads(text)
         try:
+            summary = CohortSummary(**{k: _stored(v, f"demographics {k}", count=k.startswith("n_"))
+                                       for k, v in payload["demographics"].items()})
             return cls(
                 Condition(payload["condition"]),
                 _panel_from_json(payload["primary"], lexicon),
                 tuple(_panel_from_json(c, lexicon) for c in payload["controls"]),
-                CohortSummary(**payload["demographics"]),
+                summary,
                 CiConfig(payload.get("ci_level", 0.95)).level,  # checks a stored level
             )
         except KeyError as err:
             raise ValueError(f"malformed report: missing or unknown key {err}") from err
-        except TypeError as err:
+        except (AttributeError, TypeError) as err:  # a list or number where a dict belongs
             raise ValueError(f"malformed report: {err}") from err
 
 
@@ -127,7 +129,6 @@ def evaluate_condition(
     for rec in cohort:
         cls = classify_note(rec.note_text, lexicon)
         member_ids = {m.category_id for m in cls.all_matches}
-        member_ids.add(cls.category_id)
         cids = member_ids.intersection(pairs)
         if config.exclude_vaccination and VACCINATION_CATEGORY in member_ids:
             for cid in cids:
@@ -212,24 +213,36 @@ def _panel_json(result: CategoryResult) -> dict:
     }
 
 
+def _stored(value, where: str, count: bool = False):
+    """A stored count, or number: an int, a float, None or "inf". A bool is neither."""
+    if not count and value == "inf":
+        return math.inf
+    if isinstance(value, bool) or not isinstance(value, int if count else (int, float, type(None))):
+        kind = "count" if count else "number"
+        raise ValueError(f"malformed report: {where}: {value!r} is not a {kind}")
+    return value
+
+
 def _panel_from_json(block: dict, lexicon: Lexicon) -> CategoryResult:
-    def est(d: dict) -> MetricEstimate:
-        def num(v):
-            return math.inf if v == "inf" else v
-
-        return MetricEstimate(num(d["value"]), num(d["ci_low"]), num(d["ci_high"]),
-                              method=d["method"], note=d["note"])
-
     rule = lexicon.rule(block["category_id"])
+    where = f"category {rule.category_id}"
+
+    def est(m: str) -> MetricEstimate:
+        d = block[m]
+        numbers = (_stored(d[k], f"{where} {m}.{k}") for k in ("value", "ci_low", "ci_high"))
+        return MetricEstimate(*numbers, method=d["method"], note=d["note"])
+
     if block["label"] != rule.label:
         raise ValueError(
-            f"category {rule.category_id}: label {block['label']!r} differs from "
-            f"the lexicon's {rule.label!r}"
+            f"{where}: label {block['label']!r} differs from the lexicon's {rule.label!r}"
         )
-    table = ContingencyTable(**block["counts"])
+    for key in ("n_missing_excluded", "n_vaccination_excluded"):
+        _stored(block[key], f"{where} {key}", count=True)
+    table = ContingencyTable(**{k: _stored(v, f"{where} counts.{k}", count=True)
+                                for k, v in block["counts"].items()})
     if block["n_evaluated"] != table.n:
         raise ValueError(
-            f"malformed report: category {rule.category_id}: n_evaluated "
+            f"malformed report: {where}: n_evaluated "
             f"{block['n_evaluated']!r} differs from the counts' total {table.n}"
         )
     return CategoryResult(
@@ -239,8 +252,8 @@ def _panel_from_json(block: dict, lexicon: Lexicon) -> CategoryResult:
         n_missing_excluded=block["n_missing_excluded"],
         n_vaccination_excluded=block["n_vaccination_excluded"],
         table=table,
-        panel=MetricPanel(*(est(block[m]) for m in METRICS),
-                          prevalence_sample=block["prevalence_sample"]),
+        panel=MetricPanel(*map(est, METRICS), prevalence_sample=_stored(
+            block["prevalence_sample"], f"{where} prevalence_sample")),
     )
 
 

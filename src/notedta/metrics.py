@@ -155,7 +155,10 @@ def ci_proportion(
         centre = p + z * z / (2.0 * n)
         half = z * math.sqrt(p * (1.0 - p) / n + z * z / (4.0 * n * n))
         denom = 1.0 + z * z / n
-        return (centre - half) / denom, (centre + half) / denom
+        # (centre - half) / denom cancels; (centre - half)(centre + half) is
+        # p*p*denom, so this lower bound is exactly 0 at k == 0.
+        high = 1.0 if k == n else (centre + half) / denom
+        return p * p / (centre + half), high
     raise ValueError(f"unknown method: {method!r}")
 
 

@@ -263,6 +263,54 @@ def test_report_label_not_in_lexicon_is_exit_1(tmp_path, capsys, monkeypatch):
     assert str(path) in err and "Tiredness" in err
 
 
+@pytest.mark.parametrize("fmt", ["markdown", "csv"])
+@pytest.mark.parametrize("keys, stored", [
+    (("primary", "sn", "value"), "abc"),
+    (("primary", "sn", "value"), True),
+    (("primary", "sp", "ci_low"), [0.1]),
+    (("controls", 0, "ppv", "ci_high"), {"x": 1}),
+    (("primary", "prevalence_sample"), "0.4"),
+    (("primary", "counts", "tp"), 69.0),
+    (("primary", "counts", "fn"), True),
+    (("primary", "counts"), [69, 45, 8, 57]),
+    (("primary", "n_missing_excluded"), "x"),
+    (("controls", 2, "n_vaccination_excluded"), 1.5),
+    (("demographics", "n_total"), "x"),
+    (("demographics", "age_mean"), "40"),
+    (("demographics",), [1, 2]),
+])
+def test_report_malformed_stored_value_is_exit_1(tmp_path, capsys, fmt, keys, stored):
+    path = _evaluated_report(tmp_path, capsys)
+    payload = json.loads(path.read_text())
+    *parents, key = keys
+    target = payload
+    for parent in parents:
+        target = target[parent]
+    target[key] = stored
+    path.write_text(json.dumps(payload))
+    code, out, err = run(capsys, "report", str(path), "--format", fmt)
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: {path}: malformed report: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+def test_score_interval_bounds_stay_inside_0_1(tmp_path, capsys):
+    # Seven test positives that are all HBsAg negative: Sp is 0/7, whose
+    # Wilson lower bound is exactly 0, not a cancellation residue below it.
+    cohort = tmp_path / "c.csv"
+    cohort.write_text(
+        "record_id,age,sex,note_text,hbsag_iu,anti_hcv_iu,collection_year\n"
+        + "".join(f"r{i},40,M,hepatitis b,0.1,,\n" for i in range(7)),
+        encoding="utf-8",
+    )
+    code, _, _ = run(capsys, "evaluate", str(cohort), "--condition", "hbv",
+                     "--ci-method", "score", "--outdir", str(tmp_path))
+    assert code == 0
+    assert "Sp 0 (0-35.4)." in (tmp_path / "report.md").read_text(encoding="utf-8")
+    rows = (tmp_path / "report.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert not [f for row in rows for f in row.split(",") if f.startswith("-")]
+
+
 def test_validate_lenient_duplicate_id_is_exit_1(tmp_path, capsys):
     cohort = tmp_path / "c.csv"
     cohort.write_text(

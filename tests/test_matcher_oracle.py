@@ -115,10 +115,18 @@ OVERLAPPING = _lexicon({
     9: ("c d", "a b"),
     10: ("b c d e", "d e", "a"),
 })
+# Query keywords ("possible", "for investigation", "screen now") start or
+# equal patterns, so a token's index entries mix rules and the query group.
+QUERY_TOKENS_IN_PATTERNS = _lexicon({
+    HBV_CATEGORY: ("hbv",),
+    8: ("screen", "possible cause"),
+    9: ("for",),
+})
 HAND_BUILT = {
     "later-pattern-first": LATER_PATTERN_FIRST,
     "shared-first-token": SHARED_FIRST_TOKEN,
     "overlapping": OVERLAPPING,
+    "query-tokens-in-patterns": QUERY_TOKENS_IN_PATTERNS,
 }
 
 
@@ -153,6 +161,25 @@ def test_hand_built_polarity(text, lexicon, labels):
     c = classify_note(text, lexicon)
     assert (c.hbv_label, c.hcv_label) == labels
     _assert_same(text, lexicon)
+
+
+@pytest.mark.parametrize("text, category_id, matches, hbv_label", [
+    ("screen now hbv", HBV_CATEGORY,
+     (Match(8, "screen", 0), Match(HBV_CATEGORY, "hepatitis-b", 2)), "negative"),
+    ("possible cause hbv", HBV_CATEGORY,
+     (Match(8, "possible cause", 0), Match(HBV_CATEGORY, "hepatitis-b", 2)), "negative"),
+    ("for hbv", HBV_CATEGORY,
+     (Match(9, "for", 0), Match(HBV_CATEGORY, "hepatitis-b", 1)), "positive"),
+    ("for investigation hbv", HBV_CATEGORY,
+     (Match(9, "for", 0), Match(HBV_CATEGORY, "hepatitis-b", 2)), "negative"),
+    ("screen now", 8, (Match(8, "screen", 0),), "negative"),
+    ("?", NONSPECIFIC_CATEGORY, (), "negative"),
+])
+def test_query_tokens_in_patterns(text, category_id, matches, hbv_label):
+    c = classify_note(text, QUERY_TOKENS_IN_PATTERNS)
+    assert (c.category_id, c.all_matches, c.hbv_label) == (category_id, matches, hbv_label)
+    assert None not in {m.category_id for m in c.all_matches}
+    _assert_same(text, QUERY_TOKENS_IN_PATTERNS)
 
 
 _DEFAULT = default_lexicon()
@@ -218,7 +245,8 @@ _QUERY_PHRASES = [" ".join(kw) for kw in _DEFAULT.query_keywords]
 @given(st.lists(st.sampled_from(_NON_HEPATITIS_PHRASES + _QUERY_PHRASES + _FILLER),
                 min_size=1, max_size=10).map(" ".join))
 def test_query_without_hepatitis_match_matches_oracle(text):
-    # The query scan runs only when category 1 or 2 matched.
+    # Query tokens without a hepatitis match: the scan finds the query
+    # group, which changes no label and adds no match.
     c = classify_note(text, _DEFAULT)
     assert not {HBV_CATEGORY, HCV_CATEGORY} & {m.category_id for m in c.all_matches}
     _assert_same(text, _DEFAULT)

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given
@@ -207,6 +208,28 @@ def test_clopper_pearson_equals_scipy_stats_bit_for_bit():
         for (kk, nn), lo, hi in zip(cases, low.tolist(), high.tolist()):
             got = ci_proportion(kk, nn, level, "exact")
             assert (got[0].hex(), got[1].hex()) == (lo.hex(), hi.hex()), (kk, nn, level)
+
+
+def test_wilson_bounds_within_4_ulps_of_mpmath_and_inside_0_1():
+    # The Wilson formula evaluated at 60 digits with the same float z the
+    # code uses. Its bounds are exactly 0 at k = 0 and 1 at k = n; every
+    # other bound may be off by at most 4 ulps.
+    with mpmath.workdps(60):
+        for level, n in itertools.product(LEVELS, range(1, 200)):
+            z = mpmath.mpf(_z_quantile(level))
+            shift, spread, denom = z * z / (2 * n), z * z / (4 * n * n), 1 + z * z / n
+            for k in range(n + 1):
+                low, high = ci_proportion(k, n, level, "score")
+                p = mpmath.mpf(k) / n
+                centre = p + shift
+                half = z * mpmath.sqrt(p * (1 - p) / n + spread)
+                for got, numerator, closed in ((low, centre - half, 0.0 if k == 0 else None),
+                                               (high, centre + half, 1.0 if k == n else None)):
+                    exact = numerator / denom
+                    if closed is not None:
+                        assert got == closed, (k, n, level)
+                    else:
+                        assert abs(got - exact) <= 4 * math.ulp(float(exact)), (k, n, level)
 
 
 def test_z_quantile_equals_scipy_stats_norm_ppf():

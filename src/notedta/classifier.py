@@ -13,6 +13,7 @@ Category 45 absorbs empty notes, category 46 everything unmatched.
 import functools
 import os
 import re
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 NO_NOTE_CATEGORY = 45
@@ -124,20 +125,34 @@ class Lexicon:
         raise KeyError(category_id)
 
 
-@dataclass(frozen=True)
-class Match:
-    category_id: int
-    pattern: str  # the matched pattern, space-joined
-    position: int  # token index of the match start
+class Match(namedtuple("Match", "category_id pattern position")):
+    """One rule's first pattern found in a note.
+
+    category_id: the rule's category.
+    pattern: the matched pattern, space-joined.
+    position: token index of the match start.
+    """
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class NoteClassification:
-    category_id: int
-    matched_pattern: str
-    hbv_label: str  # "positive" / "negative"
-    hcv_label: str
-    all_matches: tuple[Match, ...]
+class NoteClassification(
+    namedtuple("NoteClassification",
+               "category_id matched_pattern hbv_label hcv_label all_matches")
+):
+    """The category and per-condition test labels of one note.
+
+    category_id: the category of the matched rule with the lowest priority
+        number; 45 for an empty note, 46 when no rule matched.
+    matched_pattern: that rule's pattern, space-joined ("" for 45 and 46).
+    hbv_label, hcv_label: "positive" / "negative".
+    all_matches: one `Match` per matched rule, in lexicon order.
+
+    Like `Match`, a named tuple: it unpacks, indexes and compares equal to
+    a plain tuple.
+    """
+
+    __slots__ = ()
 
 
 # Shared by every empty or unmatched note; safe because results are immutable.

@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 input error (a malformed command line included),
 """
 
 import argparse
+import contextlib
 import importlib
 import os
 import sys
@@ -130,11 +131,14 @@ def _cmd_validate(args) -> int:
 
 def _cmd_classify(args) -> int:
     lexicon = _load_lexicon(args.lexicon)
-    fh = sys.stdin if args.input == "-" else open(args.input, encoding="utf-8")
-    with fh:
+    # Only a file this command opened is closed; stdin stays the caller's.
+    source = (contextlib.nullcontext(sys.stdin) if args.input == "-"
+              else open(args.input, encoding="utf-8"))
+    write = sys.stdout.write  # one write per line: one syscall under -u
+    with source as fh:
         for line in fh:
             c = classify_note(line.rstrip("\n"), lexicon)
-            print(f"{c.category_id}\t{c.hbv_label}\t{c.hcv_label}\t{c.matched_pattern}")
+            write(f"{c.category_id}\t{c.hbv_label}\t{c.hcv_label}\t{c.matched_pattern}\n")
     return 0
 
 

@@ -214,10 +214,14 @@ def _panel_json(result: CategoryResult) -> dict:
 
 
 def _stored(value, where: str, count: bool = False):
-    """A stored count, or number: an int, a float, None or "inf". A bool is neither."""
+    """A stored count (an int >= 0) or number (a finite int or float, None, or
+    "inf", the only way to store infinity). A bool is neither."""
     if not count and value == "inf":
         return math.inf
-    if isinstance(value, bool) or not isinstance(value, int if count else (int, float, type(None))):
+    if not count and value is None:
+        return None
+    if (isinstance(value, bool) or not isinstance(value, int if count else (int, float))
+            or not (value >= 0 if count else math.isfinite(value))):
         kind = "count" if count else "number"
         raise ValueError(f"malformed report: {where}: {value!r} is not a {kind}")
     return value

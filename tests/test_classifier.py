@@ -7,6 +7,8 @@ from notedta.classifier import (
     HCV_CATEGORY,
     NO_NOTE_CATEGORY,
     NONSPECIFIC_CATEGORY,
+    Match,
+    NoteClassification,
     classify_note,
     default_lexicon,
     normalize_note,
@@ -45,6 +47,18 @@ def test_normalize_idempotent(text):
 def test_default_lexicon_shape():
     assert len(LEX.rules) == 46
     assert sorted(r.category_id for r in LEX.rules) == list(range(1, 47))
+    assert len({r.priority for r in LEX.rules}) == 46
+    assert LEX.query_keywords == (("?",), ("possible",), ("screen",), ("cause",),
+                                  ("for", "investigation"))
+
+
+def test_default_lexicon_patterns_classify_to_their_own_rule():
+    owners = [(pattern, r.category_id) for r in LEX.rules for pattern in r.patterns]
+    assert len(owners) == 325
+    assert len({pattern for pattern, _ in owners}) == 325  # no pattern in two rules
+    wrong = [(pattern, cid) for pattern, cid in owners
+             if classify_note(" ".join(pattern), LEX).category_id != cid]
+    assert wrong == []
 
 
 def test_default_lexicon_key_patterns():
@@ -171,6 +185,26 @@ def test_determinism():
     assert a == b
     assert a.category_id == HCV_CATEGORY
     assert a.hcv_label == "negative"
+
+
+def test_results_are_named_tuples():
+    # tests/test_matcher_oracle.py builds both types positionally.
+    assert Match._fields == ("category_id", "pattern", "position")
+    assert NoteClassification._fields == (
+        "category_id", "matched_pattern", "hbv_label", "hcv_label", "all_matches")
+    c = classify_note("Known Hep B", LEX)
+    assert c == (1, "hepatitis-b", "positive", "negative", ((1, "hepatitis-b", 1),))
+    assert repr(c) == (
+        "NoteClassification(category_id=1, matched_pattern='hepatitis-b', hbv_label='positive',"
+        " hcv_label='negative', all_matches=(Match(category_id=1, pattern='hepatitis-b',"
+        " position=1),))")
+    (match,) = c.all_matches
+    assert (match.category_id, match.pattern, match.position) == tuple(match)
+    assert c._replace(hbv_label="negative").hbv_label == "negative"
+    with pytest.raises(AttributeError):
+        c.hbv_label = "negative"
+    with pytest.raises(AttributeError):
+        match.note = "Known Hep B"  # slotted: no instance dict
 
 
 ANALYSED_PHRASES = {

@@ -1,16 +1,23 @@
 import hashlib
+import io
 import json
+import os
+import select
+import subprocess
 import sys
 import weakref
 from importlib.resources import files
+from pathlib import Path
 
 import pytest
 
 from notedta import cli, evaluate, ingest
-from notedta.classifier import default_lexicon
-from notedta.cli import main
+from notedta.classifier import classify_note, default_lexicon
+from notedta.cli import LEXICON_ENV, main
 from notedta.ingest import write_cohort_file
 from notedta.synth import preset_spec, synthesize_exact, synthesize_random
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def run(capsys, *argv):
@@ -98,6 +105,68 @@ def test_classify_streams_labels(tmp_path, capsys):
     assert lines[0].split("\t")[:3] == ["2", "negative", "negative"]
     assert lines[1].split("\t")[:3] == ["1", "positive", "negative"]
     assert lines[2].split("\t")[0] == "45"
+
+
+# An empty line, a '?'-only line, non-ASCII text and a last line without a newline.
+_CLASSIFY_NOTES = "Known Hep C\n\n?\n?Hep B – dépistage\nRANTS, hépatite, known HBV\nscreen"
+
+
+def _classified(text: str) -> bytes:
+    lexicon = default_lexicon()
+    cs = [classify_note(line, lexicon) for line in text.split("\n")]
+    return "".join(f"{c.category_id}\t{c.hbv_label}\t{c.hcv_label}\t{c.matched_pattern}\n"
+                   for c in cs).encode("utf-8")
+
+
+def _cli_env() -> dict:
+    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", LEXICON_ENV)}
+    env.update(PYTHONPATH=str(ROOT / "src"), PYTHONIOENCODING="utf-8",
+               PYTHONDONTWRITEBYTECODE="1")
+    return env
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_classify_output_same_unbuffered_and_buffered(tmp_path, source):
+    notes = tmp_path / "notes.txt"
+    notes.write_bytes(_CLASSIFY_NOTES.encode("utf-8"))
+    argv = ["-m", "notedta.cli", "classify", str(notes) if source == "file" else "-"]
+    stdouts = []
+    for flags in (["-u"], []):
+        with open(notes, "rb") as stdin:
+            proc = subprocess.run([sys.executable, *flags, *argv], stdin=stdin,
+                                  capture_output=True, env=_cli_env(), timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        stdouts.append(proc.stdout)
+    assert stdouts[0] == stdouts[1] == _classified(_CLASSIFY_NOTES)
+
+
+def test_classify_stdin_streams_under_u():
+    # Each line is classified and written before the next one is read.
+    proc = subprocess.Popen([sys.executable, "-u", "-m", "notedta.cli", "classify", "-"],
+                            stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                            stderr=subprocess.PIPE, env=_cli_env())
+    try:
+        for line in ("Known Hep C\n", "?Hep B\n"):
+            proc.stdin.write(line.encode("utf-8"))
+            proc.stdin.flush()
+            assert select.select([proc.stdout], [], [], 30)[0], "no line before end of input"
+            assert proc.stdout.readline() == _classified(line[:-1])
+        proc.stdin.close()
+        assert proc.wait(timeout=30) == 0
+        assert proc.stdout.read() == b""
+    finally:
+        proc.kill()
+        proc.wait()
+        for stream in (proc.stdin, proc.stdout, proc.stderr):
+            stream.close()
+
+
+def test_classify_stdin_is_left_open(monkeypatch, capsys):
+    stdin = io.StringIO("Known Hep B\n?Hep C")
+    monkeypatch.setattr(sys, "stdin", stdin)
+    code, out, _ = run(capsys, "classify", "-")
+    assert code == 0 and not stdin.closed
+    assert out.encode("utf-8") == _classified("Known Hep B\n?Hep C")
 
 
 def test_evaluate_warns_when_primary_category_evaluates_nothing(tmp_path, capsys):
@@ -278,6 +347,14 @@ def test_report_label_not_in_lexicon_is_exit_1(tmp_path, capsys, monkeypatch):
     (("demographics", "n_total"), "x"),
     (("demographics", "age_mean"), "40"),
     (("demographics",), [1, 2]),
+    (("primary", "n_missing_excluded"), -3),
+    (("primary", "counts", "tn"), -1),
+    (("demographics", "n_female"), -2),
+    (("primary", "sn", "value"), float("nan")),
+    (("primary", "sp", "ci_high"), float("inf")),
+    (("controls", 1, "lr_pos", "value"), float("-inf")),
+    (("primary", "prevalence_sample"), float("nan")),
+    (("demographics", "age_mean"), float("nan")),
 ])
 def test_report_malformed_stored_value_is_exit_1(tmp_path, capsys, fmt, keys, stored):
     path = _evaluated_report(tmp_path, capsys)

@@ -24,6 +24,7 @@ STDOUT_SHA256 = {
 def test_demo_runs(demo):
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["PYTHONDONTWRITEBYTECODE"] = "1"  # as tests/conftest.py does for this process
     proc = subprocess.run([sys.executable, str(demo)], capture_output=True, env=env, timeout=120)
     assert (proc.returncode, proc.stderr) == (0, b"")
     assert set(STDOUT_SHA256) <= {d.name for d in DEMOS}

@@ -261,10 +261,11 @@ def _modules_loaded_by(
     setup: str, watch: tuple[str, ...] = _SCIPY, flags: tuple[str, ...] = ()
 ) -> list[str]:
     """Run `setup` in a fresh interpreter started with `flags`; list which of
-    the `watch` modules it loaded."""
+    the `watch` modules it loaded. It writes no bytecode next to the sources."""
     src = str(Path(notedta.__file__).resolve().parents[1])
+    env = {"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
     out = subprocess.run([sys.executable, *flags, "-c", _PROBE.format(setup=setup, watch=watch)],
-                         capture_output=True, text=True, env={"PYTHONPATH": src}, check=True)
+                         capture_output=True, text=True, env=env, check=True)
     return json.loads(out.stdout.splitlines()[-1])
 
 

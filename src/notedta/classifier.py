@@ -14,7 +14,8 @@ import functools
 import os
 import re
 from collections import namedtuple
-from dataclasses import dataclass, field
+
+from .model import Frozen, checked_make
 
 NO_NOTE_CATEGORY = 45
 NONSPECIFIC_CATEGORY = 46
@@ -68,55 +69,64 @@ def normalize_note(text: str) -> tuple[str, ...]:
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class CategoryRule:
-    category_id: int
-    label: str
-    icd10_chapter: str | None
-    priority: int
-    patterns: tuple[tuple[str, ...], ...]
+class CategoryRule(namedtuple("CategoryRule",
+                              "category_id label icd10_chapter priority patterns")):
+    __slots__ = ()
+    _make = checked_make
 
-    def __post_init__(self):
-        if not (1 <= self.category_id <= 46):
-            raise ValueError(f"category_id out of range: {self.category_id}")
-        if not self.patterns:
-            raise ValueError(f"category {self.category_id} has no patterns")
-        if () in self.patterns:
-            raise ValueError(f"category {self.category_id} has an empty pattern")
+    def __new__(cls, category_id: int, label: str, icd10_chapter: str | None, priority: int,
+                patterns: tuple[tuple[str, ...], ...]):
+        if not (1 <= category_id <= 46):
+            raise ValueError(f"category_id out of range: {category_id}")
+        if not patterns:
+            raise ValueError(f"category {category_id} has no patterns")
+        if () in patterns:
+            raise ValueError(f"category {category_id} has an empty pattern")
+        return tuple.__new__(cls, (category_id, label, icd10_chapter, priority, patterns))
 
 
-@dataclass(frozen=True)
-class Lexicon:
-    rules: tuple[CategoryRule, ...]
-    query_keywords: tuple[tuple[str, ...], ...]
-    # Derived in __post_init__: first token -> (rule position, pattern
-    # position, pattern length, category id, priority, joined pattern,
-    # pattern), in lexicon order; '?' and the query keywords follow as one
-    # more group, at rule position len(rules) with category id None.
-    _pattern_index: dict = field(init=False, compare=False, repr=False)
+class Lexicon(Frozen):
+    """The ordered category rules and the query keywords.
 
-    def __post_init__(self):
-        ids = sorted(r.category_id for r in self.rules)
+    Not a named tuple: it also holds `_pattern_index`, which is derived
+    from the rules and keywords and so is left out of `_fields` (equality,
+    hashing and ``repr``). The index maps a first token to (rule position,
+    pattern position, pattern length, category id, priority, joined
+    pattern, pattern) entries, in lexicon order; '?' and the query keywords
+    follow as one more group, at rule position len(rules) with category id
+    None.
+    """
+
+    __slots__ = ("rules", "query_keywords", "_pattern_index")
+    _fields = ("rules", "query_keywords")
+
+    def __new__(cls, rules: tuple[CategoryRule, ...],
+                query_keywords: tuple[tuple[str, ...], ...]):
+        ids = sorted(r.category_id for r in rules)
         if ids != list(range(1, 47)):
             missing = sorted(set(range(1, 47)) - set(ids))
             dupes = sorted({i for i in ids if ids.count(i) > 1})
             if missing:
                 raise ValueError(f"lexicon missing categories: {missing}")
             raise ValueError(f"lexicon has duplicate categories: {dupes}")
-        prios = [r.priority for r in self.rules]
+        prios = [r.priority for r in rules]
         if len(set(prios)) != len(prios):
             raise ValueError("rule priorities must be unique")
-        if () in self.query_keywords:
+        if () in query_keywords:
             raise ValueError("empty query keyword")
-        groups = [(rule.category_id, rule.priority, rule.patterns) for rule in self.rules]
-        groups.append((None, None, (("?",), *self.query_keywords)))
+        groups = [(rule.category_id, rule.priority, rule.patterns) for rule in rules]
+        groups.append((None, None, (("?",), *query_keywords)))
         index: dict[str, list] = {}
         for r, (category_id, priority, patterns) in enumerate(groups):
             for p, pattern in enumerate(patterns):
                 index.setdefault(pattern[0], []).append(
                     (r, p, len(pattern), category_id, priority, " ".join(pattern), pattern))
+        self = object.__new__(cls)
+        object.__setattr__(self, "rules", rules)
+        object.__setattr__(self, "query_keywords", query_keywords)
         object.__setattr__(self, "_pattern_index",
                            {token: tuple(entries) for token, entries in index.items()})
+        return self
 
     def rule(self, category_id: int) -> CategoryRule:
         for r in self.rules:

@@ -13,7 +13,7 @@ import csv
 import io
 import json
 import math
-from dataclasses import dataclass, field, fields
+from collections import namedtuple
 
 from .classifier import (
     VACCINATION_CATEGORY,
@@ -46,23 +46,16 @@ _PAIRS = {(label, status): (label, status)
           for label in ("positive", "negative") for status in SerologyStatus}
 
 
-@dataclass(frozen=True)
-class EvaluationConfig:
-    target_condition: Condition
-    exclude_vaccination: bool = True
-    thresholds: SerologyThresholds = field(default_factory=SerologyThresholds)
-    ci: CiConfig = field(default_factory=CiConfig)
+class EvaluationConfig(namedtuple("EvaluationConfig", "target_condition exclude_vaccination "
+                                                    "thresholds ci",
+                                   defaults=(True, SerologyThresholds(), CiConfig()))):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class CategoryResult:
-    category_id: int
-    label: str
-    icd10_chapter: str | None
-    n_missing_excluded: int
-    n_vaccination_excluded: int
-    table: ContingencyTable
-    panel: MetricPanel
+class CategoryResult(namedtuple("CategoryResult", "category_id label icd10_chapter "
+                                                "n_missing_excluded n_vaccination_excluded "
+                                                "table panel")):
+    __slots__ = ()
 
     @property
     def n_evaluated(self) -> int:
@@ -75,13 +68,11 @@ class CategoryResult:
         return 100.0 * self.table.diseased / self.n_evaluated
 
 
-@dataclass(frozen=True)
-class EvaluationResult:
-    condition: Condition
-    primary: CategoryResult
-    controls: tuple[CategoryResult, ...]
-    summary: CohortSummary
-    ci_level: float = 0.95  # confidence level of every interval in the panels
+class EvaluationResult(namedtuple("EvaluationResult", "condition primary controls summary "
+                                                    "ci_level", defaults=(0.95,))):
+    """ci_level: the confidence level of every interval in the panels."""
+
+    __slots__ = ()
 
     def all_results(self) -> tuple[CategoryResult, ...]:
         return (self.primary, *self.controls)
@@ -92,19 +83,30 @@ class EvaluationResult:
 
         The JSON stores no ICD-10 chapters, so they come from ``lexicon``,
         whose labels must match the stored ones. The JSON stores no age
-        histogram either, so the summary's is None.
+        histogram either, so the summary's is None. The category blocks must
+        be the evaluated set: the condition's own category first, then
+        ``CONTROL_CATEGORIES`` in order, each once.
         """
         payload = json.loads(text)
         try:
             summary = CohortSummary(**{k: _stored(v, f"demographics {k}", count=k.startswith("n_"))
                                        for k, v in payload["demographics"].items()})
-            return cls(
-                Condition(payload["condition"]),
-                _panel_from_json(payload["primary"], lexicon),
-                tuple(_panel_from_json(c, lexicon) for c in payload["controls"]),
-                summary,
-                CiConfig(payload.get("ci_level", 0.95)).level,  # checks a stored level
-            )
+            condition = Condition(payload["condition"])
+            primary = _panel_from_json(payload["primary"], lexicon)
+            controls = tuple(_panel_from_json(c, lexicon) for c in payload["controls"])
+            if primary.category_id != condition.category_id:
+                raise ValueError(
+                    f"malformed report: primary category {primary.category_id} is not "
+                    f"{condition.value}'s category {condition.category_id}"
+                )
+            ids = tuple(c.category_id for c in controls)
+            if ids != CONTROL_CATEGORIES:
+                raise ValueError(
+                    f"malformed report: control categories {list(ids)} are not "
+                    f"{list(CONTROL_CATEGORIES)}, in that order"
+                )
+            return cls(condition, primary, controls, summary,
+                       CiConfig(payload.get("ci_level", 0.95)).level)  # checks a stored level
         except KeyError as err:
             raise ValueError(f"malformed report: missing or unknown key {err}") from err
         except (AttributeError, TypeError) as err:  # a list or number where a dict belongs
@@ -228,7 +230,8 @@ def _stored(value, where: str, count: bool = False):
 
 
 def _panel_from_json(block: dict, lexicon: Lexicon) -> CategoryResult:
-    rule = lexicon.rule(block["category_id"])
+    # A count rules out true (category 1 to `rule`) and 10.0 (category 10).
+    rule = lexicon.rule(_stored(block["category_id"], "category_id", count=True))
     where = f"category {rule.category_id}"
 
     def est(m: str) -> MetricEstimate:
@@ -274,8 +277,8 @@ def emit_report(result: EvaluationResult, format: str) -> str:
             "condition": result.condition.value,
             "marker": result.condition.marker_name,
             "demographics": {  # every summary field but the age histogram
-                f.name: getattr(result.summary, f.name)
-                for f in fields(CohortSummary) if f.name != "age_histogram"
+                name: value for name, value in zip(CohortSummary._fields, result.summary)
+                if name != "age_histogram"
             },
             "primary": _panel_json(result.primary),
             "controls": [_panel_json(c) for c in result.controls],

@@ -12,7 +12,7 @@ rules (age, year and assay ranges, a non-empty id) are
 import csv
 import json
 import statistics
-from dataclasses import dataclass, field
+from collections import namedtuple
 
 from .model import Cohort, PathologyRecord, Sex
 
@@ -25,13 +25,21 @@ class CohortFormatError(ValueError):
     """Malformed cohort file (bad header, bad field, duplicate id)."""
 
 
-@dataclass
 class ValidationReport:
-    path: str
-    strict: bool
-    n_rows: int = 0
-    skipped: list[dict] = field(default_factory=list)
-    warnings: list[str] = field(default_factory=list)
+    """The rows of one cohort file, counted as they are read."""
+
+    __slots__ = ("path", "strict", "n_rows", "skipped", "warnings")
+
+    def __init__(self, path: str, strict: bool):
+        self.path = path
+        self.strict = strict
+        self.n_rows = 0
+        self.skipped: list[dict] = []
+        self.warnings: list[str] = []
+
+    def __repr__(self):
+        return (f"ValidationReport(path={self.path!r}, strict={self.strict!r}, "
+                f"n_rows={self.n_rows!r}, skipped={self.skipped!r}, warnings={self.warnings!r})")
 
     @property
     def n_parsed(self) -> int:
@@ -164,16 +172,15 @@ def write_cohort_file(cohort: Cohort, path) -> None:
             )
 
 
-@dataclass(frozen=True)
-class CohortSummary:
-    n_total: int
-    age_mean: float | None
-    age_sd: float | None
-    n_male: int
-    n_female: int
-    n_unspecified: int
-    # (decade start, count); None in a summary decoded from report.json.
-    age_histogram: tuple[tuple[int, int], ...] | None = None
+class CohortSummary(namedtuple("CohortSummary", "n_total age_mean age_sd n_male n_female "
+                                              "n_unspecified age_histogram", defaults=(None,))):
+    """Demographic counts of a cohort.
+
+    age_histogram: (decade start, count) pairs; None in a summary decoded
+        from report.json.
+    """
+
+    __slots__ = ()
 
 
 def summarize_demographics(cohort: Cohort) -> CohortSummary:

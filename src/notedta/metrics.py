@@ -17,10 +17,10 @@ Confidence intervals:
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from decimal import ROUND_HALF_UP, Decimal
 
-from .model import SerologyStatus
+from .model import SerologyStatus, checked_make
 
 # Standard-normal two-sided quantile at 95%, fixed so reports are stable.
 Z_95 = 1.959964
@@ -39,31 +39,35 @@ def _z_quantile(level: float) -> float:
     return float(ndtri(1.0 - (1.0 - level) / 2.0))
 
 
-@dataclass(frozen=True)
-class CiConfig:
-    level: float = 0.95
-    proportion_method: str = "exact"  # "exact" (Clopper-Pearson) or "score" (Wilson)
-    haldane: bool = False  # add 0.5 to all four cells for the LR intervals
+class CiConfig(namedtuple("CiConfig", "level proportion_method haldane")):
+    """How the panel's intervals are computed.
 
-    def __post_init__(self):
-        if not (0.0 < self.level < 1.0):
-            raise ValueError(f"confidence level must be in (0,1): {self.level}")
-        if self.proportion_method not in ("exact", "score"):
-            raise ValueError(f"unknown proportion CI method: {self.proportion_method!r}")
+    level: the confidence level of every interval.
+    proportion_method: "exact" (Clopper-Pearson) or "score" (Wilson).
+    haldane: add 0.5 to all four cells for the LR intervals.
+    """
+
+    __slots__ = ()
+    _make = checked_make
+
+    def __new__(cls, level: float = 0.95, proportion_method: str = "exact",
+                haldane: bool = False):
+        if not (0.0 < level < 1.0):
+            raise ValueError(f"confidence level must be in (0,1): {level}")
+        if proportion_method not in ("exact", "score"):
+            raise ValueError(f"unknown proportion CI method: {proportion_method!r}")
+        return tuple.__new__(cls, (level, proportion_method, haldane))
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
-    tp: int
-    fp: int
-    fn: int
-    tn: int
+class ContingencyTable(namedtuple("ContingencyTable", "tp fp fn tn")):
+    __slots__ = ()
+    _make = checked_make
 
-    def __post_init__(self):
-        for name in ("tp", "fp", "fn", "tn"):
-            v = getattr(self, name)
+    def __new__(cls, tp: int, fp: int, fn: int, tn: int):
+        for name, v in (("tp", tp), ("fp", fp), ("fn", fn), ("tn", tn)):
             if not isinstance(v, int) or v < 0:
                 raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
+        return tuple.__new__(cls, (tp, fp, fn, tn))
 
     @property
     def n(self) -> int:
@@ -74,14 +78,11 @@ class ContingencyTable:
         return self.tp + self.fn
 
 
-@dataclass(frozen=True)
-class MetricEstimate:
+class MetricEstimate(namedtuple("MetricEstimate", "value ci_low ci_high method note",
+                                defaults=(None, None, "", ""))):
     """Point estimate plus interval; ``None`` marks an undefined quantity."""
-    value: float | None
-    ci_low: float | None = None
-    ci_high: float | None = None
-    method: str = ""
-    note: str = ""
+
+    __slots__ = ()
 
     @property
     def defined(self) -> bool:
@@ -92,15 +93,10 @@ class MetricEstimate:
 METRICS = ("sn", "sp", "ppv", "npv", "lr_pos", "lr_neg")
 
 
-@dataclass(frozen=True)
-class MetricPanel:
-    sn: MetricEstimate
-    sp: MetricEstimate
-    ppv: MetricEstimate
-    npv: MetricEstimate
-    lr_pos: MetricEstimate
-    lr_neg: MetricEstimate
-    prevalence_sample: float | None
+class MetricPanel(namedtuple("MetricPanel", (*METRICS, "prevalence_sample"))):
+    """The `METRICS` estimates, in that order, and the sample prevalence."""
+
+    __slots__ = ()
 
 
 def build_contingency(pairs) -> tuple[ContingencyTable, int]:

@@ -6,20 +6,21 @@ configuration: other laboratories use different assay calibrations.
 """
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .model import Condition, PathologyRecord, SerologyStatus
+from .model import Condition, PathologyRecord, SerologyStatus, checked_make
 
 
-@dataclass(frozen=True)
-class SerologyThresholds:
-    hbsag_cutoff: float = Condition.HEPATITIS_B.default_cutoff
-    anti_hcv_cutoff: float = Condition.HEPATITIS_C.default_cutoff
+class SerologyThresholds(namedtuple("SerologyThresholds", "hbsag_cutoff anti_hcv_cutoff")):
+    __slots__ = ()
+    _make = checked_make
 
-    def __post_init__(self):
-        for c in (self.hbsag_cutoff, self.anti_hcv_cutoff):
+    def __new__(cls, hbsag_cutoff: float = Condition.HEPATITIS_B.default_cutoff,
+                anti_hcv_cutoff: float = Condition.HEPATITIS_C.default_cutoff):
+        for c in (hbsag_cutoff, anti_hcv_cutoff):
             if not (math.isfinite(c) and c > 0):
                 raise ValueError("cutoffs must be finite and > 0")
+        return tuple.__new__(cls, (hbsag_cutoff, anti_hcv_cutoff))
 
     def cutoff(self, condition: Condition) -> float:
         if condition is Condition.HEPATITIS_B:

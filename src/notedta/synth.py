@@ -17,11 +17,11 @@ seed therefore yields byte-identical cohorts on any platform.
 """
 
 import math
-from dataclasses import dataclass, replace
+from collections import namedtuple
 
 from .classifier import default_lexicon
 from .metrics import ContingencyTable
-from .model import Cohort, Condition, PathologyRecord, Sex
+from .model import Cohort, Condition, PathologyRecord, Sex, checked_make
 
 _MASK = (1 << 64) - 1
 
@@ -67,26 +67,28 @@ PHRASES = {
 }
 
 
-@dataclass(frozen=True)
-class SynthesisSpec:
-    condition: Condition
-    target_table: ContingencyTable
-    n_missing: int = 0
-    age_mean: float = 40.0
-    age_sd: float = 17.0
-    sex_split: tuple[int, int] | None = None  # (male, female); None = even split
-    seed: int = 0
+class SynthesisSpec(namedtuple("SynthesisSpec", "condition target_table n_missing age_mean "
+                                              "age_sd sex_split seed")):
+    """What `synthesize_exact` generates.
 
-    def __post_init__(self):
-        if self.n_missing < 0:
+    sex_split: (male, female) record counts; None splits them evenly.
+    """
+
+    __slots__ = ()
+    _make = checked_make
+
+    def __new__(cls, condition: Condition, target_table: ContingencyTable, n_missing: int = 0,
+                age_mean: float = 40.0, age_sd: float = 17.0,
+                sex_split: tuple[int, int] | None = None, seed: int = 0):
+        if n_missing < 0:
             raise ValueError("n_missing must be >= 0")
-        total = self.target_table.n + self.n_missing
-        if self.sex_split is None:
-            object.__setattr__(self, "sex_split", (total // 2, total - total // 2))
-        if sum(self.sex_split) != total:
-            raise ValueError(
-                f"sex_split {self.sex_split} must sum to table n + n_missing = {total}"
-            )
+        total = target_table.n + n_missing
+        if sex_split is None:
+            sex_split = (total // 2, total - total // 2)
+        if sum(sex_split) != total:
+            raise ValueError(f"sex_split {sex_split} must sum to table n + n_missing = {total}")
+        return tuple.__new__(cls, (condition, target_table, n_missing, age_mean, age_sd,
+                                   sex_split, seed))
 
 
 # The paper's two reference cohorts, by the figure they reproduce.
@@ -112,7 +114,7 @@ PRESETS = {
 
 def preset_spec(name: str, seed: int = 0) -> SynthesisSpec:
     """The named preset's spec, drawing from ``seed``."""
-    return replace(PRESETS[name], seed=seed)
+    return PRESETS[name]._replace(seed=seed)
 
 
 def _marker_value(rng: SplitMix64, cutoff: float, positive: bool) -> float:

@@ -355,6 +355,15 @@ def test_report_label_not_in_lexicon_is_exit_1(tmp_path, capsys, monkeypatch):
     (("controls", 1, "lr_pos", "value"), float("-inf")),
     (("primary", "prevalence_sample"), float("nan")),
     (("demographics", "age_mean"), float("nan")),
+    # The category blocks must be the evaluated set: `stored` may be a
+    # function of the value it replaces.
+    (("primary", "category_id"), True),
+    (("controls", 0, "category_id"), 10.0),
+    (("controls",), lambda controls: controls + controls[:1]),
+    (("controls",), lambda controls: controls[1:]),
+    (("controls",), lambda controls: controls[::-1]),
+    (("controls",), lambda controls: [controls[0], controls[0], *controls[2:]]),
+    (("condition",), "hepatitis_c"),
 ])
 def test_report_malformed_stored_value_is_exit_1(tmp_path, capsys, fmt, keys, stored):
     path = _evaluated_report(tmp_path, capsys)
@@ -363,7 +372,7 @@ def test_report_malformed_stored_value_is_exit_1(tmp_path, capsys, fmt, keys, st
     target = payload
     for parent in parents:
         target = target[parent]
-    target[key] = stored
+    target[key] = stored(target[key]) if callable(stored) else stored
     path.write_text(json.dumps(payload))
     code, out, err = run(capsys, "report", str(path), "--format", fmt)
     assert code == 1 and out == ""

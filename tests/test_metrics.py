@@ -1,3 +1,4 @@
+import ast
 import itertools
 import json
 import math
@@ -286,7 +287,8 @@ def test_import_loads_neither_numpy_nor_scipy(module):
     assert _modules_loaded_by(f"import {module}") == []
 
 
-@pytest.mark.parametrize(
+# Every command but exact-interval `evaluate`, whose scipy imports what it likes.
+_COMMANDS_WITHOUT_SCIPY = pytest.mark.parametrize(
     "argv",
     [
         ["synth", "{d}/a.csv", "--preset", "figS1-hcv"],
@@ -299,10 +301,31 @@ def test_import_loads_neither_numpy_nor_scipy(module):
     ],
     ids=["synth-preset", "synth-n", "classify", "validate", "report", "evaluate-score"],
 )
+
+
+@_COMMANDS_WITHOUT_SCIPY
 def test_cli_command_loads_neither_numpy_nor_scipy(cli_inputs, argv):
     # Only exact intervals and z quantiles at levels other than 0.95 need scipy.
     argv = [a.format(d=cli_inputs) for a in argv]
     assert _modules_loaded_by(_RUN_CLI.format(argv=argv)) == []
+
+
+@_COMMANDS_WITHOUT_SCIPY
+def test_cli_command_loads_neither_dataclasses_nor_inspect(cli_inputs, argv):
+    # `import dataclasses` pulls in inspect, ast, dis and tokenize: ~10 ms of
+    # start-up. Under -S no site hook loads them first.
+    argv = [a.format(d=cli_inputs) for a in argv]
+    watch = ("dataclasses", "inspect")
+    assert _modules_loaded_by(_RUN_CLI.format(argv=argv), watch, flags=("-S",)) == []
+
+
+def test_no_module_of_the_package_imports_dataclasses():
+    for path in Path(notedta.__file__).parent.glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                assert "dataclasses" not in [alias.name for alias in node.names], path.name
+            elif isinstance(node, ast.ImportFrom):
+                assert node.module != "dataclasses", path.name
 
 
 def test_default_evaluate_loads_scipy_special_not_scipy_stats(cli_inputs):

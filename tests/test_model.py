@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import pytest
@@ -80,10 +79,10 @@ def test_rule_message_starts_with_the_field(field, value):
 def test_slotted_record_behaves_as_before():
     rec = PathologyRecord("r1", age=40, sex=Sex.FEMALE, note_text="Hep B", hbsag_iu=2.0)
     assert not hasattr(rec, "__dict__")
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         rec.age = 41
     twin = PathologyRecord("r1", age=40, sex=Sex.FEMALE, note_text="Hep B", hbsag_iu=2.0)
     assert rec == twin and hash(rec) == hash(twin)
-    assert rec != dataclasses.replace(rec, age=41)
+    assert rec != rec._replace(age=41)
     with pytest.raises(ValueError, match="^age: out of range"):
-        dataclasses.replace(rec, age=200)
+        rec._replace(age=200)

@@ -11,7 +11,6 @@ import contextlib
 import importlib
 import os
 import sys
-from pathlib import Path
 
 from .classifier import classify_note, default_lexicon, load_lexicon
 from .metrics import CiConfig
@@ -121,7 +120,8 @@ def _cmd_validate(args) -> int:
     _load("ingest")
     report = validate_cohort_file(args.input, strict=args.strict)
     if args.report:
-        Path(args.report).write_text(report.to_json(), encoding="utf-8")
+        with open(args.report, "w", encoding="utf-8") as fh:
+            fh.write(report.to_json())
     print(
         f"{args.input}: {report.n_parsed} records parsed, "
         f"{len(report.skipped)} skipped, {len(report.warnings)} warnings"
@@ -132,8 +132,9 @@ def _cmd_validate(args) -> int:
 def _cmd_classify(args) -> int:
     lexicon = _load_lexicon(args.lexicon)
     # Only a file this command opened is closed; stdin stays the caller's.
+    # A file is split at "\n" only, as stdin is: a bare "\r" stays inside its note.
     source = (contextlib.nullcontext(sys.stdin) if args.input == "-"
-              else open(args.input, encoding="utf-8"))
+              else open(args.input, encoding="utf-8", newline="\n"))
     write = sys.stdout.write  # one write per line: one syscall under -u
     with source as fh:
         for line in fh:
@@ -150,6 +151,8 @@ def _cmd_evaluate(args) -> int:
     `evaluate_condition` without a name: on CPython 3.11+ the callee then
     holds its last reference and frees the records before the intervals.
     """
+    from pathlib import Path
+
     _load("ingest", "evaluate")
     config = EvaluationConfig(
         target_condition=_CONDITIONS[args.condition],

@@ -10,8 +10,6 @@ rules (age, year and assay ranges, a non-empty id) are
 """
 
 import csv
-import json
-import statistics
 from collections import namedtuple
 
 from .model import Cohort, PathologyRecord, Sex
@@ -47,6 +45,8 @@ class ValidationReport:
         return self.n_rows - len(self.skipped)
 
     def to_json(self) -> str:
+        import json
+
         return json.dumps(
             {
                 "path": self.path,
@@ -150,26 +150,26 @@ def _parse_row(row, rownum: int, report: ValidationReport) -> PathologyRecord:
         raise CohortFormatError(f"row {rownum}, column {err}") from None
 
 
-_SEX_OUT = {Sex.MALE: "M", Sex.FEMALE: "F", Sex.UNSPECIFIED: ""}
-
-
 def write_cohort_file(cohort: Cohort, path) -> None:
     """Serialize a cohort back to the CSV schema (lossless round trip)."""
+    # Sex is told apart by identity: a dict keyed by Sex would call the
+    # Python-level Enum.__hash__ once per record.
+    male, female = Sex.MALE, Sex.FEMALE
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(HEADER)
-        for rec in cohort:
-            writer.writerow(
-                [
-                    rec.record_id,
-                    "" if rec.age is None else rec.age,
-                    _SEX_OUT[rec.sex],
-                    rec.note_text,
-                    "" if rec.hbsag_iu is None else repr(rec.hbsag_iu),
-                    "" if rec.anti_hcv_iu is None else repr(rec.anti_hcv_iu),
-                    "" if rec.collection_year is None else rec.collection_year,
-                ]
+        writer.writerows(
+            (
+                record_id,
+                "" if age is None else age,
+                "M" if sex is male else "F" if sex is female else "",
+                note_text,
+                "" if hbsag_iu is None else repr(hbsag_iu),
+                "" if anti_hcv_iu is None else repr(anti_hcv_iu),
+                "" if collection_year is None else collection_year,
             )
+            for record_id, age, sex, note_text, hbsag_iu, anti_hcv_iu, collection_year in cohort
+        )
 
 
 class CohortSummary(namedtuple("CohortSummary", "n_total age_mean age_sd n_male n_female "
@@ -189,6 +189,8 @@ def summarize_demographics(cohort: Cohort) -> CohortSummary:
     Age statistics cover only records with age present; a single aged
     record yields SD 0.
     """
+    import statistics
+
     if len(cohort) == 0:
         raise ValueError("cannot summarize an empty cohort")
     ages = []

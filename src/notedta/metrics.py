@@ -18,7 +18,6 @@ Confidence intervals:
 
 import math
 from collections import namedtuple
-from decimal import ROUND_HALF_UP, Decimal
 
 from .model import SerologyStatus, checked_make
 
@@ -267,7 +266,12 @@ def adjust_predictive_values(
 # percentages derived from them, and 2-dp likelihood ratios).
 
 
-def _round_half_up(value: float, places: int) -> Decimal:
+def _round_half_up(value: float, places: int):
+    """`value` rounded half-up to `places` decimals, as a `decimal.Decimal`."""
+    # Imported by the first formatter call: classify, synth and validate
+    # format nothing.
+    from decimal import ROUND_HALF_UP, Decimal
+
     q = Decimal(1).scaleb(-places)
     return Decimal(repr(value)).quantize(q, rounding=ROUND_HALF_UP)
 
@@ -293,7 +297,7 @@ def format_percent(value: float | None) -> str:
         return "n.d."
     if math.isinf(value):
         return "+inf"
-    return str((_round_half_up(value, 2) * 100).quantize(Decimal(1)))
+    return str((_round_half_up(value, 2) * 100).to_integral_value())
 
 
 def format_percent_1dp(value: float | None) -> str:
@@ -301,7 +305,6 @@ def format_percent_1dp(value: float | None) -> str:
     if value is None:
         return "n.d."
     pct = _round_half_up(value * 100, 1)
-    if pct == pct.to_integral_value():
-        return str(pct.quantize(Decimal(1)))
-    return str(pct)
+    whole = pct.to_integral_value()
+    return str(whole if pct == whole else pct)
 

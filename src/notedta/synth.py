@@ -14,9 +14,16 @@ because it is tiny and fully specified by two published constants:
 
 Uniform doubles are ``next() / 2**64``; normals use Box-Muller. The same
 seed therefore yields byte-identical cohorts on any platform.
+
+The stream is computed 128 draws at a time: one pass of big-integer
+arithmetic evaluates the three lines after ``state +=`` for 128 consecutive
+states at once (`_block`), which yields the same numbers in the same order.
 """
 
+import functools
+import itertools
 import math
+import sys
 from collections import namedtuple
 
 from .classifier import default_lexicon
@@ -24,20 +31,56 @@ from .metrics import ContingencyTable
 from .model import Cohort, Condition, PathologyRecord, Sex, checked_make
 
 _MASK = (1 << 64) - 1
+_GAMMA = 0x9E3779B97F4A7C15
+_LANES = 128  # draws per block
+
+
+@functools.cache
+def _lane_constants() -> tuple[int, int, int]:
+    """(ones, gammas, lane mask) of a block, each packing one value per lane.
+
+    Lane k holds bits 128k to 128k+127 of the packed integer; its value
+    lives in the low 64 bits, so a 64x64-bit product fits in the lane.
+    ``gammas`` holds (k+1) * 0x9E3779B97F4A7C15 in lane k. Built on first
+    use: a command that draws nothing does not pay for them.
+    """
+    ones = int.from_bytes((b"\x01" + bytes(15)) * _LANES, "little")
+    mask = int.from_bytes((b"\xff" * 8 + bytes(8)) * _LANES, "little")
+    gammas = sum(((k + 1) * _GAMMA & _MASK) << (128 * k) for k in range(_LANES))
+    return ones, gammas, mask
+
+
+def _block(start: int, byteorder: str = sys.byteorder):
+    """The 128 draws after state ``start``, as a sequence of ints.
+
+    The lane mask is applied before each multiply and after it: a shift
+    carries a neighbouring lane's low bits into the unused high half of a
+    lane, and a product fills that half; masking keeps every lane its own
+    value mod 2**64. The last shift's spill is left in the high halves,
+    which unpacking skips.
+    """
+    ones, gammas, mask = _lane_constants()
+    z = ((start & _MASK) * ones + gammas) & mask
+    z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
+    z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+    z ^= z >> 31
+    # "Q" reads words in host byte order, so the bytes are laid out in it: in
+    # little-endian order each lane's value is the first of its two words,
+    # in big-endian order the second, with the lanes from last to first.
+    words = memoryview(z.to_bytes(16 * _LANES, byteorder)).cast("Q")
+    return words[::2] if byteorder == "little" else words[::-2]
 
 
 class SplitMix64:
-    """splitmix64 PRNG; stream order is part of the synthesis contract."""
+    """splitmix64 PRNG; stream order is part of the synthesis contract.
+
+    ``next_u64()`` returns the next draw. It is the ``__next__`` of an
+    iterator over `_block`s, so a draw runs no Python-level function.
+    """
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK
-
-    def next_u64(self) -> int:
-        self.state = (self.state + 0x9E3779B97F4A7C15) & _MASK
-        z = self.state
-        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK
-        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK
-        return z ^ (z >> 31)
+        blocks = map(_block, itertools.count(seed & _MASK, _LANES * _GAMMA))
+        self.next_u64 = itertools.chain.from_iterable(blocks).__next__
 
     def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
         return low + (high - low) * (self.next_u64() / 2.0**64)
@@ -192,41 +235,49 @@ def synthesize_random(
         raise ValueError("prevalence must be in [0,1]")
     if not note_mix or any(w < 0 for w in note_mix.values()) or sum(note_mix.values()) <= 0:
         raise ValueError("note_mix weights must be non-negative and not all zero")
+    from bisect import bisect_right  # here, not at the top: ~0.7 ms that classify never uses
+
     lexicon = default_lexicon()
-    rng = SplitMix64(seed)
+    draw = SplitMix64(seed).next_u64
     cats = sorted(note_mix)
     total_w = sum(note_mix.values())
-
-    def sample_category() -> int:
-        x = rng.uniform(0.0, total_w)
-        acc = 0.0
-        for c in cats:
-            acc += note_mix[c]
-            if x < acc:
-                return c
-        return cats[-1]
-
-    def sample_value(cutoff: float) -> float:
-        return _marker_value(rng, cutoff, rng.uniform() < prevalence)
-
-    pools = {  # each sampled category's notes, built once
-        c: PHRASES[c][0] + PHRASES[c][1] if c in PHRASES else ("",) if c == 45
+    # A record's category is the first whose running weight exceeds a draw
+    # on [0, total_w), or the last if rounding leaves none: bisect_right
+    # over the running sums, with the last pool repeated past the end.
+    bounds = []
+    acc = 0.0
+    for c in cats:
+        acc += note_mix[c]
+        bounds.append(acc)
+    pools = [  # each sampled category's notes, built once
+        PHRASES[c][0] + PHRASES[c][1] if c in PHRASES else ("",) if c == 45
         else tuple(" ".join(p) for p in lexicon.rule(c).patterns[:3])
         for c in cats
-    }
+    ]
+    pools.append(pools[-1])
+    hbv_cutoff = Condition.HEPATITIS_B.default_cutoff
+    hcv_cutoff = Condition.HEPATITIS_C.default_cutoff
+    male, female = Sex.MALE, Sex.FEMALE
+    sqrt, log, cos, pi = math.sqrt, math.log, math.cos, math.pi
+
+    # The float expressions below are those of `_marker_value`, `_age` and
+    # the SplitMix64 methods, written out operation for operation, so every
+    # record is bit-identical to one built through them.
+    def marker(cutoff: float) -> float:
+        if 0.0 + (1.0 - 0.0) * (draw() / 2.0**64) < prevalence:
+            return max(round(cutoff + (10.0 * cutoff - cutoff) * (draw() / 2.0**64), 3), cutoff)
+        value = round(0.0 + (cutoff - 0.0) * (draw() / 2.0**64), 3)
+        return value if value < cutoff else cutoff / 2.0
+
     records = []
     for i in range(n):
-        pool = pools[sample_category()]
-        note = pool[rng.randint(0, len(pool) - 1)]
-        records.append(
-            PathologyRecord(
-                record_id=f"syn-{i:06d}",
-                age=_age(rng, 40.0, 17.0),
-                sex=Sex.MALE if rng.uniform() < 0.5 else Sex.FEMALE,
-                note_text=note,
-                hbsag_iu=sample_value(Condition.HEPATITIS_B.default_cutoff),
-                anti_hcv_iu=sample_value(Condition.HEPATITIS_C.default_cutoff),
-                collection_year=rng.randint(1997, 2007),
-            )
-        )
+        pool = pools[bisect_right(bounds, 0.0 + (total_w - 0.0) * (draw() / 2.0**64))]
+        note = pool[draw() % len(pool)]
+        u1 = max(0.0 + (1.0 - 0.0) * (draw() / 2.0**64), 1e-12)
+        u2 = 0.0 + (1.0 - 0.0) * (draw() / 2.0**64)
+        normal = 40.0 + 17.0 * sqrt(-2.0 * log(u1)) * cos(2.0 * pi * u2)
+        age = min(100, max(0, int(round(normal))))
+        sex = male if 0.0 + (1.0 - 0.0) * (draw() / 2.0**64) < 0.5 else female
+        records.append(PathologyRecord(f"syn-{i:06d}", age, sex, note, marker(hbv_cutoff),
+                                       marker(hcv_cutoff), 1997 + draw() % 11))
     return Cohort(tuple(records))

@@ -140,6 +140,28 @@ def test_classify_output_same_unbuffered_and_buffered(tmp_path, source):
     assert stdouts[0] == stdouts[1] == _classified(_CLASSIFY_NOTES)
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize(
+    "raw, notes",
+    [
+        # a bare CR is inside its note: one note, one output line
+        (b"Known Hep B\rpsi\n", "Known Hep B\rpsi"),
+        # CRLF lines classify as their LF twins
+        (b"Known Hep C\r\n?Hep B\r\nscreen\r\n", "Known Hep C\n?Hep B\nscreen"),
+    ],
+    ids=["bare-cr", "crlf"],
+)
+def test_classify_splits_notes_at_lf_only(tmp_path, source, raw, notes):
+    path = tmp_path / "notes.txt"
+    path.write_bytes(raw)
+    argv = ["-m", "notedta.cli", "classify", str(path) if source == "file" else "-"]
+    with open(path, "rb") as stdin:
+        proc = subprocess.run([sys.executable, *argv], stdin=stdin, capture_output=True,
+                              env=_cli_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == _classified(notes)
+
+
 def test_classify_stdin_streams_under_u():
     # Each line is classified and written before the next one is read.
     proc = subprocess.Popen([sys.executable, "-u", "-m", "notedta.cli", "classify", "-"],

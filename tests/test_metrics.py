@@ -1,6 +1,5 @@
 import ast
 import itertools
-import json
 import math
 import random
 import subprocess
@@ -243,9 +242,9 @@ def test_z_quantile_equals_scipy_stats_norm_ppf():
 
 
 _PROBE = """
-import json, sys
+import sys
 {setup}
-print(json.dumps(sorted(m for m in {watch!r} if m in sys.modules)))
+print(sorted(m for m in {watch!r} if m in sys.modules))
 """
 _SCIPY = ("numpy", "scipy", "scipy.special", "scipy.stats")
 _SUBMODULES = tuple(f"notedta.{m}" for m in (
@@ -267,7 +266,7 @@ def _modules_loaded_by(
     env = {"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
     out = subprocess.run([sys.executable, *flags, "-c", _PROBE.format(setup=setup, watch=watch)],
                          capture_output=True, text=True, env=env, check=True)
-    return json.loads(out.stdout.splitlines()[-1])
+    return ast.literal_eval(out.stdout.splitlines()[-1])
 
 
 @pytest.fixture(scope="module")
@@ -317,6 +316,28 @@ def test_cli_command_loads_neither_dataclasses_nor_inspect(cli_inputs, argv):
     argv = [a.format(d=cli_inputs) for a in argv]
     watch = ("dataclasses", "inspect")
     assert _modules_loaded_by(_RUN_CLI.format(argv=argv), watch, flags=("-S",)) == []
+
+
+# Stdlib modules that a command does not use, so does not load: `decimal`
+# is for the display formatters (~2 ms), `pathlib` for `evaluate --outdir`
+# (6-8 ms with shutil, urllib.parse and ipaddress), `json` for reports and
+# `statistics` for demographics. Under -S no site hook loads them first.
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["synth", "{d}/a.csv", "--preset", "figS1-hcv"],
+         ("decimal", "json", "pathlib", "statistics")),
+        (["synth", "{d}/b.csv", "--n", "200", "--seed", "3"],
+         ("decimal", "json", "pathlib", "statistics")),
+        (["classify", "{d}/notes.txt"], ("decimal", "json", "pathlib", "statistics")),
+        (["validate", "{d}/cohort.csv"], ("decimal", "json", "pathlib", "statistics")),
+        (["report", "{d}/out/report.json", "--format", "markdown"], ("pathlib", "statistics")),
+    ],
+    ids=["synth-preset", "synth-n", "classify", "validate", "report"],
+)
+def test_cli_command_loads_no_stdlib_module_it_does_not_use(cli_inputs, argv, absent):
+    argv = [a.format(d=cli_inputs) for a in argv]
+    assert _modules_loaded_by(_RUN_CLI.format(argv=argv), absent, flags=("-S",)) == []
 
 
 def test_no_module_of_the_package_imports_dataclasses():

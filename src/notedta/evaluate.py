@@ -121,7 +121,7 @@ def evaluate_condition(
     The reference to ``cohort`` is dropped once the tables and the
     demographic summary are built, before any interval is computed. A
     caller that keeps its own reference gets the same result, but its
-    records stay in memory while the exact bounds import scipy.
+    records stay in memory while the exact bounds load scipy.
     """
     lexicon = lexicon or default_lexicon()
     condition = config.target_condition
@@ -144,9 +144,9 @@ def evaluate_condition(
             pairs[cid].append(pair)
     tables = {cid: build_contingency(pairs.pop(cid)) for cid in evaluated}
     summary = summarize_demographics(cohort)
-    # The first exact bound imports scipy (~36 MB). Dropping the records
-    # first lets that import reuse their memory, so the peak is the larger
-    # of the two phases rather than their sum.
+    # The first exact bound loads numpy and scipy's ufuncs (~19 MB). Dropping
+    # the records first lets that import reuse their memory, so the peak is
+    # the larger of the two phases rather than their sum.
     del cohort
 
     def category_result(cid: int) -> CategoryResult:

@@ -25,17 +25,39 @@ from .model import SerologyStatus, checked_make
 Z_95 = 1.959964
 
 
-# scipy.special gives the quantiles of scipy.stats' beta.ppf and norm.ppf bit
-# for bit (tests/test_metrics.py), without the ~1 s import of scipy.stats. It
-# is imported only where a quantile is computed: numpy and scipy cost ~0.45 s
-# of start-up, and only an exact or non-95% `evaluate` needs them.
+def _scipy_ufuncs():
+    """scipy's compiled `scipy.special._ufuncs`, loaded without `scipy.special`.
+
+    Its `betaincinv` and `ndtri` give the quantiles of scipy.stats' beta.ppf
+    and norm.ppf bit for bit (tests/test_metrics.py). Only an exact or
+    non-95% `evaluate` computes a quantile, so only it loads scipy. A full
+    `import scipy.special` would take about 0.2 s more than `_ufuncs` with
+    numpy (0.31 s against 0.11 s on a 2-vCPU host), nearly all of it in an
+    array-API layer notedta never calls. So, unless `scipy.special` is
+    loaded already, a bare package module stands in for it while `_ufuncs`
+    loads, and is removed again; a later `import scipy.special` runs in full
+    and reuses the same ufuncs. The CLI is single-threaded. In a threaded
+    caller, the first exact bound must not race another thread's first
+    `import scipy.special`, which could find the stand-in.
+    """
+    import importlib.util
+    import sys
+
+    name = "scipy.special._ufuncs"
+    if name in sys.modules or "scipy.special" in sys.modules:
+        return importlib.import_module(name)
+    sys.modules["scipy.special"] = importlib.util.module_from_spec(
+        importlib.util.find_spec("scipy.special"))
+    try:
+        return importlib.import_module(name)
+    finally:
+        del sys.modules["scipy.special"]
+
 
 def _z_quantile(level: float) -> float:
     if abs(level - 0.95) < 1e-12:
         return Z_95
-    from scipy.special import ndtri
-
-    return float(ndtri(1.0 - (1.0 - level) / 2.0))
+    return float(_scipy_ufuncs().ndtri(1.0 - (1.0 - level) / 2.0))
 
 
 class CiConfig(namedtuple("CiConfig", "level proportion_method haldane")):
@@ -139,8 +161,7 @@ def ci_proportion(
     alpha = 1.0 - level
     k, n = successes, trials
     if method == "exact":
-        from scipy.special import betaincinv
-
+        betaincinv = _scipy_ufuncs().betaincinv
         low = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2.0))
         high = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - alpha / 2.0))
         return low, high

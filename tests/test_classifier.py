@@ -7,6 +7,7 @@ from notedta.classifier import (
     HCV_CATEGORY,
     NO_NOTE_CATEGORY,
     NONSPECIFIC_CATEGORY,
+    Lexicon,
     Match,
     NoteClassification,
     classify_note,
@@ -95,6 +96,14 @@ def test_lexicon_missing_category_rejected():
     )
     with pytest.raises(ValueError, match=r"\[7\]"):
         parse_lexicon(text)
+
+
+def test_lexicon_category_set_messages():
+    rules = tuple(r for r in LEX.rules if r.category_id != 7)
+    with pytest.raises(ValueError, match=r"^lexicon missing categories: \[7\]$"):
+        Lexicon(rules + (LEX.rule(8),), LEX.query_keywords)
+    with pytest.raises(ValueError, match=r"^lexicon has duplicate categories: \[7, 8\]$"):
+        Lexicon(LEX.rules + (LEX.rule(8), LEX.rule(7)), LEX.query_keywords)
 
 
 def test_lexicon_missing_label_rejected():

@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from notedta import cli, evaluate, ingest
+from notedta import cli, evaluate, ingest, metrics
 from notedta.classifier import classify_note, default_lexicon
 from notedta.cli import LEXICON_ENV, main
 from notedta.ingest import write_cohort_file
@@ -540,6 +540,22 @@ def test_evaluate_checks_flags_before_reading_the_input(tmp_path, capsys):
                          "--ci-level", "2", "--outdir", str(tmp_path))
     assert code == 1 and out == ""
     assert err.splitlines() == ["error: confidence level must be in (0,1): 2.0"]
+
+
+def test_evaluate_without_scipy_ufuncs_is_exit_2(tmp_path, capsys, monkeypatch):
+    # A failure that is not the input's fault is exit 2 and one line, no traceback.
+    cohort = tmp_path / "cohort.csv"
+    assert run(capsys, "synth", str(cohort), "--preset", "figS1-hbv", "--seed", "1")[0] == 0
+
+    def missing():
+        raise ImportError("No module named 'scipy.special._ufuncs'")
+
+    monkeypatch.setattr(metrics, "_scipy_ufuncs", missing)
+    code, out, err = run(capsys, "evaluate", str(cohort), "--condition", "hbv",
+                         "--outdir", str(tmp_path / "out"))
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "internal error: ImportError(\"No module named 'scipy.special._ufuncs'\")"]
 
 
 def test_synth_preset_matches_preset_spec(tmp_path, capsys):

@@ -66,6 +66,17 @@ def test_control_category_with_seropositives():
     assert ctl.percent_marker_positive == pytest.approx(30.0)
 
 
+def test_markdown_control_row_shows_percent_marker_positive():
+    # 1 of 3 marker-positive renders as 33.3; both presets' control rows are n.d.
+    records = [
+        PathologyRecord(f"f{i}", note_text="fatigue", hbsag_iu=2.0 if i == 0 else 0.2)
+        for i in range(3)
+    ]
+    result = evaluate_condition(Cohort(tuple(records)), EvaluationConfig(HBV))
+    rows = emit_report(result, "markdown").splitlines()
+    assert "| - | Fatigue and lethargy | 33.3 | 0 | 100 | n.d. | 67 |" in rows
+
+
 def test_all_missing_serology_category():
     records = [PathologyRecord(f"m{i}", note_text="alcohol abuse") for i in range(5)]
     result = evaluate_condition(Cohort(tuple(records)), EvaluationConfig(HBV))

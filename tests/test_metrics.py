@@ -9,6 +9,7 @@ from pathlib import Path
 import mpmath
 import numpy as np
 import pytest
+import scipy
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.stats import beta, norm
@@ -265,7 +266,8 @@ def _modules_loaded_by(
     src = str(Path(notedta.__file__).resolve().parents[1])
     env = {"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
     out = subprocess.run([sys.executable, *flags, "-c", _PROBE.format(setup=setup, watch=watch)],
-                         capture_output=True, text=True, env=env, check=True)
+                         capture_output=True, text=True, env=env)
+    assert out.returncode == 0, out.stderr
     return ast.literal_eval(out.stdout.splitlines()[-1])
 
 
@@ -286,7 +288,7 @@ def test_import_loads_neither_numpy_nor_scipy(module):
     assert _modules_loaded_by(f"import {module}") == []
 
 
-# Every command but exact-interval `evaluate`, whose scipy imports what it likes.
+# Every command but exact-interval `evaluate`, which loads numpy and scipy's ufuncs.
 _COMMANDS_WITHOUT_SCIPY = pytest.mark.parametrize(
     "argv",
     [
@@ -349,13 +351,63 @@ def test_no_module_of_the_package_imports_dataclasses():
                 assert node.module != "dataclasses", path.name
 
 
-def test_default_evaluate_loads_scipy_special_not_scipy_stats(cli_inputs):
-    # scipy.stats costs ~1 s of start-up; only the tests may import it.
+# Under -S no site hook loads anything first; the probe puts numpy and scipy
+# back on the path by hand.
+_SCIPY_ON_PATH = "sys.path.extend({!r})\n".format(
+    sorted({str(Path(m.__file__).parents[1]) for m in (np, scipy)}))
+
+
+@pytest.mark.parametrize(
+    "options",
+    [[], ["--ci-method", "score", "--ci-level", "0.9"]],
+    ids=["exact", "score-at-0.9"],
+)
+def test_evaluate_loads_scipy_special_ufuncs_alone(cli_inputs, options):
+    # `import scipy.special` costs ~0.5 s, ~0.3 s of it in its array-API
+    # layer (numpy.f2py, charset_normalizer); scipy.stats ~1 s. numpy still
+    # loads inspect, but nothing loads dataclasses.
     argv = ["evaluate", f"{cli_inputs}/cohort.csv", "--condition", "hbv",
-            "--outdir", f"{cli_inputs}/exact"]
-    loaded = _modules_loaded_by(_RUN_CLI.format(argv=argv))
-    assert "scipy.special" in loaded
-    assert "scipy.stats" not in loaded
+            "--outdir", f"{cli_inputs}/ufuncs", *options]
+    watch = ("scipy.special._ufuncs", "scipy.special",
+             "scipy.special._support_alternative_backends", "scipy._lib._array_api",
+             "scipy.stats", "dataclasses")
+    loaded = _modules_loaded_by(_SCIPY_ON_PATH + _RUN_CLI.format(argv=argv), watch, flags=("-S",))
+    assert loaded == ["scipy.special._ufuncs"]
+
+
+_QUANTILES_THEN_SCIPY_STATS = """
+from notedta.metrics import _scipy_ufuncs, _z_quantile, ci_proportion
+
+levels = (0.80, 0.95, 0.99)
+cases = [(k, n, level) for level in levels for n in range(1, 60) for k in range(n + 1)]
+bounds = [ci_proportion(k, n, level, "exact") for k, n, level in cases]
+z = [_z_quantile(level) for level in levels]
+ufuncs = _scipy_ufuncs()
+assert "scipy.special" not in sys.modules
+
+import scipy.special
+from scipy.stats import beta, norm
+
+assert scipy.special.betaincinv is ufuncs.betaincinv
+assert scipy.special.ndtri is ufuncs.ndtri
+assert _scipy_ufuncs() is ufuncs
+for (k, n, level), (low, high) in zip(cases, bounds):
+    alpha = 1.0 - level
+    want_low = 0.0 if k == 0 else float(beta.ppf(alpha / 2.0, k, n - k + 1))
+    want_high = 1.0 if k == n else float(beta.ppf(1.0 - alpha / 2.0, k + 1, n - k))
+    assert (low.hex(), high.hex()) == (want_low.hex(), want_high.hex()), (k, n, level)
+assert z[1] == 1.959964
+for level, got in zip(levels, z):
+    if level != 0.95:
+        assert got.hex() == float(norm.ppf(1.0 - (1.0 - level) / 2.0)).hex(), level
+"""
+
+
+def test_ufuncs_loaded_alone_equal_scipy_stats_loaded_after():
+    # The quantiles are computed before scipy.special or scipy.stats is
+    # imported, then checked bit for bit against scipy.stats; a full
+    # `import scipy.special` afterwards reuses the very same ufuncs.
+    assert _modules_loaded_by(_QUANTILES_THEN_SCIPY_STATS, ("scipy.stats",)) == ["scipy.stats"]
 
 
 def test_import_notedta_loads_no_submodule():
@@ -539,6 +591,13 @@ def test_adjust_zero_prevalence():
     ppv, npv = adjust_predictive_values(0.9, 0.56, 0.0)
     assert ppv == 0.0
     assert npv == 1.0
+
+
+def test_adjust_undefined_ppv():
+    # sn = 0 and sp = 1: no test positives at any prevalence, so PPV is undefined.
+    ppv, npv = adjust_predictive_values(0.0, 1.0, 0.25)
+    assert ppv is None
+    assert npv == 0.75
 
 
 def test_adjust_rejects_out_of_range():

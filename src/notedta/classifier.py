@@ -15,12 +15,12 @@ import os
 import re
 from collections import namedtuple
 
-from .model import Frozen, checked_make
+from .model import Condition, Frozen, checked_make
 
 NO_NOTE_CATEGORY = 45
 NONSPECIFIC_CATEGORY = 46
-HBV_CATEGORY = 1
-HCV_CATEGORY = 2
+HBV_CATEGORY = Condition.HEPATITIS_B.category_id
+HCV_CATEGORY = Condition.HEPATITIS_C.category_id
 VACCINATION_CATEGORY = 34
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+|\?")

@@ -247,8 +247,14 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as err:  # CliInputError and CohortFormatError included
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except Exception as err:  # internal invariant failure
-        print(f"internal error: {err!r}", file=sys.stderr)
+    except Exception as err:  # internal invariant failure, or no scipy for the quantiles
+        missing = err.name if isinstance(err, ImportError) else None
+        if missing and missing.split(".")[0] in ("numpy", "scipy"):
+            print(f"error: cannot import scipy ({err}); exact intervals and a --ci-level other "
+                  "than 0.95 need it, --ci-method score at the default level does not",
+                  file=sys.stderr)
+        else:
+            print(f"internal error: {err!r}", file=sys.stderr)
         return 2
 
 

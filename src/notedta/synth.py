@@ -12,8 +12,10 @@ because it is tiny and fully specified by two published constants:
     z = (z ^ (z >> 27)) * 0x94D049BB133111EB
     return z ^ (z >> 31)
 
-Uniform doubles are ``next() / 2**64``; normals use Box-Muller. The same
-seed therefore yields byte-identical cohorts on any platform.
+Uniform doubles are ``next() / 2**64``; ages are Box-Muller normals. Both
+generators draw marker values and ages through the one pair of formulas in
+`_marker` and `_age`. The same seed therefore yields byte-identical cohorts
+on any platform.
 
 The stream is computed 128 draws at a time: one pass of big-integer
 arithmetic evaluates the three lines after ``state +=`` for 128 consecutive
@@ -82,30 +84,14 @@ class SplitMix64:
         blocks = map(_block, itertools.count(seed & _MASK, _LANES * _GAMMA))
         self.next_u64 = itertools.chain.from_iterable(blocks).__next__
 
-    def uniform(self, low: float = 0.0, high: float = 1.0) -> float:
-        return low + (high - low) * (self.next_u64() / 2.0**64)
-
-    def randint(self, low: int, high: int) -> int:
-        # Inclusive bounds; modulo bias is irrelevant at these ranges.
-        return low + self.next_u64() % (high - low + 1)
-
-    def normal(self, mean: float, sd: float) -> float:
-        u1 = max(self.uniform(), 1e-12)
-        u2 = self.uniform()
-        return mean + sd * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
-
-    def shuffle(self, items: list) -> None:
-        # Fisher-Yates
-        for i in range(len(items) - 1, 0, -1):
-            j = self.randint(0, i)
-            items[i], items[j] = items[j], items[i]
-
 
 # Hepatitis note phrases by lexicon category: (statements, queries).
 PHRASES = {
-    1: (("Hep B", "Known Hep B", "Hep B Pos", "Hx Hep B", "Hep B exposure"),
+    Condition.HEPATITIS_B.category_id: (
+        ("Hep B", "Known Hep B", "Hep B Pos", "Hx Hep B", "Hep B exposure"),
         ("?Hep B", "Possible Hep B", "Screen Hep B")),
-    2: (("Hep C", "Known Hep C", "Hep C Pos", "Hx Hep C", "Hep C exposure"),
+    Condition.HEPATITIS_C.category_id: (
+        ("Hep C", "Known Hep C", "Hep C Pos", "Hx Hep C", "Hep C exposure"),
         ("?Hep C", "Possible Hep C", "Screen Hep C")),
 }
 
@@ -160,16 +146,20 @@ def preset_spec(name: str, seed: int = 0) -> SynthesisSpec:
     return PRESETS[name]._replace(seed=seed)
 
 
-def _marker_value(rng: SplitMix64, cutoff: float, positive: bool) -> float:
+def _marker(draw, cutoff: float, positive: bool) -> float:
     """A 3-dp marker value on the given side of ``cutoff`` (positive at >= cutoff)."""
     if positive:
-        return max(round(rng.uniform(cutoff, 10.0 * cutoff), 3), cutoff)
-    value = round(rng.uniform(0.0, cutoff), 3)
+        return max(round(cutoff + (10.0 * cutoff - cutoff) * (draw() / 2.0**64), 3), cutoff)
+    value = round(cutoff * (draw() / 2.0**64), 3)
     return value if value < cutoff else cutoff / 2.0
 
 
-def _age(rng: SplitMix64, mean: float, sd: float) -> int:
-    return min(100, max(0, int(round(rng.normal(mean, sd)))))
+def _age(draw, mean: float, sd: float) -> int:
+    """A Box-Muller normal, rounded and clamped to 0..100."""
+    u1 = max(draw() / 2.0**64, 1e-12)
+    u2 = draw() / 2.0**64
+    normal = mean + sd * math.sqrt(-2.0 * math.log(u1)) * math.cos(2.0 * math.pi * u2)
+    return min(100, max(0, int(round(normal))))
 
 
 def synthesize_exact(spec: SynthesisSpec) -> Cohort:
@@ -180,7 +170,7 @@ def synthesize_exact(spec: SynthesisSpec) -> Cohort:
     the condition's default cutoff side; ``n_missing`` extra records carry
     no marker value.
     """
-    rng = SplitMix64(spec.seed)
+    draw = SplitMix64(spec.seed).next_u64
     cutoff = spec.condition.default_cutoff
     t = spec.target_table
     tag = "hbv" if spec.condition is Condition.HEPATITIS_B else "hcv"
@@ -195,14 +185,16 @@ def synthesize_exact(spec: SynthesisSpec) -> Cohort:
     ]
 
     sexes = [Sex.MALE] * spec.sex_split[0] + [Sex.FEMALE] * spec.sex_split[1]
-    rng.shuffle(sexes)
+    for i in range(len(sexes) - 1, 0, -1):  # Fisher-Yates
+        j = draw() % (i + 1)
+        sexes[i], sexes[j] = sexes[j], sexes[i]
 
     records: list[PathologyRecord] = []
     idx = 0
     for group, count, phrases, marker_positive in groups:
         for k in range(count):
-            value = None if marker_positive is None else _marker_value(rng, cutoff, marker_positive)
-            age = _age(rng, spec.age_mean, spec.age_sd)
+            value = None if marker_positive is None else _marker(draw, cutoff, marker_positive)
+            age = _age(draw, spec.age_mean, spec.age_sd)
             records.append(
                 PathologyRecord(
                     record_id=f"{tag}-{group}-{k:05d}",
@@ -211,7 +203,7 @@ def synthesize_exact(spec: SynthesisSpec) -> Cohort:
                     note_text=phrases[k % len(phrases)],
                     hbsag_iu=value if spec.condition is Condition.HEPATITIS_B else None,
                     anti_hcv_iu=value if spec.condition is Condition.HEPATITIS_C else None,
-                    collection_year=rng.randint(1997, 2007),
+                    collection_year=1997 + draw() % 11,
                 )
             )
             idx += 1
@@ -258,26 +250,15 @@ def synthesize_random(
     hbv_cutoff = Condition.HEPATITIS_B.default_cutoff
     hcv_cutoff = Condition.HEPATITIS_C.default_cutoff
     male, female = Sex.MALE, Sex.FEMALE
-    sqrt, log, cos, pi = math.sqrt, math.log, math.cos, math.pi
-
-    # The float expressions below are those of `_marker_value`, `_age` and
-    # the SplitMix64 methods, written out operation for operation, so every
-    # record is bit-identical to one built through them.
-    def marker(cutoff: float) -> float:
-        if 0.0 + (1.0 - 0.0) * (draw() / 2.0**64) < prevalence:
-            return max(round(cutoff + (10.0 * cutoff - cutoff) * (draw() / 2.0**64), 3), cutoff)
-        value = round(0.0 + (cutoff - 0.0) * (draw() / 2.0**64), 3)
-        return value if value < cutoff else cutoff / 2.0
 
     records = []
     for i in range(n):
-        pool = pools[bisect_right(bounds, 0.0 + (total_w - 0.0) * (draw() / 2.0**64))]
+        pool = pools[bisect_right(bounds, total_w * (draw() / 2.0**64))]
         note = pool[draw() % len(pool)]
-        u1 = max(0.0 + (1.0 - 0.0) * (draw() / 2.0**64), 1e-12)
-        u2 = 0.0 + (1.0 - 0.0) * (draw() / 2.0**64)
-        normal = 40.0 + 17.0 * sqrt(-2.0 * log(u1)) * cos(2.0 * pi * u2)
-        age = min(100, max(0, int(round(normal))))
-        sex = male if 0.0 + (1.0 - 0.0) * (draw() / 2.0**64) < 0.5 else female
-        records.append(PathologyRecord(f"syn-{i:06d}", age, sex, note, marker(hbv_cutoff),
-                                       marker(hcv_cutoff), 1997 + draw() % 11))
+        age = _age(draw, 40.0, 17.0)
+        sex = male if draw() / 2.0**64 < 0.5 else female
+        records.append(PathologyRecord(
+            f"syn-{i:06d}", age, sex, note,
+            _marker(draw, hbv_cutoff, draw() / 2.0**64 < prevalence),
+            _marker(draw, hcv_cutoff, draw() / 2.0**64 < prevalence), 1997 + draw() % 11))
     return Cohort(tuple(records))

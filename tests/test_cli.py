@@ -11,7 +11,7 @@ from pathlib import Path
 
 import pytest
 
-from notedta import cli, evaluate, ingest, metrics
+from notedta import cli, evaluate, ingest
 from notedta.classifier import classify_note, default_lexicon
 from notedta.cli import LEXICON_ENV, main
 from notedta.ingest import write_cohort_file
@@ -488,6 +488,32 @@ def test_classify_lexicon_with_empty_query_keyword_is_exit_1(tmp_path, capsys):
     assert err.splitlines() == ["error: line 186: empty query keyword"]
 
 
+@pytest.mark.parametrize("old, new, message", [
+    ("[category 1]", "label: stray\n[category 1]", "error: line 1: content outside any block"),
+    ("label: c7\n", "label: c7\ncolour: red\n", "error: line 27: unknown key 'colour'"),
+])
+def test_classify_malformed_lexicon_is_exit_1(tmp_path, capsys, old, new, message):
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_text("\n".join(_LEXICON_BLOCKS).replace(old, new, 1), encoding="utf-8")
+    notes = tmp_path / "notes.txt"
+    notes.write_text("tok7\n", encoding="utf-8")
+    code, out, err = run(capsys, "classify", str(notes), "--lexicon", str(lexicon))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [message]
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "{cohort}"),
+    ("evaluate", "{cohort}", "--condition", "hbv", "--outdir", "{tmp}/out"),
+])
+def test_empty_cohort_file_is_exit_1(tmp_path, capsys, argv):
+    cohort = tmp_path / "empty.csv"
+    cohort.write_bytes(b"")
+    code, out, err = run(capsys, *(a.format(cohort=cohort, tmp=tmp_path) for a in argv))
+    assert code == 1 and out == ""
+    assert err.splitlines() == [f"error: {cohort}: empty file, header row required"]
+
+
 def test_validate_builds_no_cohort(tmp_path, capsys, monkeypatch):
     cohort = tmp_path / "cohort.csv"
     cohort.write_text("record_id,age,sex,note_text,hbsag_iu,anti_hcv_iu,collection_year\n"
@@ -546,16 +572,23 @@ def test_evaluate_without_scipy_ufuncs_is_exit_2(tmp_path, capsys, monkeypatch):
     # A failure that is not the input's fault is exit 2 and one line, no traceback.
     cohort = tmp_path / "cohort.csv"
     assert run(capsys, "synth", str(cohort), "--preset", "figS1-hbv", "--seed", "1")[0] == 0
-
-    def missing():
-        raise ImportError("No module named 'scipy.special._ufuncs'")
-
-    monkeypatch.setattr(metrics, "_scipy_ufuncs", missing)
+    monkeypatch.setitem(sys.modules, "scipy.special._ufuncs", None)
     code, out, err = run(capsys, "evaluate", str(cohort), "--condition", "hbv",
                          "--outdir", str(tmp_path / "out"))
     assert code == 2 and out == ""
     assert err.splitlines() == [
-        "internal error: ImportError(\"No module named 'scipy.special._ufuncs'\")"]
+        "error: cannot import scipy (import of scipy.special._ufuncs halted; None in "
+        "sys.modules); exact intervals and a --ci-level other than 0.95 need it, "
+        "--ci-method score at the default level does not"]
+
+
+def test_import_error_outside_scipy_is_internal_error(tmp_path, capsys, monkeypatch):
+    monkeypatch.setitem(sys.modules, "notedta.ingest", None)
+    code, out, err = run(capsys, "validate", str(tmp_path / "cohort.csv"))
+    assert code == 2 and out == ""
+    assert err.splitlines() == [
+        "internal error: ModuleNotFoundError('import of notedta.ingest halted; "
+        "None in sys.modules')"]
 
 
 def test_synth_preset_matches_preset_spec(tmp_path, capsys):
@@ -590,6 +623,17 @@ def test_synth_preset_rejects_random_cohort_flags(tmp_path, capsys, flag, value)
     code, out, err = run(capsys, "synth", str(out_path), "--preset", "figS1-hbv", flag, value)
     assert code == 1 and out == "" and not out_path.exists()
     assert err.splitlines() == ["error: --condition and --prevalence apply only with --n"]
+
+
+@pytest.mark.parametrize("size, message", [
+    (("--n", "-1"), "error: n must be >= 0"),
+    (("--n", "5", "--prevalence", "1.5"), "error: prevalence must be in [0,1]"),
+])
+def test_synth_random_bad_size_or_prevalence_is_exit_1(tmp_path, capsys, size, message):
+    out_path = tmp_path / "x.csv"
+    code, out, err = run(capsys, "synth", str(out_path), *size)
+    assert code == 1 and out == "" and not out_path.exists()
+    assert err.splitlines() == [message]
 
 
 def test_cutoff_flags(tmp_path, capsys):

@@ -112,6 +112,17 @@ def test_random_invalid_weights_rejected():
         synthesize_random(10, 0.5, {1: 0.0})
 
 
+@pytest.mark.parametrize("n, prevalence, message", [
+    (-1, 0.5, "n must be >= 0"),
+    (10, -0.1, "prevalence must be in [0,1]"),
+    (10, 1.1, "prevalence must be in [0,1]"),
+])
+def test_random_invalid_size_or_prevalence_rejected(n, prevalence, message):
+    with pytest.raises(ValueError) as err:
+        synthesize_random(n, prevalence, {1: 1.0})
+    assert str(err.value) == message
+
+
 # -- PRNG ---------------------------------------------------------------------
 
 def test_splitmix64_reference_stream():
@@ -119,9 +130,3 @@ def test_splitmix64_reference_stream():
     rng = SplitMix64(1234567)
     assert rng.next_u64() == 6457827717110365317
     assert rng.next_u64() == 3203168211198807973
-
-
-def test_splitmix64_uniform_range():
-    rng = SplitMix64(0)
-    values = [rng.uniform(2.0, 5.0) for _ in range(1000)]
-    assert all(2.0 <= v < 5.0 for v in values)

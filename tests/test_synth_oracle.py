@@ -221,18 +221,6 @@ def test_interleaved_instances_keep_their_own_streams():
                 assert rng.next_u64() == ref.next_u64()
 
 
-def test_derived_draws_equal_scalar_draws():
-    rng, ref = SplitMix64(99), _ScalarSplitMix64(99)
-    for _ in range(150):
-        assert rng.uniform(0.5, 3.0).hex() == ref.uniform(0.5, 3.0).hex()
-        assert rng.randint(1997, 2007) == ref.randint(1997, 2007)
-        assert rng.normal(40.0, 17.0).hex() == ref.normal(40.0, 17.0).hex()
-    items, ref_items = list(range(300)), list(range(300))
-    rng.shuffle(items)
-    ref.shuffle(ref_items)
-    assert items == ref_items
-
-
 @pytest.mark.parametrize("start", [0, 12345, _MASK, 2**70 + 5])
 def test_foreign_byte_order_unpacks_the_same_draws(start):
     # The path a host of the other byte order takes: there "Q" reads each

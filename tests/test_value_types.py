@@ -175,6 +175,7 @@ CHECKED = [
     ("SerologyThresholds", "hbsag_cutoff", 0.0),
     ("SynthesisSpec", "n_missing", -1),
     ("SynthesisSpec", "sex_split", (1, 1)),
+    ("CategoryRule", "category_id", 47),
 ]
 
 

@@ -8,6 +8,7 @@ Exit codes: 0 success, 1 input error (a malformed command line included),
 
 import argparse
 import contextlib
+import gc
 import importlib
 import os
 import sys
@@ -258,5 +259,18 @@ def main(argv=None) -> int:
         return 2
 
 
+def entry() -> None:
+    """Process entry of the `notedta` command and of `python -m notedta.cli`.
+
+    Freezes every live object once `main()` returns, so the collections the
+    interpreter runs at exit skip the records' and numpy's heap, which the
+    OS reclaims anyway. `main()` itself leaves the collector alone: a caller
+    that runs it in process keeps a normal one.
+    """
+    code = main()
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    entry()

@@ -41,9 +41,13 @@ from .serology import SerologyThresholds, classify_marker
 CONTROL_CATEGORIES = (10, 16, 17, 22, 24, 26, 29, 31, 32, 37)
 
 # Every (test label, marker status) pair the tally appends, built once so
-# that the pair lists hold references to six shared tuples.
-_PAIRS = {(label, status): (label, status)
-          for label in ("positive", "negative") for status in SerologyStatus}
+# that the pair lists hold references to six shared tuples: by label, the
+# pairs with a positive, a negative and a missing marker. The tally picks
+# one by the status's identity; a key holding the status would hash it
+# through the Python-level Enum.__hash__ once per record.
+_PAIRS = {label: tuple((label, status) for status in
+                       (SerologyStatus.POSITIVE, SerologyStatus.NEGATIVE, SerologyStatus.MISSING))
+          for label in ("positive", "negative")}
 
 
 class EvaluationConfig(namedtuple("EvaluationConfig", "target_condition exclude_vaccination "
@@ -125,21 +129,34 @@ def evaluate_condition(
     """
     lexicon = lexicon or default_lexicon()
     condition = config.target_condition
+    hbv = condition is Condition.HEPATITIS_B
+    thresholds = config.thresholds
+    exclude_vaccination = config.exclude_vaccination
+    positive, negative = SerologyStatus.POSITIVE, SerologyStatus.NEGATIVE
     evaluated = (condition.category_id, *CONTROL_CATEGORIES)
     pairs: dict[int, list] = {cid: [] for cid in evaluated}
     n_vacc = {cid: 0 for cid in evaluated}
     for rec in cohort:
         cls = classify_note(rec.note_text, lexicon)
-        member_ids = {m.category_id for m in cls.all_matches}
-        cids = member_ids.intersection(pairs)
-        if config.exclude_vaccination and VACCINATION_CATEGORY in member_ids:
+        # A note has at most one match per category, so the evaluated ones
+        # it matches can be listed without a set.
+        cids = []
+        vaccination = False
+        for m in cls.all_matches:
+            cid = m.category_id
+            if cid in pairs:
+                cids.append(cid)
+            if cid == VACCINATION_CATEGORY:
+                vaccination = True
+        if vaccination and exclude_vaccination:
             for cid in cids:
                 n_vacc[cid] += 1
             continue
         if not cids:
             continue
-        label = cls.hbv_label if condition is Condition.HEPATITIS_B else cls.hcv_label
-        pair = _PAIRS[label, classify_marker(rec, condition, config.thresholds)]
+        with_status = _PAIRS[cls.hbv_label if hbv else cls.hcv_label]
+        status = classify_marker(rec, condition, thresholds)
+        pair = with_status[0 if status is positive else 1 if status is negative else 2]
         for cid in cids:
             pairs[cid].append(pair)
     tables = {cid: build_contingency(pairs.pop(cid)) for cid in evaluated}

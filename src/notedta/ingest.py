@@ -136,12 +136,19 @@ def _parse_row(row, rownum: int, report: ValidationReport) -> PathologyRecord:
             f"row {rownum}: unrecognised sex token {sex_raw!r}, treated as unspecified"
         )
         sex = Sex.UNSPECIFIED
-    # Converted outside the try, whose handler would wrap their CohortFormatError
-    # (a ValueError) again.
-    age = _parse_number(age_raw, int, "age", rownum)
-    hbsag_iu = _parse_number(hbsag_raw, float, "hbsag_iu", rownum)
-    anti_hcv_iu = _parse_number(hcv_raw, float, "anti_hcv_iu", rownum)
-    collection_year = _parse_number(year_raw, int, "collection_year", rownum)
+    # Converted inline, as _parse_number would; it runs only to word the
+    # error of the first field that fails.
+    try:
+        age = int(age_raw) if age_raw else None
+        hbsag_iu = float(hbsag_raw) if hbsag_raw else None
+        anti_hcv_iu = float(hcv_raw) if hcv_raw else None
+        collection_year = int(year_raw) if year_raw else None
+    except ValueError:
+        _parse_number(age_raw, int, "age", rownum)
+        _parse_number(hbsag_raw, float, "hbsag_iu", rownum)
+        _parse_number(hcv_raw, float, "anti_hcv_iu", rownum)
+        _parse_number(year_raw, int, "collection_year", rownum)
+        raise
     try:
         return PathologyRecord(
             record_id, age, sex, note_text, hbsag_iu, anti_hcv_iu, collection_year
@@ -195,18 +202,27 @@ def summarize_demographics(cohort: Cohort) -> CohortSummary:
         raise ValueError("cannot summarize an empty cohort")
     ages = []
     decades: dict[int, int] = {}
-    n_sex: dict[Sex, int] = {}
+    # Sexes are counted by identity, as in write_cohort_file.
+    male, female, unspecified = Sex.MALE, Sex.FEMALE, Sex.UNSPECIFIED
+    n_male = n_female = n_unspecified = 0
     for r in cohort:
-        n_sex[r.sex] = n_sex.get(r.sex, 0) + 1
-        if r.age is not None:
-            ages.append(r.age)
-            decades[r.age // 10 * 10] = decades.get(r.age // 10 * 10, 0) + 1
+        sex = r.sex
+        if sex is male:
+            n_male += 1
+        elif sex is female:
+            n_female += 1
+        elif sex is unspecified:
+            n_unspecified += 1
+        age = r.age
+        if age is not None:
+            ages.append(age)
+            decades[age // 10 * 10] = decades.get(age // 10 * 10, 0) + 1
     return CohortSummary(
         n_total=len(cohort),
         age_mean=statistics.fmean(ages) if ages else None,
         age_sd=(statistics.stdev(ages) if len(ages) > 1 else (0.0 if ages else None)),
-        n_male=n_sex.get(Sex.MALE, 0),
-        n_female=n_sex.get(Sex.FEMALE, 0),
-        n_unspecified=n_sex.get(Sex.UNSPECIFIED, 0),
+        n_male=n_male,
+        n_female=n_female,
+        n_unspecified=n_unspecified,
         age_histogram=tuple(sorted(decades.items())),
     )

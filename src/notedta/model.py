@@ -119,12 +119,18 @@ class PathologyRecord(namedtuple("PathologyRecord", "record_id age sex note_text
     def __new__(cls, record_id: str, age: int | None = None, sex: Sex = Sex.UNSPECIFIED,
                 note_text: str = "", hbsag_iu: float | None = None,
                 anti_hcv_iu: float | None = None, collection_year: int | None = None):
+        # Each rule is tested inline; its helper runs only to raise, so that
+        # a valid record costs no function call.
         if not record_id:
             raise ValueError("record_id: empty")
-        _check_range("age", age, 0, 130)
-        _check_assay("hbsag_iu", hbsag_iu)
-        _check_assay("anti_hcv_iu", anti_hcv_iu)
-        _check_range("collection_year", collection_year, 1800, 2200)
+        if age is not None and not (0 <= age <= 130):
+            _check_range("age", age, 0, 130)
+        if hbsag_iu is not None and not (math.isfinite(hbsag_iu) and hbsag_iu >= 0):
+            _check_assay("hbsag_iu", hbsag_iu)
+        if anti_hcv_iu is not None and not (math.isfinite(anti_hcv_iu) and anti_hcv_iu >= 0):
+            _check_assay("anti_hcv_iu", anti_hcv_iu)
+        if collection_year is not None and not (1800 <= collection_year <= 2200):
+            _check_range("collection_year", collection_year, 1800, 2200)
         return tuple.__new__(cls, (record_id, age, sex, note_text, hbsag_iu, anti_hcv_iu,
                                    collection_year))
 

@@ -37,9 +37,14 @@ def classify_marker(
 
     The comparison at the cutoff is inclusive: value >= cutoff is positive.
     """
-    value = record.assay_value(condition)
+    # The marker and its cutoff are picked inline, as `assay_value` and
+    # `cutoff` pick them: the tally calls this once per record.
+    if condition is Condition.HEPATITIS_B:
+        value, cutoff = record.hbsag_iu, thresholds.hbsag_cutoff
+    else:
+        value, cutoff = record.anti_hcv_iu, thresholds.anti_hcv_cutoff
     if value is None:
         return SerologyStatus.MISSING
-    if value >= thresholds.cutoff(condition):
+    if value >= cutoff:
         return SerologyStatus.POSITIVE
     return SerologyStatus.NEGATIVE

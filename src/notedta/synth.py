@@ -219,7 +219,9 @@ def synthesize_random(
     weights (hepatitis categories use the statement/query phrase pools,
     others one of the first three patterns of the category in the built-in
     lexicon); each marker is positive independently with probability
-    ``prevalence`` at the condition's default cutoff.
+    ``prevalence`` at the condition's default cutoff. ``note_mix`` maps
+    lexicon categories to finite, non-negative weights, not all zero;
+    anything else raises ValueError.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -230,6 +232,12 @@ def synthesize_random(
     from bisect import bisect_right  # here, not at the top: ~0.7 ms that classify never uses
 
     lexicon = default_lexicon()
+    known = {rule.category_id for rule in lexicon.rules}
+    for category, weight in note_mix.items():
+        if category not in known:
+            raise ValueError(f"note_mix category {category!r} is not in the lexicon")
+        if not math.isfinite(weight):
+            raise ValueError(f"note_mix weight of category {category!r} must be finite: {weight!r}")
     draw = SplitMix64(seed).next_u64
     cats = sorted(note_mix)
     total_w = sum(note_mix.values())

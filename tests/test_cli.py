@@ -743,3 +743,58 @@ def test_commands_call_through_module_attributes(tmp_path, capsys, monkeypatch, 
         monkeypatch.setitem(vars(cli), name, recording)
     assert run(capsys, *(a.format(d=tmp_path) for a in _CALL_SITES[name]))[0] == 0
     assert calls
+
+
+# -- process entry and exit ----------------------------------------------------
+
+def test_main_leaves_the_collector_unfrozen(tmp_path, capsys):
+    # Only the process entry freezes; main() run in process does not.
+    import gc
+
+    before = gc.get_freeze_count()
+    cohort = tmp_path / "cohort.csv"
+    assert run(capsys, "synth", str(cohort), "--preset", "figS1-hbv")[0] == 0
+    assert run(capsys, "evaluate", str(cohort), "--condition", "hbv",
+               "--outdir", str(tmp_path))[0] == 0
+    assert run(capsys, "validate", str(tmp_path / "missing.csv"))[0] == 1
+    assert gc.get_freeze_count() == before
+
+
+def test_console_script_and_module_run_the_same_entry():
+    import ast
+    import tomllib
+
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        script = tomllib.load(fh)["project"]["scripts"]["notedta"]
+    assert script == "notedta.cli:entry"
+    tree = ast.parse((ROOT / "src" / "notedta" / "cli.py").read_text(encoding="utf-8"))
+    (guard,) = [node for node in tree.body if isinstance(node, ast.If)
+                and ast.unparse(node.test) == "__name__ == '__main__'"]
+    assert [ast.unparse(stmt) for stmt in guard.body] == ["entry()"]
+
+
+@pytest.mark.parametrize("argv, code", [(["classify", "/dev/null"], 0),
+                                        (["validate", "missing.csv"], 1)])
+def test_entry_exits_with_mains_code_after_freezing(tmp_path, argv, code):
+    # An atexit hook runs after SystemExit has left the entry, before the
+    # interpreter's final collections.
+    probe = ("import atexit, gc, runpy, sys\n"
+             "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
+             f"sys.argv = ['notedta', *{argv!r}]\n"
+             "runpy.run_module('notedta.cli', run_name='__main__')\n")
+    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, capture_output=True,
+                          env=_cli_env(), timeout=60)
+    assert proc.returncode == code
+    assert proc.stderr.decode("utf-8").splitlines()[-1] == "frozen True"
+
+
+def test_classify_through_a_pipe_prints_every_line(tmp_path):
+    # Far more output than a pipe holds: all of it is flushed at exit.
+    text = "\n".join(["Known Hep B", "?Hep C", "fatigue", "routine bloods"] * 5000)
+    notes = tmp_path / "notes.txt"
+    notes.write_bytes(text.encode("utf-8"))
+    proc = subprocess.run([sys.executable, "-m", "notedta.cli", "classify", str(notes)],
+                          capture_output=True, env=_cli_env(), timeout=120)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout.count(b"\n") == 20000
+    assert proc.stdout == _classified(text)

@@ -14,6 +14,8 @@ from notedta.ingest import (
     HEADER,
     CohortFormatError,
     CohortSummary,
+    ValidationReport,
+    _parse_row,
     parse_cohort_file,
     summarize_demographics,
     validate_cohort_file,
@@ -336,24 +338,30 @@ def _old_parse_row(row, rownum: int, report: _OldReport) -> PathologyRecord:
         raise CohortFormatError(f"row {rownum}, column {err}") from None
 
 
-# Raw CSV fields the reader accepts, by column: ids repeat now and then, and
-# an unknown sex token is accepted with a warning.
+# Raw CSV fields the reader accepts, by column: ids repeat now and then, an
+# unknown sex token is accepted with a warning, and numbers may be padded
+# with whitespace or written in non-ASCII digits.
 _ACCEPTED = {
     "record_id": st.sampled_from([f"r{i}" for i in range(30)] + [" r1", "r,1", "r1\n"]),
-    "age": st.sampled_from(["", "0", "38", "130", " 40"]),
+    "age": st.sampled_from(["", "0", "38", "130", " 40", "5 ", "\u0663\u0668"]),
     "sex": st.sampled_from(["M", "F", "1", "2", "", "m ", " f", "x", "male"]),
     "note_text": _TEXT,
-    "hbsag_iu": st.sampled_from(["", "2.4", "0", "1e-300", "-0.0"]),
-    "anti_hcv_iu": st.sampled_from(["", "0.4", "1"]),
-    "collection_year": st.sampled_from(["", "1997", "1800", "2200"]),
+    "hbsag_iu": st.sampled_from(["", "2.4", "0", "1e-300", "-0.0", "1e3", " 2.4 ",
+                                 "\u0662.\u0664"]),
+    "anti_hcv_iu": st.sampled_from(["", "0.4", "1", "-0.0", "5"]),
+    "collection_year": st.sampled_from(["", "1997", "1800", "2200", " 1997",
+                                        "\u0661\u0669\u0669\u0667"]),
 }
-# Fields that break a conversion or a record rule.
+# Fields that break a conversion or a record rule: whitespace alone, a float
+# in an int column, and an int of more digits than int() converts (in a float
+# column it reads as inf).
+_TOO_LONG = "1" * 4301
 _REJECTED = {
     "record_id": [""],
-    "age": ["131", "-1", "oops", "1e3"],
-    "hbsag_iu": ["-2", "inf", "nan", "x"],
-    "anti_hcv_iu": ["-inf", "NaN", "1,5"],
-    "collection_year": ["1799", "2201", "abc", "2e3"],
+    "age": ["131", "-1", "oops", "1e3", "5.0", " ", "nan", _TOO_LONG],
+    "hbsag_iu": ["-2", "inf", "nan", "x", " ", _TOO_LONG],
+    "anti_hcv_iu": ["-inf", "NaN", "1,5", "-1e3", "\t"],
+    "collection_year": ["1799", "2201", "abc", "2e3", "1997.0", " ", "inf", _TOO_LONG],
 }
 
 
@@ -388,6 +396,17 @@ def test_reader_matches_the_reader_it_replaced(tmp_path_factory, rows, bom):
     for strict in (True, False):
         assert _outcome(lambda: validate_cohort_file(path, strict).to_json()) == _outcome(
             lambda: _old_parse_cohort_file_with_report(path, strict)[1].to_json())
+
+
+@settings(max_examples=500, deadline=None)
+@given(row=_raw_row(True) | _WRONG_LENGTH_ROW, rownum=st.integers(2, 10**6))
+def test_parse_row_matches_per_field_oracle(row, rownum):
+    # The same record, floats bit for bit, or the same message with the same
+    # row and column; and the same warnings.
+    report, old_report = ValidationReport("c.csv", strict=True), _OldReport("c.csv", strict=True)
+    assert _outcome(lambda: repr(_parse_row(row, rownum, report))) == _outcome(
+        lambda: repr(_old_parse_row(row, rownum, old_report)))
+    assert report.warnings == old_report.warnings
 
 
 # -- demographics -------------------------------------------------------------

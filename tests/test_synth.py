@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -110,6 +111,18 @@ def test_random_invalid_weights_rejected():
         synthesize_random(10, 0.5, {1: -1.0})
     with pytest.raises(ValueError):
         synthesize_random(10, 0.5, {1: 0.0})
+
+
+@pytest.mark.parametrize("note_mix, message", [
+    ({99: 1.0}, "note_mix category 99 is not in the lexicon"),
+    ({1: 1.0, 0: 0.5}, "note_mix category 0 is not in the lexicon"),
+    ({1: math.nan}, "note_mix weight of category 1 must be finite: nan"),
+    ({1: math.inf, 32: 1.0}, "note_mix weight of category 1 must be finite: inf"),
+])
+def test_random_bad_note_mix_rejected(note_mix, message):
+    with pytest.raises(ValueError) as err:
+        synthesize_random(10, 0.5, note_mix)
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize("n, prevalence, message", [

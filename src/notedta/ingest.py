@@ -61,16 +61,6 @@ class ValidationReport:
         )
 
 
-def _parse_number(raw: str, kind: type, column: str, row: int) -> int | float | None:
-    if raw == "":
-        return None
-    try:
-        return kind(raw)
-    except ValueError:
-        what = "an integer" if kind is int else "a number"
-        raise CohortFormatError(f"row {row}, column {column}: not {what}: {raw!r}")
-
-
 def parse_cohort_file(path) -> Cohort:
     """Parse a cohort CSV; the first malformed row raises CohortFormatError."""
     # tuple() exhausts the reader, and an exhausted generator's frame is
@@ -136,18 +126,21 @@ def _parse_row(row, rownum: int, report: ValidationReport) -> PathologyRecord:
             f"row {rownum}: unrecognised sex token {sex_raw!r}, treated as unspecified"
         )
         sex = Sex.UNSPECIFIED
-    # Converted inline, as _parse_number would; it runs only to word the
-    # error of the first field that fails.
     try:
         age = int(age_raw) if age_raw else None
         hbsag_iu = float(hbsag_raw) if hbsag_raw else None
         anti_hcv_iu = float(hcv_raw) if hcv_raw else None
         collection_year = int(year_raw) if year_raw else None
-    except ValueError:
-        _parse_number(age_raw, int, "age", rownum)
-        _parse_number(hbsag_raw, float, "hbsag_iu", rownum)
-        _parse_number(hcv_raw, float, "anti_hcv_iu", rownum)
-        _parse_number(year_raw, int, "collection_year", rownum)
+    except ValueError:  # word the error of the first field that fails
+        for raw, kind, column in ((age_raw, int, "age"), (hbsag_raw, float, "hbsag_iu"),
+                                  (hcv_raw, float, "anti_hcv_iu"),
+                                  (year_raw, int, "collection_year")):
+            try:
+                kind(raw or 0)  # an empty field is absent, not malformed
+            except ValueError:
+                what = "an integer" if kind is int else "a number"
+                raise CohortFormatError(
+                    f"row {rownum}, column {column}: not {what}: {raw!r}") from None
         raise
     try:
         return PathologyRecord(

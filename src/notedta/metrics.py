@@ -60,24 +60,22 @@ def _z_quantile(level: float) -> float:
     return float(_scipy_ufuncs().ndtri(1.0 - (1.0 - level) / 2.0))
 
 
-class CiConfig(namedtuple("CiConfig", "level proportion_method haldane")):
+class CiConfig(namedtuple("CiConfig", "level proportion_method")):
     """How the panel's intervals are computed.
 
     level: the confidence level of every interval.
     proportion_method: "exact" (Clopper-Pearson) or "score" (Wilson).
-    haldane: add 0.5 to all four cells for the LR intervals.
     """
 
     __slots__ = ()
     _make = checked_make
 
-    def __new__(cls, level: float = 0.95, proportion_method: str = "exact",
-                haldane: bool = False):
+    def __new__(cls, level: float = 0.95, proportion_method: str = "exact"):
         if not (0.0 < level < 1.0):
             raise ValueError(f"confidence level must be in (0,1): {level}")
         if proportion_method not in ("exact", "score"):
             raise ValueError(f"unknown proportion CI method: {proportion_method!r}")
-        return tuple.__new__(cls, (level, proportion_method, haldane))
+        return tuple.__new__(cls, (level, proportion_method))
 
 
 class ContingencyTable(namedtuple("ContingencyTable", "tp fp fn tn")):
@@ -188,21 +186,14 @@ def _lr_cells(tp, fp, fn, tn, which: str):
 
 
 def ci_likelihood_ratio(
-    table: ContingencyTable,
-    which: str,
-    level: float = 0.95,
-    haldane: bool = False,
+    table: ContingencyTable, which: str, level: float = 0.95
 ) -> tuple[float, float] | None:
     """Log-method confidence interval for LR+ or LR-.
 
     Requires tp >= 1 and fp >= 1 (LR+), or fn >= 1 and tn >= 1 (LR-);
-    returns None when the precondition fails. With ``haldane`` set, 0.5 is
-    added to every cell before evaluation.
+    returns None when the precondition fails.
     """
-    tp, fp, fn, tn = table.tp, table.fp, table.fn, table.tn
-    if haldane:
-        tp, fp, fn, tn = tp + 0.5, fp + 0.5, fn + 0.5, tn + 0.5
-    x, x_tot, y, y_tot = _lr_cells(tp, fp, fn, tn, which)
+    x, x_tot, y, y_tot = _lr_cells(table.tp, table.fp, table.fn, table.tn, which)
     if x <= 0 or y <= 0:
         return None
     lr = (x / x_tot) / (y / y_tot)
@@ -245,7 +236,7 @@ def _lr_estimate(table: ContingencyTable, which: str, ci: CiConfig) -> MetricEst
             return MetricEstimate(None, note="0/0 likelihood ratio")
         return MetricEstimate(math.inf, method="log", note=_INFINITE_LR_NOTE[which])
     value = (x * y_tot) / (x_tot * y)
-    bounds = ci_likelihood_ratio(table, which, ci.level, ci.haldane)
+    bounds = ci_likelihood_ratio(table, which, ci.level)
     if bounds is None:
         return MetricEstimate(value, method="log", note="interval needs all relevant cells >= 1")
     return MetricEstimate(value, bounds[0], bounds[1], method="log")

@@ -91,16 +91,6 @@ class Condition(Enum):
         return {"hepatitis_b": 1, "hepatitis_c": 2}[self.value]
 
 
-def _check_range(name: str, value, low: int, high: int):
-    if value is not None and not (low <= value <= high):
-        raise ValueError(f"{name}: out of range [{low},{high}]: {value}")
-
-
-def _check_assay(name: str, value):
-    if value is not None and not (math.isfinite(value) and value >= 0):
-        raise ValueError(f"{name}: must be finite and >= 0: {value!r}")
-
-
 class PathologyRecord(namedtuple("PathologyRecord", "record_id age sex note_text hbsag_iu "
                                                     "anti_hcv_iu collection_year")):
     """One de-identified pathology request.
@@ -119,25 +109,40 @@ class PathologyRecord(namedtuple("PathologyRecord", "record_id age sex note_text
     def __new__(cls, record_id: str, age: int | None = None, sex: Sex = Sex.UNSPECIFIED,
                 note_text: str = "", hbsag_iu: float | None = None,
                 anti_hcv_iu: float | None = None, collection_year: int | None = None):
-        # Each rule is tested inline; its helper runs only to raise, so that
-        # a valid record costs no function call.
+        # Each rule is tested once, inline, so a valid record calls no
+        # helper. Exact types keep a record writable: a bool, a float age or
+        # a numpy float would be written as text that reads back as another
+        # value or not at all. `type(x) is` is the cheapest such test.
+        if type(record_id) is not str:
+            raise ValueError(f"record_id: not a str: {record_id!r}")
         if not record_id:
             raise ValueError("record_id: empty")
-        if age is not None and not (0 <= age <= 130):
-            _check_range("age", age, 0, 130)
-        if hbsag_iu is not None and not (math.isfinite(hbsag_iu) and hbsag_iu >= 0):
-            _check_assay("hbsag_iu", hbsag_iu)
-        if anti_hcv_iu is not None and not (math.isfinite(anti_hcv_iu) and anti_hcv_iu >= 0):
-            _check_assay("anti_hcv_iu", anti_hcv_iu)
-        if collection_year is not None and not (1800 <= collection_year <= 2200):
-            _check_range("collection_year", collection_year, 1800, 2200)
+        if age is not None:
+            if type(age) is not int:
+                raise ValueError(f"age: not an integer: {age!r}")
+            if not 0 <= age <= 130:
+                raise ValueError(f"age: out of range [0,130]: {age}")
+        if type(sex) is not Sex:
+            raise ValueError(f"sex: not a Sex: {sex!r}")
+        if type(note_text) is not str:
+            raise ValueError(f"note_text: not a str: {note_text!r}")
+        if hbsag_iu is not None:
+            if type(hbsag_iu) is not float and type(hbsag_iu) is not int:
+                raise ValueError(f"hbsag_iu: not a number: {hbsag_iu!r}")
+            if not (math.isfinite(hbsag_iu) and hbsag_iu >= 0):
+                raise ValueError(f"hbsag_iu: must be finite and >= 0: {hbsag_iu!r}")
+        if anti_hcv_iu is not None:
+            if type(anti_hcv_iu) is not float and type(anti_hcv_iu) is not int:
+                raise ValueError(f"anti_hcv_iu: not a number: {anti_hcv_iu!r}")
+            if not (math.isfinite(anti_hcv_iu) and anti_hcv_iu >= 0):
+                raise ValueError(f"anti_hcv_iu: must be finite and >= 0: {anti_hcv_iu!r}")
+        if collection_year is not None:
+            if type(collection_year) is not int:
+                raise ValueError(f"collection_year: not an integer: {collection_year!r}")
+            if not 1800 <= collection_year <= 2200:
+                raise ValueError(f"collection_year: out of range [1800,2200]: {collection_year}")
         return tuple.__new__(cls, (record_id, age, sex, note_text, hbsag_iu, anti_hcv_iu,
                                    collection_year))
-
-    def assay_value(self, condition: Condition) -> float | None:
-        if condition is Condition.HEPATITIS_B:
-            return self.hbsag_iu
-        return self.anti_hcv_iu
 
 
 class Cohort(Frozen):

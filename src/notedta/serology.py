@@ -22,11 +22,6 @@ class SerologyThresholds(namedtuple("SerologyThresholds", "hbsag_cutoff anti_hcv
                 raise ValueError("cutoffs must be finite and > 0")
         return tuple.__new__(cls, (hbsag_cutoff, anti_hcv_cutoff))
 
-    def cutoff(self, condition: Condition) -> float:
-        if condition is Condition.HEPATITIS_B:
-            return self.hbsag_cutoff
-        return self.anti_hcv_cutoff
-
 
 def classify_marker(
     record: PathologyRecord,
@@ -37,8 +32,6 @@ def classify_marker(
 
     The comparison at the cutoff is inclusive: value >= cutoff is positive.
     """
-    # The marker and its cutoff are picked inline, as `assay_value` and
-    # `cutoff` pick them: the tally calls this once per record.
     if condition is Condition.HEPATITIS_B:
         value, cutoff = record.hbsag_iu, thresholds.hbsag_cutoff
     else:

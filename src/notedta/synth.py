@@ -114,6 +114,8 @@ class SynthesisSpec(namedtuple("SynthesisSpec", "condition target_table n_missin
         total = target_table.n + n_missing
         if sex_split is None:
             sex_split = (total // 2, total - total // 2)
+        if min(sex_split) < 0:
+            raise ValueError(f"sex_split {sex_split} counts must be >= 0")
         if sum(sex_split) != total:
             raise ValueError(f"sex_split {sex_split} must sum to table n + n_missing = {total}")
         return tuple.__new__(cls, (condition, target_table, n_missing, age_mean, age_sd,
@@ -220,8 +222,8 @@ def synthesize_random(
     others one of the first three patterns of the category in the built-in
     lexicon); each marker is positive independently with probability
     ``prevalence`` at the condition's default cutoff. ``note_mix`` maps
-    lexicon categories to finite, non-negative weights, not all zero;
-    anything else raises ValueError.
+    lexicon categories to finite, non-negative weights, not all zero,
+    with a finite sum; anything else raises ValueError.
     """
     if n < 0:
         raise ValueError("n must be >= 0")
@@ -241,6 +243,8 @@ def synthesize_random(
     draw = SplitMix64(seed).next_u64
     cats = sorted(note_mix)
     total_w = sum(note_mix.values())
+    if total_w == math.inf:  # each weight is finite, but the running sums would overflow
+        raise ValueError(f"note_mix weights must have a finite sum: {total_w!r}")
     # A record's category is the first whose running weight exceeds a draw
     # on [0, total_w), or the last if rounding leaves none: bisect_right
     # over the running sums, with the last pool repeated past the end.

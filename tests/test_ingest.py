@@ -4,7 +4,9 @@ import math
 import random
 import statistics
 from dataclasses import dataclass, field
+from decimal import Decimal
 
+import numpy
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -199,15 +201,18 @@ _TEXT = st.text(st.characters(blacklist_categories=("Cs",)), max_size=12) | st.s
     ['a,b', 'say "hi"', '"', "two\nlines", "cr\rlf\r\n", " padded ", ","]
 )
 _ASSAY = st.none() | st.floats() | st.floats(min_value=0.0) | st.sampled_from([0.0, -0.0, 1e-300])
+# Values of the wrong type, which no file could hold: the model must reject them.
+_WRONG_TYPE = st.sampled_from([True, False, 5.5, 2000.5, numpy.float64(1.5), Decimal("1.5"),
+                               5, None, "male"])
 _CANDIDATE = st.builds(
     dict,
-    record_id=_TEXT,
-    age=st.none() | st.integers(-5, 140),
-    sex=st.sampled_from(Sex),
-    note_text=_TEXT,
-    hbsag_iu=_ASSAY,
-    anti_hcv_iu=_ASSAY,
-    collection_year=st.none() | st.integers(-5000, 5000) | st.integers(1790, 2210),
+    record_id=_TEXT | _WRONG_TYPE,
+    age=st.none() | st.integers(-5, 140) | _WRONG_TYPE,
+    sex=st.sampled_from(Sex) | _WRONG_TYPE,
+    note_text=_TEXT | _WRONG_TYPE,
+    hbsag_iu=_ASSAY | _WRONG_TYPE,
+    anti_hcv_iu=_ASSAY | _WRONG_TYPE,
+    collection_year=st.none() | st.integers(-5000, 5000) | st.integers(1790, 2210) | _WRONG_TYPE,
 )
 
 

@@ -503,11 +503,6 @@ def test_lr_interval_requires_nonzero_cells():
     assert ci_likelihood_ratio(ContingencyTable(5, 4, 3, 0), "lr_neg") is None
 
 
-def test_lr_haldane_correction_defined_with_zero_cell():
-    bounds = ci_likelihood_ratio(ContingencyTable(5, 0, 3, 4), "lr_pos", haldane=True)
-    assert bounds is not None and bounds[0] > 0
-
-
 # -- oracle equivalence -------------------------------------------------------
 
 def _naive_panel(tp, fp, fn, tn):

@@ -73,8 +73,8 @@ def test_default_cutoffs_come_from_condition():
 
     defaults = SerologyThresholds()
     args = build_parser().parse_args(["evaluate", "c.csv", "--condition", "hbv"])
-    for condition, cli_default in (
-        (Condition.HEPATITIS_B, args.hbsag_cutoff),
-        (Condition.HEPATITIS_C, args.anti_hcv_cutoff),
+    for condition, default, cli_default in (
+        (Condition.HEPATITIS_B, defaults.hbsag_cutoff, args.hbsag_cutoff),
+        (Condition.HEPATITIS_C, defaults.anti_hcv_cutoff, args.anti_hcv_cutoff),
     ):
-        assert defaults.cutoff(condition) == cli_default == condition.default_cutoff
+        assert default == cli_default == condition.default_cutoff

@@ -7,7 +7,7 @@ from notedta.evaluate import EvaluationConfig, evaluate_condition
 from notedta.ingest import summarize_demographics, write_cohort_file
 from notedta.metrics import ContingencyTable
 from notedta.model import Condition
-from notedta.synth import SplitMix64, SynthesisSpec, synthesize_exact, synthesize_random
+from notedta.synth import PRESETS, SplitMix64, SynthesisSpec, synthesize_exact, synthesize_random
 
 HBV = Condition.HEPATITIS_B
 HCV = Condition.HEPATITIS_C
@@ -50,6 +50,15 @@ def test_exact_random_feasible_specs():
 def test_exact_sex_split_mismatch_rejected():
     with pytest.raises(ValueError, match="sex_split"):
         SynthesisSpec(HBV, ContingencyTable(1, 1, 1, 1), n_missing=0, sex_split=(1, 1))
+
+
+def test_exact_negative_sex_split_rejected():
+    # (300, -59) sums to the 241 records, but no record can be of a sex -59 times.
+    message = r"^sex_split \(300, -59\) counts must be >= 0$"
+    with pytest.raises(ValueError, match=message):
+        SynthesisSpec(HBV, ContingencyTable(69, 45, 8, 57), n_missing=62, sex_split=(300, -59))
+    with pytest.raises(ValueError, match=message):
+        PRESETS["figS1-hbv"]._replace(sex_split=(300, -59))
 
 
 def test_exact_demographics_target():
@@ -118,6 +127,7 @@ def test_random_invalid_weights_rejected():
     ({1: 1.0, 0: 0.5}, "note_mix category 0 is not in the lexicon"),
     ({1: math.nan}, "note_mix weight of category 1 must be finite: nan"),
     ({1: math.inf, 32: 1.0}, "note_mix weight of category 1 must be finite: inf"),
+    ({1: 1e308, 32: 1e308}, "note_mix weights must have a finite sum: inf"),
 ])
 def test_random_bad_note_mix_rejected(note_mix, message):
     with pytest.raises(ValueError) as err:

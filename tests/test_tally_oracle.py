@@ -3,9 +3,10 @@
 `_oracle_evaluate_condition` is a verbatim copy of `evaluate_condition` as
 it was before its tally stopped keying pairs by `SerologyStatus`, and
 `_oracle_classify_marker` a verbatim copy of `classify_marker` as it was
-before it picked the marker and cutoff inline, through
-`PathologyRecord.assay_value` and `SerologyThresholds.cutoff`. Results must
-be equal field for field, floats bit for bit.
+before it picked the marker and cutoff inline, with test-local copies of the
+two selectors it called, `PathologyRecord.assay_value` and
+`SerologyThresholds.cutoff`, which the library has since dropped. Results
+must be equal field for field, floats bit for bit.
 """
 
 import math
@@ -30,11 +31,23 @@ _ORACLE_PAIRS = {(label, status): (label, status)
                  for label in ("positive", "negative") for status in SerologyStatus}
 
 
+def _assay_value(record, condition):
+    if condition is Condition.HEPATITIS_B:
+        return record.hbsag_iu
+    return record.anti_hcv_iu
+
+
+def _cutoff(thresholds, condition):
+    if condition is Condition.HEPATITIS_B:
+        return thresholds.hbsag_cutoff
+    return thresholds.anti_hcv_cutoff
+
+
 def _oracle_classify_marker(record, condition, thresholds=SerologyThresholds()):
-    value = record.assay_value(condition)
+    value = _assay_value(record, condition)
     if value is None:
         return SerologyStatus.MISSING
-    if value >= thresholds.cutoff(condition):
+    if value >= _cutoff(thresholds, condition):
         return SerologyStatus.POSITIVE
     return SerologyStatus.NEGATIVE
 

@@ -46,7 +46,7 @@ REPRS = {
         "CategoryRule(category_id=1, label='Hepatitis B', icd10_chapter='B18', priority=1, "
         "patterns=(('hepatitis-b',),))"
     ),
-    "CiConfig": "CiConfig(level=0.9, proportion_method='score', haldane=False)",
+    "CiConfig": "CiConfig(level=0.9, proportion_method='score')",
     "ContingencyTable": "ContingencyTable(tp=3, fp=1, fn=0, tn=2)",
     "MetricEstimate": (
         "MetricEstimate(value=0.5, ci_low=0.1, ci_high=0.9, method='logit', note='')"
@@ -73,8 +73,7 @@ REPRS = {
     "EvaluationConfig": (
         "EvaluationConfig(target_condition=<Condition.HEPATITIS_C: 'hepatitis_c'>, "
         "exclude_vaccination=True, thresholds=SerologyThresholds(hbsag_cutoff=1.6, "
-        "anti_hcv_cutoff=1.0), ci=CiConfig(level=0.95, proportion_method='exact', "
-        "haldane=False))"
+        "anti_hcv_cutoff=1.0), ci=CiConfig(level=0.95, proportion_method='exact'))"
     ),
     "CategoryResult": (
         "CategoryResult(category_id=1, label='Hepatitis B', icd10_chapter='B18', "

@@ -24,7 +24,7 @@ _EXPORTS = {
                 "adjust_predictive_values", "build_contingency", "ci_likelihood_ratio",
                 "ci_proportion", "compute_metrics"),
     "model": ("Cohort", "Condition", "PathologyRecord", "SerologyStatus", "Sex"),
-    "serology": ("SerologyThresholds", "classify_marker"),
+    "serology": ("classify_marker",),
     "synth": ("SynthesisSpec", "synthesize_exact", "synthesize_random"),
 }
 _ORIGIN = {name: module for module, names in _EXPORTS.items() for name in names}

@@ -115,7 +115,8 @@ class Lexicon(Frozen):
         if () in query_keywords:
             raise ValueError("empty query keyword")
         groups = [(rule.category_id, rule.priority, rule.patterns) for rule in rules]
-        groups.append((None, None, (("?",), *query_keywords)))
+        # Once each, so that a lexicon that lists "?" does not scan it twice.
+        groups.append((None, None, tuple(dict.fromkeys((("?",), *query_keywords)))))
         index: dict[str, list] = {}
         for r, (category_id, priority, patterns) in enumerate(groups):
             for p, pattern in enumerate(patterns):

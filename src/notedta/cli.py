@@ -10,13 +10,11 @@ import argparse
 import contextlib
 import gc
 import importlib
-import os
 import sys
 
 from .classifier import classify_note, default_lexicon, load_lexicon
 from .metrics import CiConfig
 from .model import Condition
-from .serology import SerologyThresholds
 from .synth import PRESETS, preset_spec, synthesize_exact, synthesize_random
 
 # Bound on first use, so that each command imports only the modules it runs
@@ -56,13 +54,11 @@ def __getattr__(name):
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
-LEXICON_ENV = "NOTEDTA_LEXICON"
-
 _CONDITIONS = {"hbv": Condition.HEPATITIS_B, "hcv": Condition.HEPATITIS_C}
+_LEXICON_HELP = "lexicon file (default: built-in)"
 
 
 def _load_lexicon(path: str | None):
-    path = path or os.environ.get(LEXICON_ENV)
     return load_lexicon(path) if path else default_lexicon()
 
 
@@ -88,15 +84,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="classify notes, one per input line")
     p.add_argument("input", help="text file of notes, '-' for stdin")
-    p.add_argument("--lexicon", help=f"lexicon file (default: built-in, or ${LEXICON_ENV})")
+    p.add_argument("--lexicon", help=_LEXICON_HELP)
 
     p = sub.add_parser("evaluate", help="run the full pipeline and write reports")
     p.add_argument("input", help="cohort CSV")
     p.add_argument("--condition", choices=sorted(_CONDITIONS), required=True)
     p.add_argument("--outdir", default=".", help="directory for report/plot files")
-    p.add_argument("--lexicon")
-    p.add_argument("--hbsag-cutoff", type=float, default=Condition.HEPATITIS_B.default_cutoff)
-    p.add_argument("--anti-hcv-cutoff", type=float, default=Condition.HEPATITIS_C.default_cutoff)
+    p.add_argument("--lexicon", help=_LEXICON_HELP)
+    p.add_argument("--cutoff", type=float,
+                   help="marker value counted positive, inclusive (default: the condition's)")
     p.add_argument("--ci-method", choices=["exact", "score"], default="exact")
     p.add_argument("--ci-level", type=float, default=0.95)
     p.add_argument("--keep-vaccination", action="store_true",
@@ -114,6 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("report", help="re-render a stored JSON result")
     p.add_argument("input", help="report.json written by evaluate")
     p.add_argument("--format", choices=["markdown", "csv"], default="markdown")
+    p.add_argument("--lexicon", help=_LEXICON_HELP)
     return parser
 
 
@@ -158,9 +155,7 @@ def _cmd_evaluate(args) -> int:
     config = EvaluationConfig(
         target_condition=_CONDITIONS[args.condition],
         exclude_vaccination=not args.keep_vaccination,
-        thresholds=SerologyThresholds(
-            hbsag_cutoff=args.hbsag_cutoff, anti_hcv_cutoff=args.anti_hcv_cutoff
-        ),
+        cutoff=args.cutoff,
         ci=CiConfig(level=args.ci_level, proportion_method=args.ci_method),
     )
     lexicon = _load_lexicon(args.lexicon)
@@ -217,7 +212,7 @@ def _cmd_synth(args) -> int:
 def _cmd_report(args) -> int:
     # Re-render the stored full-precision result with evaluate's own renderer.
     _load("evaluate")
-    lexicon = _load_lexicon(None)
+    lexicon = _load_lexicon(args.lexicon)
     try:
         with open(args.input, encoding="utf-8") as fh:
             result = EvaluationResult.from_json(fh.read(), lexicon)

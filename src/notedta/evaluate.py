@@ -34,8 +34,8 @@ from .metrics import (
     format_percent_1dp,
     format_proportion,
 )
-from .model import Cohort, Condition, SerologyStatus
-from .serology import SerologyThresholds, classify_marker
+from .model import Cohort, Condition, SerologyStatus, checked_make
+from .serology import classify_marker
 
 # The paper's control categories, evaluated alongside either condition.
 CONTROL_CATEGORIES = (10, 16, 17, 22, 24, 26, 29, 31, 32, 37)
@@ -51,9 +51,18 @@ _PAIRS = {label: tuple((label, status) for status in
 
 
 class EvaluationConfig(namedtuple("EvaluationConfig", "target_condition exclude_vaccination "
-                                                    "thresholds ci",
-                                   defaults=(True, SerologyThresholds(), CiConfig()))):
+                                                    "cutoff ci")):
+    """cutoff: the target marker's, positive at >= it; None for the condition's default."""
+
     __slots__ = ()
+    _make = checked_make
+
+    def __new__(cls, target_condition: Condition, exclude_vaccination: bool = True,
+                cutoff: float | None = None, ci: CiConfig = CiConfig()):
+        # By exact type, as a bool is an int; `< inf` rules out nan and inf.
+        if cutoff is not None and not (type(cutoff) in (int, float) and 0 < cutoff < math.inf):
+            raise ValueError(f"cutoff must be finite and > 0: {cutoff!r}")
+        return tuple.__new__(cls, (target_condition, exclude_vaccination, cutoff, ci))
 
 
 class CategoryResult(namedtuple("CategoryResult", "category_id label icd10_chapter "
@@ -109,8 +118,8 @@ class EvaluationResult(namedtuple("EvaluationResult", "condition primary control
                     f"malformed report: control categories {list(ids)} are not "
                     f"{list(CONTROL_CATEGORIES)}, in that order"
                 )
-            return cls(condition, primary, controls, summary,
-                       CiConfig(payload.get("ci_level", 0.95)).level)  # checks a stored level
+            level = CiConfig(_stored(payload.get("ci_level", 0.95), "ci_level")).level  # in (0,1)
+            return cls(condition, primary, controls, summary, level)
         except KeyError as err:
             raise ValueError(f"malformed report: missing or unknown key {err}") from err
         except (AttributeError, TypeError) as err:  # a list or number where a dict belongs
@@ -130,7 +139,7 @@ def evaluate_condition(
     lexicon = lexicon or default_lexicon()
     condition = config.target_condition
     hbv = condition is Condition.HEPATITIS_B
-    thresholds = config.thresholds
+    cutoff = condition.default_cutoff if config.cutoff is None else config.cutoff
     exclude_vaccination = config.exclude_vaccination
     positive, negative = SerologyStatus.POSITIVE, SerologyStatus.NEGATIVE
     evaluated = (condition.category_id, *CONTROL_CATEGORIES)
@@ -155,7 +164,7 @@ def evaluate_condition(
         if not cids:
             continue
         with_status = _PAIRS[cls.hbv_label if hbv else cls.hcv_label]
-        status = classify_marker(rec, condition, thresholds)
+        status = classify_marker(rec, condition, cutoff)
         pair = with_status[0 if status is positive else 1 if status is negative else 2]
         for cid in cids:
             pairs[cid].append(pair)

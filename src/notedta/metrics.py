@@ -71,8 +71,8 @@ class CiConfig(namedtuple("CiConfig", "level proportion_method")):
     _make = checked_make
 
     def __new__(cls, level: float = 0.95, proportion_method: str = "exact"):
-        if not (0.0 < level < 1.0):
-            raise ValueError(f"confidence level must be in (0,1): {level}")
+        if not (isinstance(level, float) and 0.0 < level < 1.0):
+            raise ValueError(f"confidence level must be in (0,1): {level!r}")
         if proportion_method not in ("exact", "score"):
             raise ValueError(f"unknown proportion CI method: {proportion_method!r}")
         return tuple.__new__(cls, (level, proportion_method))
@@ -84,7 +84,7 @@ class ContingencyTable(namedtuple("ContingencyTable", "tp fp fn tn")):
 
     def __new__(cls, tp: int, fp: int, fn: int, tn: int):
         for name, v in (("tp", tp), ("fp", fp), ("fn", fn), ("tn", tn)):
-            if not isinstance(v, int) or v < 0:
+            if type(v) is not int or v < 0:  # a bool would be written as JSON true
                 raise ValueError(f"{name} must be a non-negative integer, got {v!r}")
         return tuple.__new__(cls, (tp, fp, fn, tn))
 
@@ -121,26 +121,31 @@ class MetricPanel(namedtuple("MetricPanel", (*METRICS, "prevalence_sample"))):
 def build_contingency(pairs) -> tuple[ContingencyTable, int]:
     """Tally (test_label, truth) pairs into a 2x2 table.
 
-    ``test_label`` is the string "positive"/"negative" (or a bool), truth is
-    a SerologyStatus. Pairs with missing truth are excluded; their count is
-    returned alongside the table.
+    ``test_label`` is the classifier's "positive" or "negative", ``truth`` a
+    SerologyStatus; anything else raises ValueError. Pairs with missing
+    truth are excluded; their count is returned alongside the table.
     """
-    tp = fp = fn = tn = 0
-    n_missing = 0
+    positive, negative, missing = (SerologyStatus.POSITIVE, SerologyStatus.NEGATIVE,
+                                   SerologyStatus.MISSING)
+    tp = fp = fn = tn = n_missing = 0
     for test_label, truth in pairs:
-        if truth is SerologyStatus.MISSING:
+        test_pos = test_label == "positive"
+        if not test_pos and test_label != "negative":
+            raise ValueError(f"test label is not 'positive' or 'negative': {test_label!r}")
+        if truth is positive:
+            if test_pos:
+                tp += 1
+            else:
+                fn += 1
+        elif truth is negative:
+            if test_pos:
+                fp += 1
+            else:
+                tn += 1
+        elif truth is missing:
             n_missing += 1
-            continue
-        test_pos = test_label in (True, "positive")
-        truth_pos = truth is SerologyStatus.POSITIVE
-        if test_pos and truth_pos:
-            tp += 1
-        elif test_pos:
-            fp += 1
-        elif truth_pos:
-            fn += 1
         else:
-            tn += 1
+            raise ValueError(f"truth is not a SerologyStatus: {truth!r}")
     return ContingencyTable(tp, fp, fn, tn), n_missing
 
 

@@ -127,13 +127,19 @@ class PathologyRecord(namedtuple("PathologyRecord", "record_id age sex note_text
         if type(note_text) is not str:
             raise ValueError(f"note_text: not a str: {note_text!r}")
         if hbsag_iu is not None:
-            if type(hbsag_iu) is not float and type(hbsag_iu) is not int:
-                raise ValueError(f"hbsag_iu: not a number: {hbsag_iu!r}")
+            if type(hbsag_iu) is not float:
+                if type(hbsag_iu) is not int:
+                    raise ValueError(f"hbsag_iu: not a number: {hbsag_iu!r}")
+                if not -2**53 <= hbsag_iu <= 2**53:  # a file holds floats
+                    raise ValueError("hbsag_iu: integer beyond 2**53 in magnitude")
             if not (math.isfinite(hbsag_iu) and hbsag_iu >= 0):
                 raise ValueError(f"hbsag_iu: must be finite and >= 0: {hbsag_iu!r}")
         if anti_hcv_iu is not None:
-            if type(anti_hcv_iu) is not float and type(anti_hcv_iu) is not int:
-                raise ValueError(f"anti_hcv_iu: not a number: {anti_hcv_iu!r}")
+            if type(anti_hcv_iu) is not float:
+                if type(anti_hcv_iu) is not int:
+                    raise ValueError(f"anti_hcv_iu: not a number: {anti_hcv_iu!r}")
+                if not -2**53 <= anti_hcv_iu <= 2**53:  # a file holds floats
+                    raise ValueError("anti_hcv_iu: integer beyond 2**53 in magnitude")
             if not (math.isfinite(anti_hcv_iu) and anti_hcv_iu >= 0):
                 raise ValueError(f"anti_hcv_iu: must be finite and >= 0: {anti_hcv_iu!r}")
         if collection_year is not None:

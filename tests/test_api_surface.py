@@ -1,14 +1,19 @@
-"""The public surface of `notedta`, one line per parameter.
+"""The public surface of `notedta`, one line per parameter or command-line option.
 
 An `ast` scan of `src/notedta/*.py` lists `module.Qualname(param)` for every
 parameter of every public function and method, and of each public class's
 constructor (`__new__` or `__init__`); `self` and `cls` are left out. The
 sorted list must equal `SURFACE`, so a parameter added or removed shows up
-as one line of this file's diff.
+as one line of this file's diff. `OPTIONS` does the same for the arguments
+of each subcommand, read from the parser, and no module reads the
+environment: every setting of a run is on its command line.
 """
 
+import argparse
 import ast
 from pathlib import Path
+
+from notedta.cli import build_parser
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "notedta"
 
@@ -27,6 +32,10 @@ SURFACE = [
     "classifier.normalize_note(text)",
     "classifier.parse_lexicon(text)",
     "cli.main(argv)",
+    "evaluate.EvaluationConfig.__new__(ci)",
+    "evaluate.EvaluationConfig.__new__(cutoff)",
+    "evaluate.EvaluationConfig.__new__(exclude_vaccination)",
+    "evaluate.EvaluationConfig.__new__(target_condition)",
     "evaluate.EvaluationResult.from_json(lexicon)",
     "evaluate.EvaluationResult.from_json(text)",
     "evaluate.emit_demographics_csv(summary)",
@@ -74,11 +83,9 @@ SURFACE = [
     "model.PathologyRecord.__new__(note_text)",
     "model.PathologyRecord.__new__(record_id)",
     "model.PathologyRecord.__new__(sex)",
-    "serology.SerologyThresholds.__new__(anti_hcv_cutoff)",
-    "serology.SerologyThresholds.__new__(hbsag_cutoff)",
     "serology.classify_marker(condition)",
+    "serology.classify_marker(cutoff)",
     "serology.classify_marker(record)",
-    "serology.classify_marker(thresholds)",
     "synth.SplitMix64.__init__(seed)",
     "synth.SynthesisSpec.__new__(age_mean)",
     "synth.SynthesisSpec.__new__(age_sd)",
@@ -126,3 +133,35 @@ def public_parameters() -> list[str]:
 
 def test_public_surface_is_the_ledger():
     assert public_parameters() == SURFACE
+
+
+# Each subcommand's option strings, and its positional arguments by name.
+OPTIONS = {
+    "classify": ["--help", "--lexicon", "-h", "input"],
+    "evaluate": ["--ci-level", "--ci-method", "--condition", "--cutoff", "--help",
+                 "--keep-vaccination", "--lexicon", "--outdir", "-h", "input"],
+    "report": ["--format", "--help", "--lexicon", "-h", "input"],
+    "synth": ["--condition", "--help", "--n", "--preset", "--prevalence", "--seed", "-h",
+              "output"],
+    "validate": ["--help", "--report", "--strict", "-h", "input"],
+}
+
+
+def test_command_line_options_are_the_ledger():
+    (commands,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert {name: sorted(o for a in parser._actions for o in a.option_strings or [a.dest])
+            for name, parser in commands.choices.items()} == OPTIONS
+
+
+def test_no_module_reads_the_environment():
+    env = {"environ", "environb", "getenv", "getenvb"}
+    reads = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+        and node.value.id == "os" and node.attr in env
+        or isinstance(node, ast.ImportFrom) and node.module == "os"
+        and any(alias.name in env for alias in node.names)
+    ]
+    assert reads == []

@@ -53,6 +53,13 @@ def test_default_lexicon_shape():
                                   ("for", "investigation"))
 
 
+def test_query_index_holds_each_query_keyword_once():
+    # The built-in lexicon lists "?", which the query group holds anyway.
+    query = [entry[6] for entries in LEX._pattern_index.values() for entry in entries
+             if entry[3] is None]
+    assert sorted(query) == sorted({("?",), *LEX.query_keywords})
+
+
 def test_default_lexicon_patterns_classify_to_their_own_rule():
     owners = [(pattern, r.category_id) for r in LEX.rules for pattern in r.patterns]
     assert len(owners) == 325

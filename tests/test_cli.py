@@ -13,7 +13,7 @@ import pytest
 
 from notedta import cli, evaluate, ingest
 from notedta.classifier import classify_note, default_lexicon
-from notedta.cli import LEXICON_ENV, main
+from notedta.cli import main
 from notedta.ingest import write_cohort_file
 from notedta.synth import preset_spec, synthesize_exact, synthesize_random
 
@@ -119,7 +119,7 @@ def _classified(text: str) -> bytes:
 
 
 def _cli_env() -> dict:
-    env = {k: v for k, v in os.environ.items() if k not in ("PYTHONUNBUFFERED", LEXICON_ENV)}
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
     env.update(PYTHONPATH=str(ROOT / "src"), PYTHONIOENCODING="utf-8",
                PYTHONDONTWRITEBYTECODE="1")
     return env
@@ -339,8 +339,8 @@ def test_report_n_evaluated_disagreeing_with_counts_is_exit_1(tmp_path, capsys):
     assert "internal error" not in err
 
 
-def test_report_label_not_in_lexicon_is_exit_1(tmp_path, capsys, monkeypatch):
-    path = _evaluated_report(tmp_path, capsys)
+def _renamed_lexicon(tmp_path) -> Path:
+    """The built-in lexicon with category 37 relabelled "Tiredness"."""
     label = default_lexicon().rule(37).label
     lexicon = tmp_path / "lexicon.txt"
     lexicon.write_text(
@@ -348,10 +348,37 @@ def test_report_label_not_in_lexicon_is_exit_1(tmp_path, capsys, monkeypatch):
         .replace(f"label: {label}\n", "label: Tiredness\n"),
         encoding="utf-8",
     )
-    monkeypatch.setenv("NOTEDTA_LEXICON", str(lexicon))
-    code, out, err = run(capsys, "report", str(path))
+    return lexicon
+
+
+def test_report_label_not_in_lexicon_is_exit_1(tmp_path, capsys):
+    path = _evaluated_report(tmp_path, capsys)
+    code, out, err = run(capsys, "report", str(path), "--lexicon", str(_renamed_lexicon(tmp_path)))
     assert code == 1 and out == ""
     assert str(path) in err and "Tiredness" in err
+
+
+def test_report_reads_the_lexicon_evaluate_used(tmp_path, capsys):
+    cohort, lexicon = tmp_path / "cohort.csv", str(_renamed_lexicon(tmp_path))
+    run(capsys, "synth", str(cohort), "--preset", "figS1-hbv", "--seed", "1")
+    run(capsys, "evaluate", str(cohort), "--condition", "hbv", "--outdir", str(tmp_path),
+        "--lexicon", lexicon)
+    code, out, _ = run(capsys, "report", str(tmp_path / "report.json"), "--lexicon", lexicon)
+    assert code == 0 and "| Tiredness |" in out
+    assert out == (tmp_path / "report.md").read_text(encoding="utf-8")
+
+
+def test_lexicon_is_read_from_the_flag_only(tmp_path, capsys, monkeypatch):
+    # A lexicon in the environment changes nothing: classify, evaluate and
+    # report read one only from --lexicon.
+    monkeypatch.setenv("NOTEDTA_LEXICON", str(_renamed_lexicon(tmp_path)))
+    path = _evaluated_report(tmp_path, capsys)
+    code, out, _ = run(capsys, "report", str(path))
+    assert code == 0 and out == (tmp_path / "report.md").read_text(encoding="utf-8")
+    assert "Tiredness" not in out and default_lexicon().rule(37).label in out
+    notes = tmp_path / "notes.txt"
+    notes.write_text(_CLASSIFY_NOTES, encoding="utf-8")
+    assert run(capsys, "classify", str(notes)) == (0, _classified(_CLASSIFY_NOTES).decode(), "")
 
 
 @pytest.mark.parametrize("fmt", ["markdown", "csv"])
@@ -386,6 +413,7 @@ def test_report_label_not_in_lexicon_is_exit_1(tmp_path, capsys, monkeypatch):
     (("controls",), lambda controls: controls[::-1]),
     (("controls",), lambda controls: [controls[0], controls[0], *controls[2:]]),
     (("condition",), "hepatitis_c"),
+    (("ci_level",), "0.9"),
 ])
 def test_report_malformed_stored_value_is_exit_1(tmp_path, capsys, fmt, keys, stored):
     path = _evaluated_report(tmp_path, capsys)
@@ -640,25 +668,31 @@ def test_cutoff_flags(tmp_path, capsys):
     cohort = tmp_path / "c.csv"
     cohort.write_text(
         "record_id,age,sex,note_text,hbsag_iu,anti_hcv_iu,collection_year\n"
-        "r1,38,M,Known Hep B,2.0,,\n",
+        "r1,38,M,Known Hep B,2.0,2.0,\n"
+        "r2,38,M,Known Hep C,2.0,2.0,\n",
         encoding="utf-8",
     )
-    outdir = tmp_path / "o"
-    run(capsys, "evaluate", str(cohort), "--condition", "hbv", "--outdir", str(outdir),
-        "--hbsag-cutoff", "5.0")
-    payload = json.loads((outdir / "report.json").read_text())
-    # 2.0 < 5.0, so the known-positive note becomes a false positive
-    assert payload["primary"]["counts"] == {"tp": 0, "fp": 1, "fn": 0, "tn": 0}
+    # 2.0 is positive at either default cutoff; at 5.0 each condition's
+    # known-positive note, scored on its own marker, becomes a false positive.
+    for condition in ("hbv", "hcv"):
+        for cutoff, counts in ((None, [1, 0]), ("5.0", [0, 1])):
+            outdir = tmp_path / condition / str(cutoff)
+            flag = () if cutoff is None else ("--cutoff", cutoff)
+            run(capsys, "evaluate", str(cohort), "--condition", condition,
+                "--outdir", str(outdir), *flag)
+            payload = json.loads((outdir / "report.json").read_text())
+            assert payload["primary"]["counts"] == dict(zip(("tp", "fp", "fn", "tn"),
+                                                            [*counts, 0, 0]))
 
 
-@pytest.mark.parametrize("flag,value", [("--hbsag-cutoff", "nan"), ("--anti-hcv-cutoff", "inf")])
-def test_non_finite_cutoff_is_exit_1(tmp_path, capsys, flag, value):
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_non_finite_cutoff_is_exit_1(tmp_path, capsys, value):
     cohort = tmp_path / "c.csv"
     run(capsys, "synth", str(cohort), "--preset", "figS1-hbv", "--seed", "1")
     code, _, err = run(capsys, "evaluate", str(cohort), "--condition", "hbv",
-                       "--outdir", str(tmp_path / "o"), flag, value)
+                       "--outdir", str(tmp_path / "o"), "--cutoff", value)
     assert code == 1
-    assert "error: cutoffs must be finite and > 0" in err
+    assert err == f"error: cutoff must be finite and > 0: {value}\n"
 
 
 def test_inputs_not_mutated(tmp_path, capsys):
@@ -679,9 +713,13 @@ def test_inputs_not_mutated(tmp_path, capsys):
         (("synth", "x.csv"), "one of the arguments --preset --n is required"),
         (("synth", "x.csv", "--preset", "figS1-hbv", "--n", "500"),
          "argument --n: not allowed with argument --preset"),
+        (("evaluate", "c.csv", "--condition", "hbv", "--hbsag-cutoff", "2"),
+         "unrecognized arguments: --hbsag-cutoff 2"),
+        (("evaluate", "c.csv", "--condition", "hcv", "--anti-hcv-cutoff", "2"),
+         "unrecognized arguments: --anti-hcv-cutoff 2"),
     ],
     ids=["bad-choice", "missing-required", "bad-int", "unknown-subcommand", "synth-neither",
-         "synth-both"],
+         "synth-both", "removed-hbsag-cutoff", "removed-anti-hcv-cutoff"],
 )
 def test_usage_error_is_exit_1(capsys, argv, message):
     # Exit 2 means an internal failure; a bad command line is an input error.

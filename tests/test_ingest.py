@@ -204,14 +204,16 @@ _ASSAY = st.none() | st.floats() | st.floats(min_value=0.0) | st.sampled_from([0
 # Values of the wrong type, which no file could hold: the model must reject them.
 _WRONG_TYPE = st.sampled_from([True, False, 5.5, 2000.5, numpy.float64(1.5), Decimal("1.5"),
                                5, None, "male"])
+# Integer assays: exact as floats, and not (the model must reject those).
+_INT_ASSAY = st.sampled_from([0, 7, 2**53, 2**53 + 1, 10**400])
 _CANDIDATE = st.builds(
     dict,
     record_id=_TEXT | _WRONG_TYPE,
     age=st.none() | st.integers(-5, 140) | _WRONG_TYPE,
     sex=st.sampled_from(Sex) | _WRONG_TYPE,
     note_text=_TEXT | _WRONG_TYPE,
-    hbsag_iu=_ASSAY | _WRONG_TYPE,
-    anti_hcv_iu=_ASSAY | _WRONG_TYPE,
+    hbsag_iu=_ASSAY | _WRONG_TYPE | _INT_ASSAY,
+    anti_hcv_iu=_ASSAY | _WRONG_TYPE | _INT_ASSAY,
     collection_year=st.none() | st.integers(-5000, 5000) | st.integers(1790, 2210) | _WRONG_TYPE,
 )
 

@@ -82,9 +82,31 @@ def test_build_contingency_permutation_invariant():
         assert (table, excl) == (base, base_excl)
 
 
+@pytest.mark.parametrize("pair", [("Positive", POS), (1, POS), (True, POS), (None, NEG),
+                                  ("positive", "positive"), ("negative", None), ("positive", True)])
+def test_build_contingency_rejects_what_it_cannot_count(pair):
+    # Each used to land in a cell: an unknown label counted as a negative
+    # test, an unknown truth as a positive or negative marker.
+    with pytest.raises(ValueError, match="^(test label|truth) is not"):
+        build_contingency([("positive", POS), pair])
+
+
 def test_negative_counts_rejected():
     with pytest.raises(ValueError):
         ContingencyTable(-1, 0, 0, 0)
+
+
+@pytest.mark.parametrize("count", [True, 1.0, "1"])
+def test_count_of_another_type_rejected(count):
+    # A bool would be written to report.json as `true`, which `report` rejects.
+    with pytest.raises(ValueError, match="tp must be a non-negative integer"):
+        ContingencyTable(count, 0, 0, 0)
+
+
+@pytest.mark.parametrize("level", ["0.9", None, 1])
+def test_ci_level_of_another_type_rejected(level):
+    with pytest.raises(ValueError, match=r"^confidence level must be in \(0,1\)"):
+        CiConfig(level)
 
 
 # -- point estimates ---------------------------------------------------------
@@ -420,12 +442,15 @@ def test_import_notedta_loads_no_submodule():
 @pytest.mark.parametrize(
     "setup, absent",
     [
-        ("import notedta.cli", ("notedta.evaluate", "notedta.ingest")),
-        (_RUN_CLI.format(argv=["classify", "/dev/null"]), ("notedta.evaluate", "notedta.ingest")),
+        ("import notedta.cli", ("notedta.evaluate", "notedta.ingest", "notedta.serology")),
+        (_RUN_CLI.format(argv=["classify", "/dev/null"]),
+         ("notedta.evaluate", "notedta.ingest", "notedta.serology")),
         (_RUN_CLI.format(argv=["synth", "{d}/s.csv", "--preset", "figS1-hbv"]),
-         ("notedta.evaluate",)),
+         ("notedta.evaluate", "notedta.serology")),
+        (_RUN_CLI.format(argv=["validate", "{d}/cohort.csv"]),
+         ("notedta.evaluate", "notedta.serology")),
     ],
-    ids=["import-cli", "classify", "synth"],
+    ids=["import-cli", "classify", "synth", "validate"],
 )
 def test_cli_loads_only_what_the_command_runs(cli_inputs, setup, absent):
     loaded = _modules_loaded_by(setup.replace("{d}", str(cli_inputs)), _SUBMODULES)
@@ -455,7 +480,7 @@ _EXPORTED = {
                 "adjust_predictive_values", "build_contingency", "ci_likelihood_ratio",
                 "ci_proportion", "compute_metrics"),
     "model": ("Cohort", "Condition", "PathologyRecord", "SerologyStatus", "Sex"),
-    "serology": ("SerologyThresholds", "classify_marker"),
+    "serology": ("classify_marker",),
     "synth": ("SynthesisSpec", "synthesize_exact", "synthesize_random"),
 }
 

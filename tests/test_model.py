@@ -33,6 +33,18 @@ def test_assay_values_must_be_finite_nonnegative(value):
         assert str(err.value) == f"{field}: must be finite and >= 0: {value!r}"
 
 
+@pytest.mark.parametrize("value", [2**53 + 1, -(2**53) - 1, 10**400],
+                         ids=["2**53+1", "-2**53-1", "10**400"])
+def test_integer_assay_beyond_2_53_rejected(value):
+    # A file holds assays as floats: 2**53 + 1 would read back as 2**53, and
+    # 10**400 not at all.
+    for field in ("hbsag_iu", "anti_hcv_iu"):
+        with pytest.raises(ValueError) as err:
+            PathologyRecord("r1", **{field: value})
+        assert str(err.value) == f"{field}: integer beyond 2**53 in magnitude"
+        assert getattr(PathologyRecord("r1", **{field: 2**53}), field) == 2**53
+
+
 @pytest.mark.parametrize(
     "field, value, problem",
     [("record_id", 5, "not a str: 5"), ("age", 5.5, "not an integer: 5.5"),

@@ -1,12 +1,13 @@
 """Differential test: the tally of `evaluate_condition` against the loop it replaced.
 
-`_oracle_evaluate_condition` is a verbatim copy of `evaluate_condition` as
+`_oracle_evaluate_condition` is a copy of `evaluate_condition` as
 it was before its tally stopped keying pairs by `SerologyStatus`, and
-`_oracle_classify_marker` a verbatim copy of `classify_marker` as it was
-before it picked the marker and cutoff inline, with test-local copies of the
-two selectors it called, `PathologyRecord.assay_value` and
-`SerologyThresholds.cutoff`, which the library has since dropped. Results
-must be equal field for field, floats bit for bit.
+`_oracle_classify_marker` a copy of `classify_marker` as it was before it
+picked the marker and cutoff inline, with a test-local copy of the marker
+selector it called, `PathologyRecord.assay_value`, which the library has
+since dropped. Both oracles take one cutoff per condition, as the
+evaluation's settings did before they held only the target condition's.
+Results must be equal field for field, floats bit for bit.
 """
 
 import math
@@ -25,7 +26,7 @@ from notedta.evaluate import (
 from notedta.ingest import summarize_demographics
 from notedta.metrics import CiConfig, build_contingency, compute_metrics
 from notedta.model import Cohort, Condition, PathologyRecord, SerologyStatus
-from notedta.serology import SerologyThresholds, classify_marker
+from notedta.serology import classify_marker
 
 _ORACLE_PAIRS = {(label, status): (label, status)
                  for label in ("positive", "negative") for status in SerologyStatus}
@@ -37,13 +38,16 @@ def _assay_value(record, condition):
     return record.anti_hcv_iu
 
 
+# (HBsAg cutoff, anti-HCV cutoff) pairs: the defaults, and two others.
+_DEFAULTS = (Condition.HEPATITIS_B.default_cutoff, Condition.HEPATITIS_C.default_cutoff)
+_THRESHOLDS = (_DEFAULTS, (0.5, 2.0))
+
+
 def _cutoff(thresholds, condition):
-    if condition is Condition.HEPATITIS_B:
-        return thresholds.hbsag_cutoff
-    return thresholds.anti_hcv_cutoff
+    return thresholds[0 if condition is Condition.HEPATITIS_B else 1]
 
 
-def _oracle_classify_marker(record, condition, thresholds=SerologyThresholds()):
+def _oracle_classify_marker(record, condition, thresholds=_DEFAULTS):
     value = _assay_value(record, condition)
     if value is None:
         return SerologyStatus.MISSING
@@ -52,7 +56,7 @@ def _oracle_classify_marker(record, condition, thresholds=SerologyThresholds()):
     return SerologyStatus.NEGATIVE
 
 
-def _oracle_evaluate_condition(cohort, config, lexicon=None):
+def _oracle_evaluate_condition(cohort, config, thresholds, lexicon=None):
     lexicon = lexicon or default_lexicon()
     condition = config.target_condition
     evaluated = (condition.category_id, *CONTROL_CATEGORIES)
@@ -69,7 +73,7 @@ def _oracle_evaluate_condition(cohort, config, lexicon=None):
         if not cids:
             continue
         label = cls.hbv_label if condition is Condition.HEPATITIS_B else cls.hcv_label
-        pair = _ORACLE_PAIRS[label, _oracle_classify_marker(rec, condition, config.thresholds)]
+        pair = _ORACLE_PAIRS[label, _oracle_classify_marker(rec, condition, thresholds)]
         for cid in cids:
             pairs[cid].append(pair)
     tables = {cid: build_contingency(pairs.pop(cid)) for cid in evaluated}
@@ -106,7 +110,6 @@ _NOTES = st.sampled_from([
     "", "routine bloods",
 ]) | st.text(max_size=16)
 
-_THRESHOLDS = (SerologyThresholds(), SerologyThresholds(0.5, 2.0))
 _CUTOFFS = sorted({c for t in _THRESHOLDS for c in t})
 # Missing markers, markers exactly at each cutoff, one ulp either side of it,
 # and values well away from every cutoff.
@@ -131,11 +134,13 @@ def test_tally_matches_the_loop_it_replaced(rows, condition, exclude_vaccination
         PathologyRecord(f"r{i}", note_text=note, hbsag_iu=hbsag, anti_hcv_iu=anti_hcv)
         for i, (note, hbsag, anti_hcv) in enumerate(rows)
     ))
-    config = EvaluationConfig(condition, exclude_vaccination, thresholds,
+    # The defaults reach the library as None, the others as the condition's cutoff.
+    cutoff = None if thresholds == _DEFAULTS else _cutoff(thresholds, condition)
+    config = EvaluationConfig(condition, exclude_vaccination, cutoff,
                               CiConfig(proportion_method=ci_method))
     lexicon = default_lexicon()
     got = evaluate_condition(cohort, config, lexicon)
-    expected = _oracle_evaluate_condition(cohort, config, lexicon)
+    expected = _oracle_evaluate_condition(cohort, config, thresholds, lexicon)
     assert got == expected
     assert repr(got) == repr(expected)  # floats bit for bit, -0.0 included
 
@@ -145,5 +150,5 @@ def test_classify_marker_matches_the_one_it_replaced():
         record = PathologyRecord("r", hbsag_iu=value, anti_hcv_iu=value)
         for thresholds in _THRESHOLDS:
             for condition in Condition:
-                assert (classify_marker(record, condition, thresholds)
+                assert (classify_marker(record, condition, _cutoff(thresholds, condition))
                         is _oracle_classify_marker(record, condition, thresholds))

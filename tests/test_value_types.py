@@ -13,7 +13,6 @@ from notedta.evaluate import CategoryResult, EvaluationConfig, EvaluationResult
 from notedta.ingest import CohortSummary, ValidationReport
 from notedta.metrics import CiConfig, ContingencyTable, MetricEstimate, MetricPanel
 from notedta.model import Cohort, Condition, PathologyRecord, Sex
-from notedta.serology import SerologyThresholds
 from notedta.synth import SynthesisSpec
 
 TABLE = ContingencyTable(3, 1, 0, 2)
@@ -30,7 +29,6 @@ SAMPLES = {
     "MetricPanel": lambda: PANEL,
     "PathologyRecord": lambda: PathologyRecord("r1", age=40, sex=Sex.FEMALE, note_text="Hep B",
                                                hbsag_iu=2.0),
-    "SerologyThresholds": lambda: SerologyThresholds(anti_hcv_cutoff=0.5),
     "SynthesisSpec": lambda: SynthesisSpec(Condition.HEPATITIS_B, TABLE, n_missing=1, seed=3),
     "EvaluationConfig": lambda: EvaluationConfig(Condition.HEPATITIS_C),
     "CategoryResult": lambda: RESULT,
@@ -64,7 +62,6 @@ REPRS = {
         "PathologyRecord(record_id='r1', age=40, sex=<Sex.FEMALE: 'female'>, "
         "note_text='Hep B', hbsag_iu=2.0, anti_hcv_iu=None, collection_year=None)"
     ),
-    "SerologyThresholds": "SerologyThresholds(hbsag_cutoff=1.6, anti_hcv_cutoff=0.5)",
     "SynthesisSpec": (
         "SynthesisSpec(condition=<Condition.HEPATITIS_B: 'hepatitis_b'>, "
         "target_table=ContingencyTable(tp=3, fp=1, fn=0, tn=2), n_missing=1, age_mean=40.0, "
@@ -72,8 +69,8 @@ REPRS = {
     ),
     "EvaluationConfig": (
         "EvaluationConfig(target_condition=<Condition.HEPATITIS_C: 'hepatitis_c'>, "
-        "exclude_vaccination=True, thresholds=SerologyThresholds(hbsag_cutoff=1.6, "
-        "anti_hcv_cutoff=1.0), ci=CiConfig(level=0.95, proportion_method='exact'))"
+        "exclude_vaccination=True, cutoff=None, ci=CiConfig(level=0.95, "
+        "proportion_method='exact'))"
     ),
     "CategoryResult": (
         "CategoryResult(category_id=1, label='Hepatitis B', icd10_chapter='B18', "
@@ -171,7 +168,7 @@ CHECKED = [
     ("ContingencyTable", "fn", -1),
     ("PathologyRecord", "age", 200),
     ("PathologyRecord", "hbsag_iu", float("nan")),
-    ("SerologyThresholds", "hbsag_cutoff", 0.0),
+    ("EvaluationConfig", "cutoff", 0.0),
     ("SynthesisSpec", "n_missing", -1),
     ("SynthesisSpec", "sex_split", (1, 1)),
     ("CategoryRule", "category_id", 47),

@@ -1,6 +1,6 @@
 """Command-line entry point.
 
-Subcommands: validate, classify, evaluate, synth, report. Batch,
+Subcommands: validate, classify, evaluate, synth. Batch,
 file-based: each run writes its artifacts and prints a terse summary.
 Exit codes: 0 success, 1 input error (a malformed command line included),
 2 internal invariant failure.
@@ -21,15 +21,14 @@ from .synth import PRESETS, preset_spec, synthesize_exact, synthesize_random
 # (`classify` never loads evaluate or ingest). They stay attributes of this
 # module, looked up at call time, so a caller can replace them here.
 _LAZY = {
-    "evaluate": ("EvaluationConfig", "EvaluationResult", "emit_demographics_csv",
-                 "emit_plot_data", "emit_report", "evaluate_condition"),
+    "evaluate": ("EvaluationConfig", "emit_demographics_csv", "emit_plot_data", "emit_report",
+                 "evaluate_condition"),
     "ingest": ("parse_cohort_file", "validate_cohort_file", "write_cohort_file"),
 }
 TYPE_CHECKING = False  # read as true by type checkers; spares importing typing
 if TYPE_CHECKING:
     from .evaluate import (
         EvaluationConfig,
-        EvaluationResult,
         emit_demographics_csv,
         emit_plot_data,
         emit_report,
@@ -106,11 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--condition", choices=sorted(_CONDITIONS), help="with --n (default: hbv)")
     p.add_argument("--prevalence", type=float, help="with --n (default: 0.1)")
     p.add_argument("--seed", type=int, default=0)
-
-    p = sub.add_parser("report", help="re-render a stored JSON result")
-    p.add_argument("input", help="report.json written by evaluate")
-    p.add_argument("--format", choices=["markdown", "csv"], default="markdown")
-    p.add_argument("--lexicon", help=_LEXICON_HELP)
     return parser
 
 
@@ -194,7 +188,7 @@ def _cmd_synth(args) -> int:
     _load("ingest")
     if args.preset:
         if args.condition or args.prevalence is not None:
-            raise CliInputError("--condition and --prevalence apply only with --n")
+            raise ValueError("--condition and --prevalence apply only with --n")
         cohort = synthesize_exact(preset_spec(args.preset, args.seed))
     else:
         condition = _CONDITIONS[args.condition or "hbv"]
@@ -209,29 +203,11 @@ def _cmd_synth(args) -> int:
     return 0
 
 
-def _cmd_report(args) -> int:
-    # Re-render the stored full-precision result with evaluate's own renderer.
-    _load("evaluate")
-    lexicon = _load_lexicon(args.lexicon)
-    try:
-        with open(args.input, encoding="utf-8") as fh:
-            result = EvaluationResult.from_json(fh.read(), lexicon)
-    except ValueError as err:
-        raise CliInputError(f"{args.input}: {err}") from err
-    print(emit_report(result, args.format), end="")
-    return 0
-
-
-class CliInputError(ValueError):
-    pass
-
-
 _COMMANDS = {
     "validate": _cmd_validate,
     "classify": _cmd_classify,
     "evaluate": _cmd_evaluate,
     "synth": _cmd_synth,
-    "report": _cmd_report,
 }
 
 
@@ -240,7 +216,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _COMMANDS[args.subcommand](args)
-    except (OSError, ValueError) as err:  # CliInputError and CohortFormatError included
+    except (OSError, ValueError) as err:  # CohortFormatError included
         print(f"error: {err}", file=sys.stderr)
         return 1
     except Exception as err:  # internal invariant failure, or no scipy for the quantiles

@@ -25,9 +25,7 @@ from .ingest import CohortSummary, summarize_demographics
 from .metrics import (
     METRICS,
     CiConfig,
-    ContingencyTable,
     MetricEstimate,
-    MetricPanel,
     build_contingency,
     compute_metrics,
     format_percent,
@@ -82,48 +80,13 @@ class CategoryResult(namedtuple("CategoryResult", "category_id label icd10_chapt
 
 
 class EvaluationResult(namedtuple("EvaluationResult", "condition primary controls summary "
-                                                    "ci_level", defaults=(0.95,))):
+                                                    "ci_level")):
     """ci_level: the confidence level of every interval in the panels."""
 
     __slots__ = ()
 
     def all_results(self) -> tuple[CategoryResult, ...]:
         return (self.primary, *self.controls)
-
-    @classmethod
-    def from_json(cls, text: str, lexicon: Lexicon) -> "EvaluationResult":
-        """Inverse of ``emit_report(result, "json")``.
-
-        The JSON stores no ICD-10 chapters, so they come from ``lexicon``,
-        whose labels must match the stored ones. The JSON stores no age
-        histogram either, so the summary's is None. The category blocks must
-        be the evaluated set: the condition's own category first, then
-        ``CONTROL_CATEGORIES`` in order, each once.
-        """
-        payload = json.loads(text)
-        try:
-            summary = CohortSummary(**{k: _stored(v, f"demographics {k}", count=k.startswith("n_"))
-                                       for k, v in payload["demographics"].items()})
-            condition = Condition(payload["condition"])
-            primary = _panel_from_json(payload["primary"], lexicon)
-            controls = tuple(_panel_from_json(c, lexicon) for c in payload["controls"])
-            if primary.category_id != condition.category_id:
-                raise ValueError(
-                    f"malformed report: primary category {primary.category_id} is not "
-                    f"{condition.value}'s category {condition.category_id}"
-                )
-            ids = tuple(c.category_id for c in controls)
-            if ids != CONTROL_CATEGORIES:
-                raise ValueError(
-                    f"malformed report: control categories {list(ids)} are not "
-                    f"{list(CONTROL_CATEGORIES)}, in that order"
-                )
-            level = CiConfig(_stored(payload.get("ci_level", 0.95), "ci_level")).level  # in (0,1)
-            return cls(condition, primary, controls, summary, level)
-        except KeyError as err:
-            raise ValueError(f"malformed report: missing or unknown key {err}") from err
-        except (AttributeError, TypeError) as err:  # a list or number where a dict belongs
-            raise ValueError(f"malformed report: {err}") from err
 
 
 def evaluate_condition(
@@ -239,55 +202,6 @@ def _panel_json(result: CategoryResult) -> dict:
         **{m: est(getattr(p, m)) for m in METRICS},
         "prevalence_sample": p.prevalence_sample,
     }
-
-
-def _stored(value, where: str, count: bool = False):
-    """A stored count (an int >= 0) or number (a finite int or float, None, or
-    "inf", the only way to store infinity). A bool is neither."""
-    if not count and value == "inf":
-        return math.inf
-    if not count and value is None:
-        return None
-    if (isinstance(value, bool) or not isinstance(value, int if count else (int, float))
-            or not (value >= 0 if count else math.isfinite(value))):
-        kind = "count" if count else "number"
-        raise ValueError(f"malformed report: {where}: {value!r} is not a {kind}")
-    return value
-
-
-def _panel_from_json(block: dict, lexicon: Lexicon) -> CategoryResult:
-    # A count rules out true (category 1 to `rule`) and 10.0 (category 10).
-    rule = lexicon.rule(_stored(block["category_id"], "category_id", count=True))
-    where = f"category {rule.category_id}"
-
-    def est(m: str) -> MetricEstimate:
-        d = block[m]
-        numbers = (_stored(d[k], f"{where} {m}.{k}") for k in ("value", "ci_low", "ci_high"))
-        return MetricEstimate(*numbers, method=d["method"], note=d["note"])
-
-    if block["label"] != rule.label:
-        raise ValueError(
-            f"{where}: label {block['label']!r} differs from the lexicon's {rule.label!r}"
-        )
-    for key in ("n_missing_excluded", "n_vaccination_excluded"):
-        _stored(block[key], f"{where} {key}", count=True)
-    table = ContingencyTable(**{k: _stored(v, f"{where} counts.{k}", count=True)
-                                for k, v in block["counts"].items()})
-    if block["n_evaluated"] != table.n:
-        raise ValueError(
-            f"malformed report: {where}: n_evaluated "
-            f"{block['n_evaluated']!r} differs from the counts' total {table.n}"
-        )
-    return CategoryResult(
-        category_id=rule.category_id,
-        label=rule.label,
-        icd10_chapter=rule.icd10_chapter,
-        n_missing_excluded=block["n_missing_excluded"],
-        n_vaccination_excluded=block["n_vaccination_excluded"],
-        table=table,
-        panel=MetricPanel(*map(est, METRICS), prevalence_sample=_stored(
-            block["prevalence_sample"], f"{where} prevalence_sample")),
-    )
 
 
 def emit_report(result: EvaluationResult, format: str) -> str:

@@ -173,11 +173,10 @@ def write_cohort_file(cohort: Cohort, path) -> None:
 
 
 class CohortSummary(namedtuple("CohortSummary", "n_total age_mean age_sd n_male n_female "
-                                              "n_unspecified age_histogram", defaults=(None,))):
+                                              "n_unspecified age_histogram")):
     """Demographic counts of a cohort.
 
-    age_histogram: (decade start, count) pairs; None in a summary decoded
-        from report.json.
+    age_histogram: (decade start, count) pairs.
     """
 
     __slots__ = ()

@@ -60,6 +60,12 @@ def _z_quantile(level: float) -> float:
     return float(_scipy_ufuncs().ndtri(1.0 - (1.0 - level) / 2.0))
 
 
+def _check_level(level) -> None:
+    """The one rule for a confidence level: a float strictly inside (0, 1)."""
+    if not (isinstance(level, float) and 0.0 < level < 1.0):
+        raise ValueError(f"confidence level must be in (0,1): {level!r}")
+
+
 class CiConfig(namedtuple("CiConfig", "level proportion_method")):
     """How the panel's intervals are computed.
 
@@ -71,8 +77,7 @@ class CiConfig(namedtuple("CiConfig", "level proportion_method")):
     _make = checked_make
 
     def __new__(cls, level: float = 0.95, proportion_method: str = "exact"):
-        if not (isinstance(level, float) and 0.0 < level < 1.0):
-            raise ValueError(f"confidence level must be in (0,1): {level!r}")
+        _check_level(level)
         if proportion_method not in ("exact", "score"):
             raise ValueError(f"unknown proportion CI method: {proportion_method!r}")
         return tuple.__new__(cls, (level, proportion_method))
@@ -155,8 +160,10 @@ def ci_proportion(
     """Two-sided binomial confidence interval for ``successes/trials``.
 
     ``exact`` is the equal-tailed Clopper-Pearson interval (beta quantile
-    form), ``score`` the Wilson interval.
+    form), ``score`` the Wilson interval. ``level`` must be a float in
+    (0, 1), as for `CiConfig`.
     """
+    _check_level(level)
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not (0 <= successes <= trials):
@@ -196,8 +203,10 @@ def ci_likelihood_ratio(
     """Log-method confidence interval for LR+ or LR-.
 
     Requires tp >= 1 and fp >= 1 (LR+), or fn >= 1 and tn >= 1 (LR-);
-    returns None when the precondition fails.
+    returns None when the precondition fails. ``level`` must be a float in
+    (0, 1), as for `CiConfig`.
     """
+    _check_level(level)
     x, x_tot, y, y_tot = _lr_cells(table.tp, table.fp, table.fn, table.tn, which)
     if x <= 0 or y <= 0:
         return None

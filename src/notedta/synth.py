@@ -109,11 +109,20 @@ class SynthesisSpec(namedtuple("SynthesisSpec", "condition target_table n_missin
     def __new__(cls, condition: Condition, target_table: ContingencyTable, n_missing: int = 0,
                 age_mean: float = 40.0, age_sd: float = 17.0,
                 sex_split: tuple[int, int] | None = None, seed: int = 0):
-        if n_missing < 0:
-            raise ValueError("n_missing must be >= 0")
+        # By exact type, as a bool is an int; the comparisons rule out nan.
+        if type(n_missing) is not int or n_missing < 0:
+            raise ValueError(f"n_missing must be an int >= 0: {n_missing!r}")
+        if type(seed) is not int:
+            raise ValueError(f"seed must be an int: {seed!r}")
+        if not (type(age_mean) in (int, float) and -math.inf < age_mean < math.inf):
+            raise ValueError(f"age_mean must be finite: {age_mean!r}")
+        if not (type(age_sd) in (int, float) and 0 <= age_sd < math.inf):
+            raise ValueError(f"age_sd must be finite and >= 0: {age_sd!r}")
         total = target_table.n + n_missing
         if sex_split is None:
             sex_split = (total // 2, total - total // 2)
+        if len(sex_split) != 2 or any(type(count) is not int for count in sex_split):
+            raise ValueError(f"sex_split {sex_split} must be two int counts")
         if min(sex_split) < 0:
             raise ValueError(f"sex_split {sex_split} counts must be >= 0")
         if sum(sex_split) != total:

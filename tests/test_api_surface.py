@@ -6,16 +6,20 @@ constructor (`__new__` or `__init__`); `self` and `cls` are left out. The
 sorted list must equal `SURFACE`, so a parameter added or removed shows up
 as one line of this file's diff. `OPTIONS` does the same for the arguments
 of each subcommand, read from the parser, and no module reads the
-environment: every setting of a run is on its command line.
+environment: every setting of a run is on its command line. Every
+`notedta` line of README's `sh` blocks must parse, so the README names no
+removed subcommand or flag.
 """
 
 import argparse
 import ast
+import shlex
 from pathlib import Path
 
 from notedta.cli import build_parser
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "notedta"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "notedta"
 
 SURFACE = [
     "classifier.CategoryRule.__new__(category_id)",
@@ -36,8 +40,6 @@ SURFACE = [
     "evaluate.EvaluationConfig.__new__(cutoff)",
     "evaluate.EvaluationConfig.__new__(exclude_vaccination)",
     "evaluate.EvaluationConfig.__new__(target_condition)",
-    "evaluate.EvaluationResult.from_json(lexicon)",
-    "evaluate.EvaluationResult.from_json(text)",
     "evaluate.emit_demographics_csv(summary)",
     "evaluate.emit_plot_data(result)",
     "evaluate.emit_report(format)",
@@ -140,7 +142,6 @@ OPTIONS = {
     "classify": ["--help", "--lexicon", "-h", "input"],
     "evaluate": ["--ci-level", "--ci-method", "--condition", "--cutoff", "--help",
                  "--keep-vaccination", "--lexicon", "--outdir", "-h", "input"],
-    "report": ["--format", "--help", "--lexicon", "-h", "input"],
     "synth": ["--condition", "--help", "--n", "--preset", "--prevalence", "--seed", "-h",
               "output"],
     "validate": ["--help", "--report", "--strict", "-h", "input"],
@@ -165,3 +166,24 @@ def test_no_module_reads_the_environment():
         and any(alias.name in env for alias in node.names)
     ]
     assert reads == []
+
+
+def readme_commands() -> list[str]:
+    """The lines of README's `sh` blocks that run `notedta`."""
+    commands, in_sh = [], False
+    for line in (ROOT / "README.md").read_text(encoding="utf-8").splitlines():
+        if line.startswith("```"):
+            in_sh = line == "```sh"
+        elif in_sh and line.startswith("notedta "):
+            commands.append(line)
+    return commands
+
+
+def test_readme_commands_parse():
+    commands, rejected = readme_commands(), []
+    for line in commands:
+        try:
+            build_parser().parse_args(shlex.split(line, comments=True)[1:])
+        except SystemExit:  # a usage error: exit 1
+            rejected.append(line)
+    assert commands and rejected == []

@@ -34,19 +34,32 @@ def test_synth_preset_deterministic(tmp_path, capsys):
     assert len(a.read_text().splitlines()) == 1 + 241
 
 
-# sha256 of `synth --preset P --seed 1` and of the report.md and
-# demographics.csv that `evaluate` writes for it. Any change to them is an
-# output change and must be made on purpose.
+# sha256 of `synth --preset P --seed 1` and of each file `evaluate` writes
+# for it. The full-precision files pin every float bit for bit, which the
+# 2-dp report.md does not. Any change to them is an output change and must
+# be made on purpose.
 PRESET_DIGESTS = {
     ("figS1-hbv", "hbv"): {
         "cohort.csv": "5f14de999c286a3f9c450c935326fa8b8ac17d1971708b9295966c267804b953",
         "report.md": "a73fbb5a1bedf44c319180078bb164908333c8dac08558a3cea250b1775d258b",
         "demographics.csv": "ac3f1dbe7299fb85d57b0bb7e599f758216e41acd476f783021a4ad21ba4a9a4",
+        "report.json": "64e0bb8c0dec935e21cfc16f80834666e63c02713857be528e7c959ad57f1069",
+        "report.csv": "c294da23dc42ce9db509df8d3c210cd5199c60edbfb4b4dbef663e58e9df6bf3",
+        "plotdata_sensitivity.csv":
+            "66442ebde00e33aacabf13902927b77756536c1d6a80dba54b398fa5c8a92613",
+        "plotdata_specificity.csv":
+            "f2039f2c29fed278a43ec56bf84eddd19d2cb0dfdf8637c87327a4cfccbced2d",
     },
     ("figS1-hcv", "hcv"): {
         "cohort.csv": "61680e16fd14a3b5c59b7c7f2b618ad5057319dd0fce798e5ac4759c51bd1bc7",
         "report.md": "17d0855b92663a480694651cfab634238226efbdaebca8315baeeae12977e6e7",
         "demographics.csv": "fe462fbe48b7d8e7c779933c2e85482465d72c7d157ce71d395385e66999656b",
+        "report.json": "14d50dccde7ff4e630b2aa7d57065175b57ffd2eabdd74fce38d7e841d56899e",
+        "report.csv": "d5d0dadd293ad7de2eb57f1fa0e4af47022a08a03b37fe82e64ac36d1ef0c6c6",
+        "plotdata_sensitivity.csv":
+            "5211d67463041814a23c7f291e9f47ddac75afcd9acf1cdbf4f5f8e5e64fbbdd",
+        "plotdata_specificity.csv":
+            "26d0085b8eb44acfed1ec488f5bedacf1247d2a2e61e571ee8b3f1cfa40da2a1",
     },
 }
 
@@ -272,21 +285,7 @@ def test_unreadable_path_is_exit_1(tmp_path, capsys, argv):
     assert "internal error" not in err
 
 
-def test_report_rerender(tmp_path, capsys):
-    # report re-renders report.json into exactly the files evaluate wrote
-    for preset, condition in (("figS1-hbv", "hbv"), ("figS1-hcv", "hcv")):
-        cohort = tmp_path / f"{preset}.csv"
-        outdir = tmp_path / preset
-        run(capsys, "synth", str(cohort), "--preset", preset, "--seed", "1")
-        run(capsys, "evaluate", str(cohort), "--condition", condition, "--outdir", str(outdir))
-        for fmt, name in (("csv", "report.csv"), ("markdown", "report.md")):
-            code, out, _ = run(capsys, "report", str(outdir / "report.json"), "--format", fmt)
-            assert code == 0
-            # bytes, so the CSV's \r\n line ends are compared too
-            assert out == (outdir / name).read_bytes().decode("utf-8")
-
-
-def test_report_rerender_at_non_default_ci_level(tmp_path, capsys):
+def test_evaluate_labels_a_non_default_ci_level(tmp_path, capsys):
     cohort = tmp_path / "cohort.csv"
     run(capsys, "synth", str(cohort), "--preset", "figS1-hbv", "--seed", "1")
     code, _, _ = run(capsys, "evaluate", str(cohort), "--condition", "hbv",
@@ -295,48 +294,6 @@ def test_report_rerender_at_non_default_ci_level(tmp_path, capsys):
     written = (tmp_path / "report.md").read_text(encoding="utf-8")
     assert "(80% CI)" in written and "95%" not in written
     assert json.loads((tmp_path / "report.json").read_text())["ci_level"] == 0.8
-    code, out, _ = run(capsys, "report", str(tmp_path / "report.json"), "--format", "markdown")
-    assert code == 0 and out == written
-
-
-def _evaluated_report(tmp_path, capsys):
-    cohort = tmp_path / "cohort.csv"
-    run(capsys, "synth", str(cohort), "--preset", "figS1-hbv", "--seed", "1")
-    run(capsys, "evaluate", str(cohort), "--condition", "hbv", "--outdir", str(tmp_path))
-    return tmp_path / "report.json"
-
-
-def test_report_missing_key_is_exit_1(tmp_path, capsys):
-    path = _evaluated_report(tmp_path, capsys)
-    payload = json.loads(path.read_text())
-    del payload["primary"]["counts"]
-    path.write_text(json.dumps(payload))
-    code, out, err = run(capsys, "report", str(path))
-    assert code == 1 and out == ""
-    assert str(path) in err and "counts" in err
-    assert "internal error" not in err
-
-
-@pytest.mark.parametrize("level", [None, "0.8", 1.5, 0.0])
-def test_report_bad_ci_level_is_exit_1(tmp_path, capsys, level):
-    path = _evaluated_report(tmp_path, capsys)
-    payload = json.loads(path.read_text())
-    payload["ci_level"] = level
-    path.write_text(json.dumps(payload))
-    code, out, err = run(capsys, "report", str(path))
-    assert code == 1 and out == ""
-    assert str(path) in err and "internal error" not in err
-
-
-def test_report_n_evaluated_disagreeing_with_counts_is_exit_1(tmp_path, capsys):
-    path = _evaluated_report(tmp_path, capsys)
-    payload = json.loads(path.read_text())
-    payload["controls"][0]["n_evaluated"] += 1
-    path.write_text(json.dumps(payload))
-    code, out, err = run(capsys, "report", str(path))
-    assert code == 1 and out == ""
-    assert str(path) in err and "n_evaluated" in err
-    assert "internal error" not in err
 
 
 def _renamed_lexicon(tmp_path) -> Path:
@@ -351,83 +308,23 @@ def _renamed_lexicon(tmp_path) -> Path:
     return lexicon
 
 
-def test_report_label_not_in_lexicon_is_exit_1(tmp_path, capsys):
-    path = _evaluated_report(tmp_path, capsys)
-    code, out, err = run(capsys, "report", str(path), "--lexicon", str(_renamed_lexicon(tmp_path)))
-    assert code == 1 and out == ""
-    assert str(path) in err and "Tiredness" in err
-
-
-def test_report_reads_the_lexicon_evaluate_used(tmp_path, capsys):
-    cohort, lexicon = tmp_path / "cohort.csv", str(_renamed_lexicon(tmp_path))
-    run(capsys, "synth", str(cohort), "--preset", "figS1-hbv", "--seed", "1")
-    run(capsys, "evaluate", str(cohort), "--condition", "hbv", "--outdir", str(tmp_path),
-        "--lexicon", lexicon)
-    code, out, _ = run(capsys, "report", str(tmp_path / "report.json"), "--lexicon", lexicon)
-    assert code == 0 and "| Tiredness |" in out
-    assert out == (tmp_path / "report.md").read_text(encoding="utf-8")
-
-
 def test_lexicon_is_read_from_the_flag_only(tmp_path, capsys, monkeypatch):
-    # A lexicon in the environment changes nothing: classify, evaluate and
-    # report read one only from --lexicon.
-    monkeypatch.setenv("NOTEDTA_LEXICON", str(_renamed_lexicon(tmp_path)))
-    path = _evaluated_report(tmp_path, capsys)
-    code, out, _ = run(capsys, "report", str(path))
-    assert code == 0 and out == (tmp_path / "report.md").read_text(encoding="utf-8")
-    assert "Tiredness" not in out and default_lexicon().rule(37).label in out
+    # A lexicon in the environment changes nothing: classify and evaluate
+    # read one only from --lexicon.
+    renamed = str(_renamed_lexicon(tmp_path))
+    monkeypatch.setenv("NOTEDTA_LEXICON", renamed)
+    cohort = tmp_path / "cohort.csv"
+    run(capsys, "synth", str(cohort), "--preset", "figS1-hbv", "--seed", "1")
+    for name, flags, label in (("env", (), default_lexicon().rule(37).label),
+                               ("flag", ("--lexicon", renamed), "Tiredness")):
+        outdir = tmp_path / name
+        assert run(capsys, "evaluate", str(cohort), "--condition", "hbv",
+                   "--outdir", str(outdir), *flags)[0] == 0
+        assert f"| {label} |" in (outdir / "report.md").read_text(encoding="utf-8")
+    assert "Tiredness" not in (tmp_path / "env" / "report.md").read_text(encoding="utf-8")
     notes = tmp_path / "notes.txt"
     notes.write_text(_CLASSIFY_NOTES, encoding="utf-8")
     assert run(capsys, "classify", str(notes)) == (0, _classified(_CLASSIFY_NOTES).decode(), "")
-
-
-@pytest.mark.parametrize("fmt", ["markdown", "csv"])
-@pytest.mark.parametrize("keys, stored", [
-    (("primary", "sn", "value"), "abc"),
-    (("primary", "sn", "value"), True),
-    (("primary", "sp", "ci_low"), [0.1]),
-    (("controls", 0, "ppv", "ci_high"), {"x": 1}),
-    (("primary", "prevalence_sample"), "0.4"),
-    (("primary", "counts", "tp"), 69.0),
-    (("primary", "counts", "fn"), True),
-    (("primary", "counts"), [69, 45, 8, 57]),
-    (("primary", "n_missing_excluded"), "x"),
-    (("controls", 2, "n_vaccination_excluded"), 1.5),
-    (("demographics", "n_total"), "x"),
-    (("demographics", "age_mean"), "40"),
-    (("demographics",), [1, 2]),
-    (("primary", "n_missing_excluded"), -3),
-    (("primary", "counts", "tn"), -1),
-    (("demographics", "n_female"), -2),
-    (("primary", "sn", "value"), float("nan")),
-    (("primary", "sp", "ci_high"), float("inf")),
-    (("controls", 1, "lr_pos", "value"), float("-inf")),
-    (("primary", "prevalence_sample"), float("nan")),
-    (("demographics", "age_mean"), float("nan")),
-    # The category blocks must be the evaluated set: `stored` may be a
-    # function of the value it replaces.
-    (("primary", "category_id"), True),
-    (("controls", 0, "category_id"), 10.0),
-    (("controls",), lambda controls: controls + controls[:1]),
-    (("controls",), lambda controls: controls[1:]),
-    (("controls",), lambda controls: controls[::-1]),
-    (("controls",), lambda controls: [controls[0], controls[0], *controls[2:]]),
-    (("condition",), "hepatitis_c"),
-    (("ci_level",), "0.9"),
-])
-def test_report_malformed_stored_value_is_exit_1(tmp_path, capsys, fmt, keys, stored):
-    path = _evaluated_report(tmp_path, capsys)
-    payload = json.loads(path.read_text())
-    *parents, key = keys
-    target = payload
-    for parent in parents:
-        target = target[parent]
-    target[key] = stored(target[key]) if callable(stored) else stored
-    path.write_text(json.dumps(payload))
-    code, out, err = run(capsys, "report", str(path), "--format", fmt)
-    assert code == 1 and out == ""
-    assert err.startswith(f"error: {path}: malformed report: ") and err.count("\n") == 1
-    assert "Traceback" not in err
 
 
 def test_score_interval_bounds_stay_inside_0_1(tmp_path, capsys):
@@ -717,9 +614,10 @@ def test_inputs_not_mutated(tmp_path, capsys):
          "unrecognized arguments: --hbsag-cutoff 2"),
         (("evaluate", "c.csv", "--condition", "hcv", "--anti-hcv-cutoff", "2"),
          "unrecognized arguments: --anti-hcv-cutoff 2"),
+        (("report", "out/report.json"), "argument subcommand: invalid choice: 'report'"),
     ],
     ids=["bad-choice", "missing-required", "bad-int", "unknown-subcommand", "synth-neither",
-         "synth-both", "removed-hbsag-cutoff", "removed-anti-hcv-cutoff"],
+         "synth-both", "removed-hbsag-cutoff", "removed-anti-hcv-cutoff", "removed-report"],
 )
 def test_usage_error_is_exit_1(capsys, argv, message):
     # Exit 2 means an internal failure; a bad command line is an input error.
@@ -747,7 +645,7 @@ _CALL_SITES = {
     "write_cohort_file": ("synth", "{d}/c.csv", "--preset", "figS1-hbv"),
     "parse_cohort_file": ("evaluate", "{d}/cohort.csv", "--condition", "hbv", "--outdir", "{d}/o"),
     "evaluate_condition": ("evaluate", "{d}/cohort.csv", "--condition", "hbv", "--outdir", "{d}/o"),
-    "emit_report": ("report", "{d}/out/report.json"),
+    "emit_report": ("evaluate", "{d}/cohort.csv", "--condition", "hbv", "--outdir", "{d}/o"),
     "emit_plot_data": ("evaluate", "{d}/cohort.csv", "--condition", "hbv", "--outdir", "{d}/o"),
     "emit_demographics_csv": (
         "evaluate", "{d}/cohort.csv", "--condition", "hbv", "--outdir", "{d}/o"),

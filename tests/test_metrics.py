@@ -98,7 +98,7 @@ def test_negative_counts_rejected():
 
 @pytest.mark.parametrize("count", [True, 1.0, "1"])
 def test_count_of_another_type_rejected(count):
-    # A bool would be written to report.json as `true`, which `report` rejects.
+    # A bool would be written to report.json as `true`, which is not a count.
     with pytest.raises(ValueError, match="tp must be a non-negative integer"):
         ContingencyTable(count, 0, 0, 0)
 
@@ -107,6 +107,21 @@ def test_count_of_another_type_rejected(count):
 def test_ci_level_of_another_type_rejected(level):
     with pytest.raises(ValueError, match=r"^confidence level must be in \(0,1\)"):
         CiConfig(level)
+
+
+@pytest.mark.parametrize("interval", [
+    lambda level: ci_proportion(5, 10, level, "exact"),
+    lambda level: ci_proportion(5, 10, level, "score"),
+    lambda level: ci_likelihood_ratio(ContingencyTable(5, 3, 2, 7), "lr_pos", level),
+], ids=["exact", "score", "lr"])
+@pytest.mark.parametrize("level", [0.0, 1.0, 1.5, -1.0, math.nan])
+def test_interval_at_a_level_outside_0_1_rejected(interval, level):
+    # Not (nan, nan), nor a low bound above the high one: CiConfig's own error.
+    with pytest.raises(ValueError) as err:
+        interval(level)
+    with pytest.raises(ValueError) as config_err:
+        CiConfig(level)
+    assert str(err.value) == str(config_err.value)
 
 
 # -- point estimates ---------------------------------------------------------
@@ -299,8 +314,6 @@ def cli_inputs(tmp_path_factory):
 
     d = tmp_path_factory.mktemp("startup")
     assert main(["synth", str(d / "cohort.csv"), "--preset", "figS1-hbv", "--seed", "1"]) == 0
-    assert main(["evaluate", str(d / "cohort.csv"), "--condition", "hbv",
-                 "--outdir", str(d / "out")]) == 0
     (d / "notes.txt").write_text("Known Hep C\n?Hep B\nscreen\n\n", encoding="utf-8")
     return d
 
@@ -318,11 +331,10 @@ _COMMANDS_WITHOUT_SCIPY = pytest.mark.parametrize(
         ["synth", "{d}/b.csv", "--n", "200", "--seed", "3"],
         ["classify", "{d}/notes.txt"],
         ["validate", "{d}/cohort.csv"],
-        ["report", "{d}/out/report.json", "--format", "markdown"],
         ["evaluate", "{d}/cohort.csv", "--condition", "hbv", "--outdir", "{d}/score",
          "--ci-method", "score"],
     ],
-    ids=["synth-preset", "synth-n", "classify", "validate", "report", "evaluate-score"],
+    ids=["synth-preset", "synth-n", "classify", "validate", "evaluate-score"],
 )
 
 
@@ -355,9 +367,8 @@ def test_cli_command_loads_neither_dataclasses_nor_inspect(cli_inputs, argv):
          ("decimal", "json", "pathlib", "statistics")),
         (["classify", "{d}/notes.txt"], ("decimal", "json", "pathlib", "statistics")),
         (["validate", "{d}/cohort.csv"], ("decimal", "json", "pathlib", "statistics")),
-        (["report", "{d}/out/report.json", "--format", "markdown"], ("pathlib", "statistics")),
     ],
-    ids=["synth-preset", "synth-n", "classify", "validate", "report"],
+    ids=["synth-preset", "synth-n", "classify", "validate"],
 )
 def test_cli_command_loads_no_stdlib_module_it_does_not_use(cli_inputs, argv, absent):
     argv = [a.format(d=cli_inputs) for a in argv]

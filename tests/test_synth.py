@@ -61,6 +61,34 @@ def test_exact_negative_sex_split_rejected():
         PRESETS["figS1-hbv"]._replace(sex_split=(300, -59))
 
 
+@pytest.mark.parametrize("field, value, message", [
+    ("n_missing", 1.5, "n_missing must be an int >= 0: 1.5"),
+    ("n_missing", True, "n_missing must be an int >= 0: True"),
+    ("n_missing", -1, "n_missing must be an int >= 0: -1"),
+    ("seed", 1.0, "seed must be an int: 1.0"),
+    ("seed", True, "seed must be an int: True"),
+    ("sex_split", (1.5, 0.5), "sex_split (1.5, 0.5) must be two int counts"),
+    ("sex_split", (True, 1), "sex_split (True, 1) must be two int counts"),
+    ("sex_split", (0, 0, 1), "sex_split (0, 0, 1) must be two int counts"),
+    ("age_mean", math.nan, "age_mean must be finite: nan"),
+    ("age_mean", -math.inf, "age_mean must be finite: -inf"),
+    ("age_mean", "40", "age_mean must be finite: '40'"),
+    ("age_sd", math.inf, "age_sd must be finite and >= 0: inf"),
+    ("age_sd", math.nan, "age_sd must be finite and >= 0: nan"),
+    ("age_sd", -1.0, "age_sd must be finite and >= 0: -1.0"),
+])
+def test_exact_unbuildable_spec_rejected(field, value, message):
+    # Each would otherwise fail inside synthesize_exact, or take a bool for a
+    # count.
+    table = ContingencyTable(1, 0, 0, 0)
+    with pytest.raises(ValueError) as err:
+        SynthesisSpec(HBV, table, **{field: value})
+    assert str(err.value) == message
+    with pytest.raises(ValueError) as err:
+        SynthesisSpec(HBV, table)._replace(**{field: value})
+    assert str(err.value) == message
+
+
 def test_exact_demographics_target():
     # cohort shaped like the reference HBV evaluation group
     spec = SynthesisSpec(

@@ -33,7 +33,7 @@ SAMPLES = {
     "EvaluationConfig": lambda: EvaluationConfig(Condition.HEPATITIS_C),
     "CategoryResult": lambda: RESULT,
     "EvaluationResult": lambda: EvaluationResult(
-        Condition.HEPATITIS_B, RESULT, (), CohortSummary(3, 40.0, None, 1, 1, 1)),
+        Condition.HEPATITIS_B, RESULT, (), CohortSummary(3, 40.0, None, 1, 1, 1, ()), 0.95),
     "CohortSummary": lambda: CohortSummary(3, 40.0, 1.5, 1, 1, 1, ((40, 3),)),
     "Cohort": lambda: Cohort((PathologyRecord("a"), PathologyRecord("b", age=7))),
     "ValidationReport": lambda: ValidationReport("x.csv", False),
@@ -95,7 +95,7 @@ REPRS = {
         "ci_low=None, ci_high=None, method='', note='n'), lr_neg=MetricEstimate(value=2.0, "
         "ci_low=None, ci_high=None, method='', note=''), prevalence_sample=0.25)), "
         "controls=(), summary=CohortSummary(n_total=3, age_mean=40.0, age_sd=None, n_male=1, "
-        "n_female=1, n_unspecified=1, age_histogram=None), ci_level=0.95)"
+        "n_female=1, n_unspecified=1, age_histogram=()), ci_level=0.95)"
     ),
     "CohortSummary": (
         "CohortSummary(n_total=3, age_mean=40.0, age_sd=1.5, n_male=1, n_female=1, "

@@ -1,6 +1,7 @@
 import hashlib
 import io
 import json
+import math
 import os
 import select
 import subprocess
@@ -325,6 +326,98 @@ def test_lexicon_is_read_from_the_flag_only(tmp_path, capsys, monkeypatch):
     notes = tmp_path / "notes.txt"
     notes.write_text(_CLASSIFY_NOTES, encoding="utf-8")
     assert run(capsys, "classify", str(notes)) == (0, _classified(_CLASSIFY_NOTES).decode(), "")
+
+
+def _count(value) -> bool:
+    return type(value) is int and value >= 0
+
+
+def _finite(value) -> bool:
+    return type(value) is float and math.isfinite(value)
+
+
+_COUNTS = ["tp", "fp", "fn", "tn"]
+_DEMOGRAPHICS = ["n_total", "age_mean", "age_sd", "n_male", "n_female", "n_unspecified"]
+
+# The form of each value in the report.json of an hbv evaluation at the
+# default level, by its key: an undefined value is null and an infinite one
+# "inf"; the control categories are fixed; ci_level is stored (and read here
+# as None when absent) only when it is not 0.95.
+_STORED_FORM = {
+    **dict.fromkeys(["value", "ci_low", "ci_high"],
+                    lambda v: v is None or v == "inf" or _finite(v)),
+    **dict.fromkeys([*_COUNTS, "n_missing_excluded", "n_vaccination_excluded",
+                     "n_total", "n_female"], _count),
+    "prevalence_sample": lambda v: v is None or _finite(v) and 0 <= v <= 1,
+    "counts": lambda v: type(v) is dict and list(v) == _COUNTS and all(map(_count, v.values())),
+    "age_mean": _finite,
+    "demographics": lambda v: type(v) is dict and list(v) == _DEMOGRAPHICS,
+    "category_id": lambda v: type(v) is int and v in (1, *evaluate.CONTROL_CATEGORIES),
+    "controls": lambda v: [c["category_id"] for c in v] == list(evaluate.CONTROL_CATEGORIES),
+    "condition": lambda v: v == "hepatitis_b",
+    "ci_level": lambda v: v is None,
+}
+
+
+@pytest.mark.parametrize("fmt", ["markdown", "csv"])
+@pytest.mark.parametrize("keys, stored", [
+    (("primary", "sn", "value"), "abc"),
+    (("primary", "sn", "value"), True),
+    (("primary", "sp", "ci_low"), [0.1]),
+    (("controls", 0, "ppv", "ci_high"), {"x": 1}),
+    (("primary", "prevalence_sample"), "0.4"),
+    (("primary", "counts", "tp"), 69.0),
+    (("primary", "counts", "fn"), True),
+    (("primary", "counts"), [69, 45, 8, 57]),
+    (("primary", "n_missing_excluded"), "x"),
+    (("controls", 2, "n_vaccination_excluded"), 1.5),
+    (("demographics", "n_total"), "x"),
+    (("demographics", "age_mean"), "40"),
+    (("demographics",), [1, 2]),
+    (("primary", "n_missing_excluded"), -3),
+    (("primary", "counts", "tn"), -1),
+    (("demographics", "n_female"), -2),
+    (("primary", "sn", "value"), float("nan")),
+    (("primary", "sp", "ci_high"), float("inf")),
+    (("controls", 1, "lr_pos", "value"), float("-inf")),
+    (("primary", "prevalence_sample"), float("nan")),
+    (("demographics", "age_mean"), float("nan")),
+    # The category blocks must be the evaluated set: `stored` may be a
+    # function of the value it replaces.
+    (("primary", "category_id"), True),
+    (("controls", 0, "category_id"), 10.0),
+    (("controls",), lambda controls: controls + controls[:1]),
+    (("controls",), lambda controls: controls[1:]),
+    (("controls",), lambda controls: controls[::-1]),
+    (("controls",), lambda controls: [controls[0], controls[0], *controls[2:]]),
+    (("condition",), "hepatitis_c"),
+    (("ci_level",), "0.9"),
+])
+def test_report_malformed_stored_value_is_exit_1(tmp_path, capsys, fmt, keys, stored):
+    # report.json is read by no command: what evaluate stores at `keys` has
+    # the form a reader relies on, and `stored` has not. The retired `report`
+    # is a usage error, whatever file it is given.
+    cohort = tmp_path / "cohort.csv"
+    run(capsys, "synth", str(cohort), "--preset", "figS1-hbv", "--seed", "1")
+    assert run(capsys, "evaluate", str(cohort), "--condition", "hbv",
+               "--outdir", str(tmp_path))[0] == 0
+    path = tmp_path / "report.json"
+    payload = json.loads(path.read_text())
+    *parents, key = keys
+    target = payload
+    for parent in parents:
+        target = target[parent]
+    written = target[key] if type(target) is list or key in target else None
+    form = _STORED_FORM[key]
+    assert form(written)
+    target[key] = stored(written) if callable(stored) else stored
+    assert not form(target[key])
+    path.write_text(json.dumps(payload))
+    with pytest.raises(SystemExit) as exit_info:
+        main(["report", str(path), "--format", fmt])
+    assert exit_info.value.code == 1
+    out, err = capsys.readouterr()
+    assert out == "" and "invalid choice: 'report'" in err
 
 
 def test_score_interval_bounds_stay_inside_0_1(tmp_path, capsys):

@@ -15,7 +15,7 @@ import os
 import re
 from collections import namedtuple
 
-from .model import Condition, Frozen, checked_make
+from .model import Condition, checked_make
 
 NO_NOTE_CATEGORY = 45
 NONSPECIFIC_CATEGORY = 46
@@ -76,8 +76,14 @@ class CategoryRule(namedtuple("CategoryRule",
 
     def __new__(cls, category_id: int, label: str, icd10_chapter: str | None, priority: int,
                 patterns: tuple[tuple[str, ...], ...]):
+        # A bool id would be printed as True; a str priority would fail
+        # `classify_note` on the first note that matches two rules.
+        if type(category_id) is not int:
+            raise ValueError(f"category_id must be an int: {category_id!r}")
         if not (1 <= category_id <= 46):
             raise ValueError(f"category_id out of range: {category_id}")
+        if type(priority) is not int:
+            raise ValueError(f"priority must be an int: {priority!r}")
         if not patterns:
             raise ValueError(f"category {category_id} has no patterns")
         if () in patterns:
@@ -85,20 +91,19 @@ class CategoryRule(namedtuple("CategoryRule",
         return tuple.__new__(cls, (category_id, label, icd10_chapter, priority, patterns))
 
 
-class Lexicon(Frozen):
+class Lexicon(namedtuple("Lexicon", "rules query_keywords")):
     """The ordered category rules and the query keywords.
 
-    Not a named tuple: it also holds `_pattern_index`, which is derived
-    from the rules and keywords and so is left out of `_fields` (equality,
-    hashing and ``repr``). The index maps a first token to (rule position,
-    pattern position, pattern length, category id, priority, joined
-    pattern, pattern) entries, in lexicon order; '?' and the query keywords
-    follow as one more group, at rule position len(rules) with category id
-    None.
+    It also holds `_pattern_index`, derived from the rules and keywords.
+    Having no ``__slots__``, it keeps the index in its instance ``__dict__``,
+    which equality, hashing and ``repr`` leave out; ``_replace`` rebuilds
+    it. The index maps a first token to (rule position, pattern position,
+    pattern length, category id, priority, joined pattern, pattern)
+    entries, in lexicon order; '?' and the query keywords follow as one
+    more group, at rule position len(rules) with category id None.
     """
 
-    __slots__ = ("rules", "query_keywords", "_pattern_index")
-    _fields = ("rules", "query_keywords")
+    _make = checked_make
 
     def __new__(cls, rules: tuple[CategoryRule, ...],
                 query_keywords: tuple[tuple[str, ...], ...]):
@@ -122,12 +127,16 @@ class Lexicon(Frozen):
             for p, pattern in enumerate(patterns):
                 index.setdefault(pattern[0], []).append(
                     (r, p, len(pattern), category_id, priority, " ".join(pattern), pattern))
-        self = object.__new__(cls)
-        object.__setattr__(self, "rules", rules)
-        object.__setattr__(self, "query_keywords", query_keywords)
+        self = tuple.__new__(cls, (rules, query_keywords))
         object.__setattr__(self, "_pattern_index",
                            {token: tuple(entries) for token, entries in index.items()})
         return self
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
 
     def rule(self, category_id: int) -> CategoryRule:
         for r in self.rules:
@@ -248,15 +257,11 @@ def parse_lexicon(text: str) -> Lexicon:
         for key in ("label", "priority"):
             if key not in current:
                 raise ValueError(f"line {current['line']}: category {current['id']} has no {key}")
-        rules.append(
-            CategoryRule(
-                category_id=current["id"],
-                label=current["label"],
-                icd10_chapter=current.get("chapter"),
-                priority=current["priority"],
-                patterns=tuple(current["patterns"]),
-            )
-        )
+        try:
+            rules.append(CategoryRule(current["id"], current["label"], current.get("chapter"),
+                                      current["priority"], tuple(current["patterns"])))
+        except ValueError as err:  # a rule of the block, reported at its header
+            raise ValueError(f"line {current['line']}: {err}") from None
         current = None
 
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -63,8 +63,8 @@ class ValidationReport:
 
 def parse_cohort_file(path) -> Cohort:
     """Parse a cohort CSV; the first malformed row raises CohortFormatError."""
-    # tuple() exhausts the reader, and an exhausted generator's frame is
-    # cleared: its id set is freed before Cohort builds one of its own.
+    # The rows are read before the Cohort call, so that a profile of this
+    # function charges the reading to it and not to the Cohort it returns.
     return Cohort(tuple(_read_records(path, ValidationReport(str(path), strict=True))))
 
 
@@ -151,7 +151,17 @@ def _parse_row(row, rownum: int, report: ValidationReport) -> PathologyRecord:
 
 
 def write_cohort_file(cohort: Cohort, path) -> None:
-    """Serialize a cohort back to the CSV schema (lossless round trip)."""
+    """Serialize a cohort back to the CSV schema (lossless round trip).
+
+    A duplicate record id raises ValueError before the file is opened, so
+    every file written parses back.
+    """
+    seen: set[str] = set()
+    for record in cohort:
+        if record.record_id in seen:
+            raise ValueError(f"duplicate record_id: {record.record_id!r}")
+        seen.add(record.record_id)
+    del seen  # not held while the rows are written
     # Sex is told apart by identity: a dict keyed by Sex would call the
     # Python-level Enum.__hash__ once per record.
     male, female = Sex.MALE, Sex.FEMALE

@@ -8,7 +8,8 @@ The package's value types are named tuples (``collections.namedtuple``
 subclasses with ``__slots__ = ()``): they unpack, index and compare equal
 to plain tuples, and ``_replace`` and ``_asdict`` take the place of
 ``dataclasses.replace`` and ``asdict``. A type with rules checks them in
-``__new__``, and ``_replace`` checks them again.
+``__new__``, and ``_replace`` checks them again. `Cohort`, a sequence of
+records, is a plain tuple subclass.
 """
 
 import math
@@ -19,43 +20,6 @@ from enum import Enum
 # `_make`, which `_replace` builds through, calls `tuple.__new__` and so
 # would skip the checks; this one builds through `cls(*iterable)`.
 checked_make = classmethod(lambda cls, iterable: cls(*iterable))
-
-
-class Frozen:
-    """Base of the few value types that are not named tuples.
-
-    A subclass lists its slots and, in `_fields`, the ones that equality,
-    hashing, ``repr`` and pickling use, in the order of its ``__new__``
-    arguments. Its ``__new__`` checks the arguments and sets each slot with
-    ``object.__setattr__``; after that, assignment raises AttributeError.
-    """
-
-    __slots__ = ()
-    _fields: tuple[str, ...] = ()
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._fields)
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"cannot assign to field {name!r}")
-
-    def __delattr__(self, name):
-        raise AttributeError(f"cannot delete field {name!r}")
-
-    def __reduce__(self):
-        return self.__class__, self._values()
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self):
-        return hash(self._values())
-
-    def __repr__(self):
-        fields = zip(self._fields, self._values())
-        return f"{self.__class__.__name__}({', '.join(f'{n}={v!r}' for n, v in fields)})"
 
 
 class Sex(Enum):
@@ -151,29 +115,12 @@ class PathologyRecord(namedtuple("PathologyRecord", "record_id age sex note_text
                                    collection_year))
 
 
-class Cohort(Frozen):
-    """Ordered, immutable collection of records with unique ids.
+class Cohort(tuple):
+    """An ordered, immutable sequence of records: a tuple under its own name.
 
-    Not a named tuple: ``len()`` and iteration are over the records. It
-    can be weakly referenced, so a test can watch it being freed.
+    It compares equal to a plain tuple of the same records. Record ids are
+    not checked here: they identify rows of a file, so ``ingest`` rejects a
+    duplicate id where a file is read and before one is written.
     """
 
-    __slots__ = ("records", "__weakref__")
-    _fields = ("records",)
-
-    def __new__(cls, records):
-        records = tuple(records)
-        seen = set()
-        for rec in records:
-            if rec.record_id in seen:
-                raise ValueError(f"duplicate record_id: {rec.record_id!r}")
-            seen.add(rec.record_id)
-        self = object.__new__(cls)
-        object.__setattr__(self, "records", records)
-        return self
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self):
-        return iter(self.records)
+    __slots__ = ()

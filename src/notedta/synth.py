@@ -218,7 +218,7 @@ def synthesize_exact(spec: SynthesisSpec) -> Cohort:
                 )
             )
             idx += 1
-    return Cohort(tuple(records))
+    return Cohort(records)
 
 
 def synthesize_random(
@@ -282,4 +282,4 @@ def synthesize_random(
             f"syn-{i:06d}", age, sex, note,
             _marker(draw, hbv_cutoff, draw() / 2.0**64 < prevalence),
             _marker(draw, hcv_cutoff, draw() / 2.0**64 < prevalence), 1997 + draw() % 11))
-    return Cohort(tuple(records))
+    return Cohort(records)

@@ -77,7 +77,6 @@ SURFACE = [
     "metrics.format_percent(value)",
     "metrics.format_percent_1dp(value)",
     "metrics.format_proportion(value)",
-    "model.Cohort.__new__(records)",
     "model.PathologyRecord.__new__(age)",
     "model.PathologyRecord.__new__(anti_hcv_iu)",
     "model.PathologyRecord.__new__(collection_year)",

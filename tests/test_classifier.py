@@ -7,6 +7,7 @@ from notedta.classifier import (
     HCV_CATEGORY,
     NO_NOTE_CATEGORY,
     NONSPECIFIC_CATEGORY,
+    CategoryRule,
     Lexicon,
     Match,
     NoteClassification,
@@ -138,6 +139,21 @@ def test_lexicon_empty_pattern_list_rejected():
     )
     with pytest.raises(ValueError, match="category 1"):
         parse_lexicon(text)
+
+
+@pytest.mark.parametrize("field, bad", [("category_id", True), ("category_id", "7"),
+                                        ("priority", "7"), ("priority", 7.0)])
+def test_category_rule_int_field_of_the_wrong_type_rejected(field, bad):
+    with pytest.raises(ValueError) as err:
+        CategoryRule(**{**LEX.rule(7)._asdict(), field: bad})
+    assert str(err.value) == f"{field} must be an int: {bad!r}"
+
+
+def test_lexicon_replace_rebuilds_the_pattern_index():
+    # Without "possible" as a query keyword, the note states hepatitis B.
+    assert classify_note("possible hep b", LEX).hbv_label == "negative"
+    unqueried = LEX._replace(query_keywords=())
+    assert classify_note("possible hep b", unqueried).hbv_label == "positive"
 
 
 # -- classification -----------------------------------------------------------

@@ -6,7 +6,6 @@ import os
 import select
 import subprocess
 import sys
-import weakref
 from importlib.resources import files
 from pathlib import Path
 
@@ -16,6 +15,7 @@ from notedta import cli, evaluate, ingest
 from notedta.classifier import classify_note, default_lexicon
 from notedta.cli import main
 from notedta.ingest import write_cohort_file
+from notedta.model import Cohort
 from notedta.synth import preset_spec, synthesize_exact, synthesize_random
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -509,6 +509,8 @@ def test_classify_lexicon_with_empty_query_keyword_is_exit_1(tmp_path, capsys):
 @pytest.mark.parametrize("old, new, message", [
     ("[category 1]", "label: stray\n[category 1]", "error: line 1: content outside any block"),
     ("label: c7\n", "label: c7\ncolour: red\n", "error: line 27: unknown key 'colour'"),
+    ("[category 1]", "[category 0]", "error: line 1: category_id out of range: 0"),
+    ("pattern: tok7\n", "", "error: line 25: category 7 has no patterns"),
 ])
 def test_classify_malformed_lexicon_is_exit_1(tmp_path, capsys, old, new, message):
     lexicon = tmp_path / "lexicon.txt"
@@ -554,17 +556,21 @@ def test_validate_builds_no_cohort(tmp_path, capsys, monkeypatch):
 def test_evaluate_frees_the_records_before_the_first_interval(tmp_path, capsys, monkeypatch):
     cohort_path = tmp_path / "cohort.csv"
     assert run(capsys, "synth", str(cohort_path), "--preset", "figS1-hbv", "--seed", "1")[0] == 0
-    cohorts, freed_at_first_interval = [], []
+    cohorts, freed, freed_at_first_interval = [], [], []
     parse, compute = cli.parse_cohort_file, evaluate.compute_metrics
 
+    class WatchedCohort(Cohort):  # a tuple cannot be weakly referenced
+        def __del__(self):
+            freed.append(True)
+
     def parse_and_watch(path):
-        cohort = parse(path)
-        cohorts.append(weakref.ref(cohort))
+        cohort = WatchedCohort(parse(path))
+        cohorts.append(len(cohort))
         return cohort
 
     def compute_and_check(*args, **kwargs):
         if not freed_at_first_interval:
-            freed_at_first_interval.append(cohorts[0]() is None)
+            freed_at_first_interval.append(freed == [True])
         return compute(*args, **kwargs)
 
     monkeypatch.setattr(cli, "parse_cohort_file", parse_and_watch)

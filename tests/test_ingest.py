@@ -37,7 +37,7 @@ def _write(tmp_path, body, name="cohort.csv"):
 def test_parse_basic_rows(tmp_path):
     path = _write(tmp_path, 'r1,38,M,"Hep B positive",2.4,,\nr2,,F,"?Hep C",,0.4,\n')
     cohort = parse_cohort_file(path)
-    r1, r2 = cohort.records
+    r1, r2 = cohort
     assert r1.hbsag_iu == 2.4 and r1.anti_hcv_iu is None
     assert r1.age == 38 and r1.sex is Sex.MALE
     assert r2.age is None and r2.anti_hcv_iu == 0.4 and r2.sex is Sex.FEMALE
@@ -73,7 +73,7 @@ def test_id_of_a_skipped_row_may_recur(tmp_path):
 def test_utf8_bom_header_accepted(tmp_path):
     path = tmp_path / "bom.csv"
     path.write_bytes(b"\xef\xbb\xbf" + (HEADER_LINE + "\nr1,38,M,Hep B,2.4,,\n").encode("utf-8"))
-    (record,) = parse_cohort_file(path).records
+    (record,) = parse_cohort_file(path)
     assert record.record_id == "r1" and record.hbsag_iu == 2.4
 
 
@@ -123,7 +123,7 @@ def test_round_trip_identity(tmp_path):
     path = tmp_path / "out.csv"
     write_cohort_file(cohort, path)
     reparsed = parse_cohort_file(path)
-    assert reparsed.records == cohort.records
+    assert reparsed == cohort
     # parse -> serialize -> parse is also the identity
     path2 = tmp_path / "out2.csv"
     write_cohort_file(reparsed, path2)
@@ -192,7 +192,7 @@ def test_conversion_error_is_not_wrapped_again(tmp_path, column, raw, problem):
 @pytest.mark.parametrize("column, raw", [("age", "0"), ("age", "130"), ("collection_year", "1800"),
                                          ("collection_year", "2200"), ("hbsag_iu", "0")])
 def test_record_rule_bounds_are_inclusive(tmp_path, column, raw):
-    (record,) = parse_cohort_file(_write(tmp_path, _row(column, raw) + "\n")).records
+    (record,) = parse_cohort_file(_write(tmp_path, _row(column, raw) + "\n"))
     assert getattr(record, column) == float(raw)
 
 
@@ -236,7 +236,7 @@ def test_write_then_parse_returns_every_accepted_record(tmp_path_factory, candid
     cohort = Cohort(tuple(records.values()))
     path = tmp_path_factory.mktemp("round_trip") / "cohort.csv"
     write_cohort_file(cohort, path)
-    assert parse_cohort_file(path).records == cohort.records
+    assert parse_cohort_file(path) == cohort
 
 
 # -- the one reader against the one it replaced --------------------------------
@@ -316,7 +316,6 @@ def _old_parse_cohort_file_with_report(path, strict: bool = True) -> tuple[Cohor
         except csv.Error as err:
             raise CohortFormatError(f"row {report.n_rows + 2}: {err}") from None
     report.n_parsed = len(records)
-    del seen  # Cohort checks the ids again with a set of its own
     return Cohort(tuple(records)), report
 
 
@@ -398,8 +397,8 @@ def test_reader_matches_the_reader_it_replaced(tmp_path_factory, rows, bom):
     path = tmp_path_factory.mktemp("oracle") / "cohort.csv"
     with open(path, "w", newline="", encoding="utf-8-sig" if bom else "utf-8") as fh:
         csv.writer(fh).writerows([HEADER, *rows])
-    assert _outcome(lambda: parse_cohort_file(path).records) == _outcome(
-        lambda: _old_parse_cohort_file_with_report(path)[0].records)
+    assert _outcome(lambda: parse_cohort_file(path)) == _outcome(
+        lambda: _old_parse_cohort_file_with_report(path)[0])
     for strict in (True, False):
         assert _outcome(lambda: validate_cohort_file(path, strict).to_json()) == _outcome(
             lambda: _old_parse_cohort_file_with_report(path, strict)[1].to_json())

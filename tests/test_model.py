@@ -4,14 +4,24 @@ from decimal import Decimal
 import numpy
 import pytest
 
+from notedta.ingest import write_cohort_file
 from notedta.model import Cohort, Condition, PathologyRecord, Sex
 
+_TWICE_R1 = (PathologyRecord("r1", note_text="Hep B"), PathologyRecord("r1", note_text="Hep C"))
 
-def test_duplicate_record_id_rejected():
-    r1 = PathologyRecord("r1", note_text="Hep B")
-    r2 = PathologyRecord("r1", note_text="Hep C")
-    with pytest.raises(ValueError, match="r1"):
-        Cohort((r1, r2))
+
+def test_cohort_keeps_duplicate_record_ids():
+    # Ids identify rows of a file: the reader and the writer check them.
+    assert Cohort(_TWICE_R1) == _TWICE_R1
+
+
+def test_write_cohort_file_rejects_duplicate_ids_before_opening(tmp_path):
+    path = tmp_path / "cohort.csv"
+    path.write_bytes(b"kept\n")
+    with pytest.raises(ValueError) as err:
+        write_cohort_file(Cohort(_TWICE_R1), path)
+    assert str(err.value) == "duplicate record_id: 'r1'"
+    assert path.read_bytes() == b"kept\n"
 
 
 def test_empty_record_id_rejected():

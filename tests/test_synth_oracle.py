@@ -191,7 +191,7 @@ def _scalar_stream(seed: int, n: int) -> list[int]:
 
 
 def _same_records(new: Cohort, old: Cohort) -> None:
-    assert new.records == old.records
+    assert new == old
     # repr tells apart what == does not: 0.0 from -0.0, 1 from 1.0.
     assert [repr(r) for r in new] == [repr(r) for r in old]
 

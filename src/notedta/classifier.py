@@ -116,7 +116,8 @@ class Lexicon(namedtuple("Lexicon", "rules query_keywords")):
             raise ValueError(f"lexicon has duplicate categories: {dupes}")
         prios = [r.priority for r in rules]
         if len(set(prios)) != len(prios):
-            raise ValueError("rule priorities must be unique")
+            dupes = sorted({p for p in prios if prios.count(p) > 1})
+            raise ValueError(f"rule priorities must be unique, repeated: {dupes}")
         if () in query_keywords:
             raise ValueError("empty query keyword")
         groups = [(rule.category_id, rule.priority, rule.patterns) for rule in rules]
@@ -249,19 +250,25 @@ def parse_lexicon(text: str) -> Lexicon:
     query: list[tuple[str, ...]] = []
     current: dict | None = None
     in_polarity = False
+    first_line: dict[tuple[str, int], int] = {}  # (key, value) -> header line of its block
 
     def flush():
         nonlocal current
         if current is None:
             return
+        line = current["line"]
         for key in ("label", "priority"):
             if key not in current:
-                raise ValueError(f"line {current['line']}: category {current['id']} has no {key}")
+                raise ValueError(f"line {line}: category {current['id']} has no {key}")
         try:
             rules.append(CategoryRule(current["id"], current["label"], current.get("chapter"),
                                       current["priority"], tuple(current["patterns"])))
         except ValueError as err:  # a rule of the block, reported at its header
-            raise ValueError(f"line {current['line']}: {err}") from None
+            raise ValueError(f"line {line}: {err}") from None
+        for key, value in (("category", current["id"]), ("priority", current["priority"])):
+            first = first_line.setdefault((key, value), line)  # each unique across blocks
+            if first != line:
+                raise ValueError(f"line {line}: duplicate {key} {value}, first at line {first}")
         current = None
 
     for lineno, line in enumerate(text.splitlines(), start=1):

@@ -23,21 +23,10 @@ class CohortFormatError(ValueError):
     """Malformed cohort file (bad header, bad field, duplicate id)."""
 
 
-class ValidationReport:
-    """The rows of one cohort file, counted as they are read."""
+class ValidationReport(namedtuple("ValidationReport", "path strict n_rows skipped warnings")):
+    """The rows of one cohort file: how many were read, which skipped, and the warnings."""
 
-    __slots__ = ("path", "strict", "n_rows", "skipped", "warnings")
-
-    def __init__(self, path: str, strict: bool):
-        self.path = path
-        self.strict = strict
-        self.n_rows = 0
-        self.skipped: list[dict] = []
-        self.warnings: list[str] = []
-
-    def __repr__(self):
-        return (f"ValidationReport(path={self.path!r}, strict={self.strict!r}, "
-                f"n_rows={self.n_rows!r}, skipped={self.skipped!r}, warnings={self.warnings!r})")
+    __slots__ = ()
 
     @property
     def n_parsed(self) -> int:
@@ -65,22 +54,22 @@ def parse_cohort_file(path) -> Cohort:
     """Parse a cohort CSV; the first malformed row raises CohortFormatError."""
     # The rows are read before the Cohort call, so that a profile of this
     # function charges the reading to it and not to the Cohort it returns.
-    return Cohort(tuple(_read_records(path, ValidationReport(str(path), strict=True))))
+    return Cohort(tuple(_read_records(path, True, [], [])))
 
 
 def validate_cohort_file(path, strict: bool = False) -> ValidationReport:
     """Check a cohort CSV and count its rows, keeping none of its records."""
-    report = ValidationReport(str(path), strict)
-    for _ in _read_records(path, report):
-        pass
-    return report
+    skipped, warnings = [], []
+    n_parsed = sum(1 for _ in _read_records(path, strict, skipped, warnings))
+    return ValidationReport(str(path), strict, n_parsed + len(skipped), tuple(skipped),
+                            tuple(warnings))
 
 
-def _read_records(path, report: ValidationReport):
-    """Yield the records of a cohort CSV, counting its rows into `report`.
+def _read_records(path, strict: bool, skipped: list, warnings: list):
+    """Yield the records of a cohort CSV, appending to `skipped` and `warnings`.
 
     In strict mode a malformed row raises CohortFormatError with the row
-    number; in lenient mode it is skipped and listed in the report.
+    number; in lenient mode it is skipped and listed in `skipped`.
     Duplicate record ids and fields longer than the csv module's limit are
     an error in both modes.
     """
@@ -97,32 +86,32 @@ def _read_records(path, report: ValidationReport):
             raise CohortFormatError(f"row 1: {err}") from None
         if header != HEADER:
             raise CohortFormatError(f"{path}: bad header {header!r}, expected {HEADER!r}")
+        rownum = 1  # the last row read
         try:
             for rownum, row in enumerate(reader, start=2):
-                report.n_rows += 1
                 if row and row[0] in seen:  # never skipped, even in lenient mode
                     raise CohortFormatError(f"row {rownum}: duplicate record_id {row[0]!r}")
                 try:
-                    record = _parse_row(row, rownum, report)
+                    record = _parse_row(row, rownum, warnings)
                 except CohortFormatError as err:
-                    if report.strict:
+                    if strict:
                         raise
-                    report.skipped.append({"row": rownum, "reason": str(err)})
+                    skipped.append({"row": rownum, "reason": str(err)})
                     continue
                 seen.add(row[0])
                 yield record
         except csv.Error as err:
-            raise CohortFormatError(f"row {report.n_rows + 2}: {err}") from None
+            raise CohortFormatError(f"row {rownum + 1}: {err}") from None
 
 
-def _parse_row(row, rownum: int, report: ValidationReport) -> PathologyRecord:
+def _parse_row(row, rownum: int, warnings: list) -> PathologyRecord:
     if len(row) != len(HEADER):
         raise CohortFormatError(f"row {rownum}: expected {len(HEADER)} fields, got {len(row)}")
     record_id, age_raw, sex_raw, note_text, hbsag_raw, hcv_raw, year_raw = row
     sex_token = sex_raw.strip().lower()
     sex = _SEX_TOKENS.get(sex_token)
     if sex is None:
-        report.warnings.append(
+        warnings.append(
             f"row {rownum}: unrecognised sex token {sex_raw!r}, treated as unspecified"
         )
         sex = Sex.UNSPECIFIED
@@ -168,16 +157,10 @@ def write_cohort_file(cohort: Cohort, path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(HEADER)
+        # csv writes None as an empty field and a float as its repr.
         writer.writerows(
-            (
-                record_id,
-                "" if age is None else age,
-                "M" if sex is male else "F" if sex is female else "",
-                note_text,
-                "" if hbsag_iu is None else repr(hbsag_iu),
-                "" if anti_hcv_iu is None else repr(anti_hcv_iu),
-                "" if collection_year is None else collection_year,
-            )
+            (record_id, age, "M" if sex is male else "F" if sex is female else "", note_text,
+             hbsag_iu, anti_hcv_iu, collection_year)
             for record_id, age, sex, note_text, hbsag_iu, anti_hcv_iu, collection_year in cohort
         )
 

@@ -14,8 +14,10 @@ because it is tiny and fully specified by two published constants:
 
 Uniform doubles are ``next() / 2**64``; ages are Box-Muller normals. Both
 generators draw marker values and ages through the one pair of formulas in
-`_marker` and `_age`. The same seed therefore yields byte-identical cohorts
-on any platform.
+`_marker` and `_age`. The same seed therefore yields the same draws on any
+platform; the ages also pass through `math.log` and `math.cos`, and the
+tests check, for the pinned seeds, that no age lies near a rounding
+boundary.
 
 The stream is computed 128 draws at a time: one pass of big-integer
 arithmetic evaluates the three lines after ``state +=`` for 128 consecutive

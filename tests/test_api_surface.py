@@ -47,8 +47,6 @@ SURFACE = [
     "evaluate.evaluate_condition(cohort)",
     "evaluate.evaluate_condition(config)",
     "evaluate.evaluate_condition(lexicon)",
-    "ingest.ValidationReport.__init__(path)",
-    "ingest.ValidationReport.__init__(strict)",
     "ingest.parse_cohort_file(path)",
     "ingest.summarize_demographics(cohort)",
     "ingest.validate_cohort_file(path)",

@@ -129,8 +129,25 @@ def test_lexicon_duplicate_priority_rejected():
     text = "\n".join(
         f"[category {i}]\nlabel: c{i}\npriority: 1\npattern: tok{i}" for i in range(1, 47)
     )
-    with pytest.raises(ValueError, match="priorities"):
+    with pytest.raises(ValueError, match=r"^line 5: duplicate priority 1, first at line 1$"):
         parse_lexicon(text)
+
+
+@pytest.mark.parametrize("old, new, message", [
+    # categories 3 and 9 both at priority 3; their blocks start at lines 9 and 33
+    ("priority: 9\n", "priority: 3\n", "line 33: duplicate priority 3, first at line 9"),
+    ("[category 9]", "[category 3]", "line 33: duplicate category 3, first at line 9"),
+])
+def test_lexicon_duplicate_names_the_value_and_both_lines(old, new, message):
+    with pytest.raises(ValueError) as err:
+        parse_lexicon(_MINIMAL_LEXICON.replace(old, new))
+    assert str(err.value) == message
+
+
+def test_lexicon_duplicate_priority_names_the_value():
+    rules = tuple(r._replace(priority=1) if r.category_id in (3, 9) else r for r in LEX.rules)
+    with pytest.raises(ValueError, match=r"^rule priorities must be unique, repeated: \[1\]$"):
+        Lexicon(rules, LEX.query_keywords)
 
 
 def test_lexicon_empty_pattern_list_rejected():

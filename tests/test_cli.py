@@ -88,6 +88,48 @@ def test_random_cohort_pinned(tmp_path, capsys):
     assert hashlib.sha256(cohort.read_bytes()).hexdigest() == RANDOM_COHORT_DIGEST
 
 
+# sha256 of each file `evaluate --condition hbv` writes for `synth --preset
+# figS1-hbv --seed 1` in the modes PRESET_DIGESTS leaves out. The
+# --keep-vaccination files are the default mode's: the preset holds no
+# vaccination-response note.
+MODE_DIGESTS = {
+    "--ci-method score": {
+        "report.md": "bc5399d1f80c1d8ca1d464a09043b69e4accbb7c6fdc6ffccebc27506d7f6697",
+        "demographics.csv": "ac3f1dbe7299fb85d57b0bb7e599f758216e41acd476f783021a4ad21ba4a9a4",
+        "report.json": "2b5dc5f3efcfca728db8e792a44b3425da3b0c60bca2762ecedd2a1ffce4aa50",
+        "report.csv": "cbc6228d670b8be812cf49d611723804f4412ceea539626f28c063a0903ddfd2",
+        "plotdata_sensitivity.csv":
+            "66442ebde00e33aacabf13902927b77756536c1d6a80dba54b398fa5c8a92613",
+        "plotdata_specificity.csv":
+            "f2039f2c29fed278a43ec56bf84eddd19d2cb0dfdf8637c87327a4cfccbced2d",
+    },
+    "--ci-level 0.9": {
+        "report.md": "62fb1609a86813741269ba21952806aaafa7fe41afe538ab5c7ee2e1b7e77ef8",
+        "demographics.csv": "ac3f1dbe7299fb85d57b0bb7e599f758216e41acd476f783021a4ad21ba4a9a4",
+        "report.json": "3d2203dfb4fee5faedc4fed36f5154e127feb64346c1f981dbe0053c9dae0d58",
+        "report.csv": "2e72b5842b55c7b4f4996cc99c6de04d67b28d61b1d81b3ccdbee99146a9519c",
+        "plotdata_sensitivity.csv":
+            "66442ebde00e33aacabf13902927b77756536c1d6a80dba54b398fa5c8a92613",
+        "plotdata_specificity.csv":
+            "f2039f2c29fed278a43ec56bf84eddd19d2cb0dfdf8637c87327a4cfccbced2d",
+    },
+    "--keep-vaccination": {name: digest
+                           for name, digest in PRESET_DIGESTS["figS1-hbv", "hbv"].items()
+                           if name != "cohort.csv"},
+}
+
+
+@pytest.mark.parametrize("flags", sorted(MODE_DIGESTS))
+def test_evaluate_modes_pinned(tmp_path, capsys, flags):
+    cohort = tmp_path / "cohort.csv"
+    assert run(capsys, "synth", str(cohort), "--preset", "figS1-hbv", "--seed", "1")[0] == 0
+    code, _, _ = run(capsys, "evaluate", str(cohort), "--condition", "hbv",
+                     "--outdir", str(tmp_path / "out"), *flags.split())
+    assert code == 0
+    assert {name: hashlib.sha256((tmp_path / "out" / name).read_bytes()).hexdigest()
+            for name in MODE_DIGESTS[flags]} == MODE_DIGESTS[flags]
+
+
 def test_synth_then_evaluate_pipeline(tmp_path, capsys):
     cohort = tmp_path / "cohort.csv"
     outdir = tmp_path / "out"
@@ -152,6 +194,8 @@ def test_classify_output_same_unbuffered_and_buffered(tmp_path, source):
         assert (proc.returncode, proc.stderr) == (0, b"")
         stdouts.append(proc.stdout)
     assert stdouts[0] == stdouts[1] == _classified(_CLASSIFY_NOTES)
+    assert hashlib.sha256(stdouts[0]).hexdigest() == (
+        "4f6558aa6fd0594a386ab9bab03ef97b11e7a788e1d412f81f734763f220bb2f")
 
 
 @pytest.mark.parametrize("source", ["file", "stdin"])
@@ -244,6 +288,22 @@ def test_validate_writes_report(tmp_path, capsys):
     assert code == 0
     assert "1 records parsed, 1 skipped" in out
     assert json.loads(report.read_text())["n_skipped"] == 1
+
+
+def test_validate_report_pinned(tmp_path, capsys, monkeypatch):
+    # A lenient run over a bad age, an unknown sex token and a short row. The
+    # report holds the input path as given, so the run is made in tmp_path.
+    monkeypatch.chdir(tmp_path)
+    Path("cohort.csv").write_text(
+        "record_id,age,sex,note_text,hbsag_iu,anti_hcv_iu,collection_year\n"
+        "r1,38,M,Known Hep B,2.4,,2001\n"
+        "r2,bad,F,x,,,\n"
+        "r3,40,X,\"?Hep C, screen\",,0.3,2003\n"
+        "r4,50,F\n", encoding="utf-8")
+    code, out, _ = run(capsys, "validate", "cohort.csv", "--report", "report.json")
+    assert (code, out) == (0, "cohort.csv: 2 records parsed, 2 skipped, 1 warnings\n")
+    assert hashlib.sha256(Path("report.json").read_bytes()).hexdigest() == (
+        "631653ad901a21bb3044033c090bf6d571471266233b445e51b8c171fd6fc4e5")
 
 
 def test_validate_strict_fails_on_bad_row(tmp_path, capsys):
@@ -511,6 +571,8 @@ def test_classify_lexicon_with_empty_query_keyword_is_exit_1(tmp_path, capsys):
     ("label: c7\n", "label: c7\ncolour: red\n", "error: line 27: unknown key 'colour'"),
     ("[category 1]", "[category 0]", "error: line 1: category_id out of range: 0"),
     ("pattern: tok7\n", "", "error: line 25: category 7 has no patterns"),
+    ("priority: 9\n", "priority: 3\n", "error: line 33: duplicate priority 3, first at line 9"),
+    ("[category 9]", "[category 3]", "error: line 33: duplicate category 3, first at line 9"),
 ])
 def test_classify_malformed_lexicon_is_exit_1(tmp_path, capsys, old, new, message):
     lexicon = tmp_path / "lexicon.txt"

@@ -3,6 +3,8 @@ import random
 
 import pytest
 
+from notedta import synth
+from notedta.cli import main
 from notedta.evaluate import EvaluationConfig, evaluate_condition
 from notedta.ingest import summarize_demographics, write_cohort_file
 from notedta.metrics import ContingencyTable
@@ -181,3 +183,32 @@ def test_splitmix64_reference_stream():
     rng = SplitMix64(1234567)
     assert rng.next_u64() == 6457827717110365317
     assert rng.next_u64() == 3203168211198807973
+
+
+@pytest.mark.parametrize("argv", [
+    *(("--preset", preset, "--seed", seed) for preset in sorted(PRESETS) for seed in "015"),
+    # the cohort behind tests/test_cli.py::RANDOM_COHORT_DIGEST
+    ("--n", "200", "--prevalence", "0.2", "--condition", "hcv", "--seed", "3"),
+])
+def test_pinned_cohort_ages_clear_every_rounding_boundary(tmp_path, capsys, monkeypatch, argv):
+    # `_age` rounds a Box-Muller value built with math.log and math.cos,
+    # which are not correctly rounded on every platform. Each value rounded
+    # for these cohorts lies at least 2**-40 (relative) from the nearest .5,
+    # which is also where the clamps to 0 and 100 act, so a libm that is off
+    # by a few ulps writes the same ages. This is checked for these seeds
+    # only, not proved for all seeds.
+    normals = []
+
+    def recording_round(number, *ndigits):  # _marker's round(x, 3) is not an age
+        if not ndigits:
+            normals.append(number)
+        return round(number, *ndigits)
+
+    monkeypatch.setattr(synth, "round", recording_round, raising=False)
+    cohort = tmp_path / "cohort.csv"
+    assert main(["synth", str(cohort), *argv]) == 0
+    capsys.readouterr()
+    assert len(normals) == len(cohort.read_text().splitlines()) - 1 > 0
+    for normal in normals:
+        boundary = math.floor(normal) + 0.5
+        assert abs(normal - boundary) >= 2.0**-40 * abs(boundary), normal

@@ -1,7 +1,8 @@
 """Rule-based classification of free-text pathology-request notes.
 
 A note is normalized to a token sequence, matched against an ordered
-lexicon of phrase patterns (46 disease/health categories), and given a
+lexicon of phrase patterns (46 disease/health categories; the first
+matching category in lexicon order is the note's), and given a
 per-condition polarity: a plain *statement* of hepatitis B/C ("Known Hep
 C", "Hep C Pos") maps to a positive test label, while a *query* or
 screening entry ("?Hep C", "Screen Hep C", "Possible Hep C") maps to
@@ -69,38 +70,38 @@ def normalize_note(text: str) -> tuple[str, ...]:
     return tuple(out)
 
 
-class CategoryRule(namedtuple("CategoryRule",
-                              "category_id label icd10_chapter priority patterns")):
+class CategoryRule(namedtuple("CategoryRule", "category_id label icd10_chapter patterns")):
     __slots__ = ()
     _make = checked_make
 
-    def __new__(cls, category_id: int, label: str, icd10_chapter: str | None, priority: int,
+    def __new__(cls, category_id: int, label: str, icd10_chapter: str | None,
                 patterns: tuple[tuple[str, ...], ...]):
-        # A bool id would be printed as True; a str priority would fail
-        # `classify_note` on the first note that matches two rules.
+        # A bool id would be printed as True; an empty label as "Category 2: ".
         if type(category_id) is not int:
             raise ValueError(f"category_id must be an int: {category_id!r}")
         if not (1 <= category_id <= 46):
             raise ValueError(f"category_id out of range: {category_id}")
-        if type(priority) is not int:
-            raise ValueError(f"priority must be an int: {priority!r}")
+        if type(label) is not str or not label:
+            raise ValueError(f"category {category_id} label must be a non-empty str: {label!r}")
         if not patterns:
             raise ValueError(f"category {category_id} has no patterns")
         if () in patterns:
             raise ValueError(f"category {category_id} has an empty pattern")
-        return tuple.__new__(cls, (category_id, label, icd10_chapter, priority, patterns))
+        return tuple.__new__(cls, (category_id, label, icd10_chapter, patterns))
 
 
 class Lexicon(namedtuple("Lexicon", "rules query_keywords")):
     """The ordered category rules and the query keywords.
 
+    Rule order ranks the rules: of those a note matches, the first wins.
+
     It also holds `_pattern_index`, derived from the rules and keywords.
     Having no ``__slots__``, it keeps the index in its instance ``__dict__``,
     which equality, hashing and ``repr`` leave out; ``_replace`` rebuilds
     it. The index maps a first token to (rule position, pattern position,
-    pattern length, category id, priority, joined pattern, pattern)
-    entries, in lexicon order; '?' and the query keywords follow as one
-    more group, at rule position len(rules) with category id None.
+    pattern length, category id, joined pattern, pattern) entries, in
+    lexicon order; '?' and the query keywords follow as one more group, at
+    rule position len(rules) with category id None.
     """
 
     _make = checked_make
@@ -114,20 +115,16 @@ class Lexicon(namedtuple("Lexicon", "rules query_keywords")):
             if missing:
                 raise ValueError(f"lexicon missing categories: {missing}")
             raise ValueError(f"lexicon has duplicate categories: {dupes}")
-        prios = [r.priority for r in rules]
-        if len(set(prios)) != len(prios):
-            dupes = sorted({p for p in prios if prios.count(p) > 1})
-            raise ValueError(f"rule priorities must be unique, repeated: {dupes}")
         if () in query_keywords:
             raise ValueError("empty query keyword")
-        groups = [(rule.category_id, rule.priority, rule.patterns) for rule in rules]
+        groups = [(rule.category_id, rule.patterns) for rule in rules]
         # Once each, so that a lexicon that lists "?" does not scan it twice.
-        groups.append((None, None, tuple(dict.fromkeys((("?",), *query_keywords)))))
+        groups.append((None, tuple(dict.fromkeys((("?",), *query_keywords)))))
         index: dict[str, list] = {}
-        for r, (category_id, priority, patterns) in enumerate(groups):
+        for r, (category_id, patterns) in enumerate(groups):
             for p, pattern in enumerate(patterns):
                 index.setdefault(pattern[0], []).append(
-                    (r, p, len(pattern), category_id, priority, " ".join(pattern), pattern))
+                    (r, p, len(pattern), category_id, " ".join(pattern), pattern))
         self = tuple.__new__(cls, (rules, query_keywords))
         object.__setattr__(self, "_pattern_index",
                            {token: tuple(entries) for token, entries in index.items()})
@@ -163,8 +160,8 @@ class NoteClassification(
 ):
     """The category and per-condition test labels of one note.
 
-    category_id: the category of the matched rule with the lowest priority
-        number; 45 for an empty note, 46 when no rule matched.
+    category_id: the category of the first matched rule in lexicon order,
+        ``all_matches[0]``; 45 for an empty note, 46 when no rule matched.
     matched_pattern: that rule's pattern, space-joined ("" for 45 and 46).
     hbv_label, hcv_label: "positive" / "negative".
     all_matches: one `Match` per matched rule, in lexicon order.
@@ -186,52 +183,50 @@ def classify_note(text: str, lexicon: Lexicon) -> NoteClassification:
     """Assign a category and per-condition polarity to one note.
 
     Each rule contributes its first pattern, in lexicon order, that occurs
-    in the note, at that pattern's first token position. Deterministic:
-    ties between categories are broken by rule priority (the hepatitis
-    categories rank highest so polarity is never masked).
+    in the note, at that pattern's first token position. The first matched
+    rule wins (the default lexicon lists the hepatitis categories first, so
+    polarity is never masked).
     """
     tokens = normalize_note(text)
     if not tokens:
         return _NO_NOTE
 
     # rule position -> (pattern position, token position, category id,
-    # priority, joined pattern); tokens are scanned left to right, so the
-    # first hit of a pattern is its first position. The same scan finds the
-    # query group, which marks the note as a query and is no match.
-    found: dict[int, tuple[int, int, int | None, int | None, str]] = {}
+    # joined pattern); tokens are scanned left to right, so the first hit of
+    # a pattern is its first position. The same scan finds the query group,
+    # which marks the note as a query and is no match.
+    found: dict[int, tuple[int, int, int | None, str]] = {}
     index = lexicon._pattern_index
     for i, token in enumerate(tokens):
-        for r, p, width, category_id, priority, joined, pattern in index.get(token, ()):
+        for r, p, width, category_id, joined, pattern in index.get(token, ()):
             if (r not in found or p < found[r][0]) and (
                 width == 1 or tokens[i : i + width] == pattern
             ):
-                found[r] = (p, i, category_id, priority, joined)
+                found[r] = (p, i, category_id, joined)
 
     is_query = found.pop(len(lexicon.rules), None) is not None
     if not found:
         return _UNMATCHED
 
     matches = []
-    best_priority = None
     hbv = hcv = False
     for r in sorted(found):
-        _, i, category_id, priority, joined = found[r]
+        _, i, category_id, joined = found[r]
         matches.append(Match(category_id, joined, i))
-        if best_priority is None or priority < best_priority:
-            best_priority, best_id, best_pattern = priority, category_id, joined
         hbv = hbv or category_id == HBV_CATEGORY
         hcv = hcv or category_id == HCV_CATEGORY
     if is_query:  # a query never labels positive
         hbv = hcv = False
+    best_id, best_pattern, _ = matches[0]
     return NoteClassification(best_id, best_pattern, _LABELS[hbv], _LABELS[hcv], tuple(matches))
 
 
 # ---------------------------------------------------------------------------
 # Lexicon file format: blocks introduced by "[category N]" with "label:",
-# "chapter:", "priority:" and one "pattern:" line per phrase, plus a
-# "[polarity]" block of "query:" and "statement:" lines. Patterns and query
-# keywords are normalized on load; "statement:" lines document the lexicon
-# and are not read (a hepatitis note without a query is a statement).
+# "chapter:" and one "pattern:" line per phrase, plus a "[polarity]" block
+# of "query:" lines. Block order ranks the categories: the first matching
+# block wins. Patterns and query keywords are normalized on load; a hepatitis
+# note without a query is a statement.
 
 
 def load_lexicon(path) -> Lexicon:
@@ -250,25 +245,24 @@ def parse_lexicon(text: str) -> Lexicon:
     query: list[tuple[str, ...]] = []
     current: dict | None = None
     in_polarity = False
-    first_line: dict[tuple[str, int], int] = {}  # (key, value) -> header line of its block
+    first_line: dict[int, int] = {}  # category id -> header line of its block
 
     def flush():
         nonlocal current
         if current is None:
             return
         line = current["line"]
-        for key in ("label", "priority"):
-            if key not in current:
-                raise ValueError(f"line {line}: category {current['id']} has no {key}")
+        if "label" not in current:
+            raise ValueError(f"line {line}: category {current['id']} has no label")
         try:
             rules.append(CategoryRule(current["id"], current["label"], current.get("chapter"),
-                                      current["priority"], tuple(current["patterns"])))
+                                      tuple(current["patterns"])))
         except ValueError as err:  # a rule of the block, reported at its header
             raise ValueError(f"line {line}: {err}") from None
-        for key, value in (("category", current["id"]), ("priority", current["priority"])):
-            first = first_line.setdefault((key, value), line)  # each unique across blocks
-            if first != line:
-                raise ValueError(f"line {line}: duplicate {key} {value}, first at line {first}")
+        first = first_line.setdefault(current["id"], line)
+        if first != line:
+            raise ValueError(f"line {line}: duplicate category {current['id']}, "
+                             f"first at line {first}")
         current = None
 
     for lineno, line in enumerate(text.splitlines(), start=1):
@@ -293,7 +287,7 @@ def parse_lexicon(text: str) -> Lexicon:
                 if not keyword:
                     raise ValueError(f"line {lineno}: empty query keyword")
                 query.append(keyword)
-            elif key != "statement":
+            else:
                 raise ValueError(f"line {lineno}: unknown polarity key {key!r}")
             continue
         if current is None:
@@ -302,11 +296,6 @@ def parse_lexicon(text: str) -> Lexicon:
             current["label"] = value
         elif key == "chapter":
             current["chapter"] = None if value == "-" else value
-        elif key == "priority":
-            try:
-                current["priority"] = int(value)
-            except ValueError:
-                raise ValueError(f"line {lineno}: priority not an integer: {value!r}") from None
         elif key == "pattern":
             pat = normalize_note(value)
             if not pat:

@@ -68,8 +68,9 @@ def validate_cohort_file(path, strict: bool = False) -> ValidationReport:
 def _read_records(path, strict: bool, skipped: list, warnings: list):
     """Yield the records of a cohort CSV, appending to `skipped` and `warnings`.
 
-    In strict mode a malformed row raises CohortFormatError with the row
-    number; in lenient mode it is skipped and listed in `skipped`.
+    A blank line is no row, but counts in the row numbers. In strict mode
+    a malformed row raises CohortFormatError with the row number; in
+    lenient mode it is skipped and listed in `skipped`.
     Duplicate record ids and fields longer than the csv module's limit are
     an error in both modes.
     """
@@ -89,7 +90,9 @@ def _read_records(path, strict: bool, skipped: list, warnings: list):
         rownum = 1  # the last row read
         try:
             for rownum, row in enumerate(reader, start=2):
-                if row and row[0] in seen:  # never skipped, even in lenient mode
+                if not row:  # a blank line, skipped as csv.DictReader does
+                    continue
+                if row[0] in seen:  # never skipped, even in lenient mode
                     raise CohortFormatError(f"row {rownum}: duplicate record_id {row[0]!r}")
                 try:
                     record = _parse_row(row, rownum, warnings)

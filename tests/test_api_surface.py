@@ -26,7 +26,6 @@ SURFACE = [
     "classifier.CategoryRule.__new__(icd10_chapter)",
     "classifier.CategoryRule.__new__(label)",
     "classifier.CategoryRule.__new__(patterns)",
-    "classifier.CategoryRule.__new__(priority)",
     "classifier.Lexicon.__new__(query_keywords)",
     "classifier.Lexicon.__new__(rules)",
     "classifier.Lexicon.rule(category_id)",

@@ -49,14 +49,14 @@ def test_normalize_idempotent(text):
 def test_default_lexicon_shape():
     assert len(LEX.rules) == 46
     assert sorted(r.category_id for r in LEX.rules) == list(range(1, 47))
-    assert len({r.priority for r in LEX.rules}) == 46
+    assert [r.category_id for r in LEX.rules[:2]] == [HBV_CATEGORY, HCV_CATEGORY]  # they win
     assert LEX.query_keywords == (("?",), ("possible",), ("screen",), ("cause",),
                                   ("for", "investigation"))
 
 
 def test_query_index_holds_each_query_keyword_once():
     # The built-in lexicon lists "?", which the query group holds anyway.
-    query = [entry[6] for entries in LEX._pattern_index.values() for entry in entries
+    query = [entry[5] for entries in LEX._pattern_index.values() for entry in entries
              if entry[3] is None]
     assert sorted(query) == sorted({("?",), *LEX.query_keywords})
 
@@ -81,14 +81,26 @@ def test_default_lexicon_parsed_once():
 
 
 _MINIMAL_LEXICON = "\n".join(
-    f"[category {i}]\nlabel: c{i}\npriority: {i}\npattern: tok{i}" for i in range(1, 47)
+    f"[category {i}]\nlabel: c{i}\nchapter: -\npattern: tok{i}" for i in range(1, 47)
 )
 
 
-def test_statement_lines_are_documentation_only():
-    polarity = "\n[polarity]\nquery: possible\n"
-    documented = parse_lexicon(_MINIMAL_LEXICON + polarity + "statement: known\nstatement: tok1\n")
-    assert documented == parse_lexicon(_MINIMAL_LEXICON + polarity)
+def test_statement_lines_are_rejected():
+    # A note is a statement when it has no query keyword; no key lists statements.
+    polarity = "\n[polarity]\nquery: possible\nstatement: known\n"
+    with pytest.raises(ValueError, match=r"^line 187: unknown polarity key 'statement'$"):
+        parse_lexicon(_MINIMAL_LEXICON + polarity)
+
+
+def test_block_order_picks_the_winner():
+    # tok3 and tok9 both occur; whichever block comes first wins.
+    blocks = _MINIMAL_LEXICON.split("\n[")
+    blocks[2], blocks[8] = blocks[8], blocks[2]
+    swapped = parse_lexicon("\n[".join(blocks))
+    assert classify_note("tok3 tok9", parse_lexicon(_MINIMAL_LEXICON))[:2] == (3, "tok3")
+    assert classify_note("tok3 tok9", swapped)[:2] == (9, "tok9")
+    assert classify_note("tok3 tok9", swapped).all_matches == (Match(9, "tok9", 1),
+                                                              Match(3, "tok3", 0))
 
 
 def test_unknown_polarity_key_rejected():
@@ -98,7 +110,7 @@ def test_unknown_polarity_key_rejected():
 
 def test_lexicon_missing_category_rejected():
     text = "\n".join(
-        f"[category {i}]\nlabel: c{i}\npriority: {i}\npattern: tok{i}"
+        f"[category {i}]\nlabel: c{i}\npattern: tok{i}"
         for i in range(1, 47)
         if i != 7
     )
@@ -125,17 +137,8 @@ def test_lexicon_empty_query_keyword_names_its_line():
         parse_lexicon(_MINIMAL_LEXICON + "\n[polarity]\nquery: -\n")
 
 
-def test_lexicon_duplicate_priority_rejected():
-    text = "\n".join(
-        f"[category {i}]\nlabel: c{i}\npriority: 1\npattern: tok{i}" for i in range(1, 47)
-    )
-    with pytest.raises(ValueError, match=r"^line 5: duplicate priority 1, first at line 1$"):
-        parse_lexicon(text)
-
-
 @pytest.mark.parametrize("old, new, message", [
-    # categories 3 and 9 both at priority 3; their blocks start at lines 9 and 33
-    ("priority: 9\n", "priority: 3\n", "line 33: duplicate priority 3, first at line 9"),
+    # the blocks of categories 3 and 9 start at lines 9 and 33
     ("[category 9]", "[category 3]", "line 33: duplicate category 3, first at line 9"),
 ])
 def test_lexicon_duplicate_names_the_value_and_both_lines(old, new, message):
@@ -144,22 +147,15 @@ def test_lexicon_duplicate_names_the_value_and_both_lines(old, new, message):
     assert str(err.value) == message
 
 
-def test_lexicon_duplicate_priority_names_the_value():
-    rules = tuple(r._replace(priority=1) if r.category_id in (3, 9) else r for r in LEX.rules)
-    with pytest.raises(ValueError, match=r"^rule priorities must be unique, repeated: \[1\]$"):
-        Lexicon(rules, LEX.query_keywords)
-
-
 def test_lexicon_empty_pattern_list_rejected():
-    text = "[category 1]\nlabel: x\npriority: 1\n" + "\n".join(
-        f"[category {i}]\nlabel: c{i}\npriority: {i}\npattern: tok{i}" for i in range(2, 47)
+    text = "[category 1]\nlabel: x\n" + "\n".join(
+        f"[category {i}]\nlabel: c{i}\npattern: tok{i}" for i in range(2, 47)
     )
     with pytest.raises(ValueError, match="category 1"):
         parse_lexicon(text)
 
 
-@pytest.mark.parametrize("field, bad", [("category_id", True), ("category_id", "7"),
-                                        ("priority", "7"), ("priority", 7.0)])
+@pytest.mark.parametrize("field, bad", [("category_id", True), ("category_id", "7")])
 def test_category_rule_int_field_of_the_wrong_type_rejected(field, bad):
     with pytest.raises(ValueError) as err:
         CategoryRule(**{**LEX.rule(7)._asdict(), field: bad})

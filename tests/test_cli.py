@@ -317,6 +317,32 @@ def test_validate_strict_fails_on_bad_row(tmp_path, capsys):
     assert "row 2" in err
 
 
+def test_blank_cohort_lines_are_skipped(tmp_path, capsys):
+    plain = tmp_path / "plain.csv"
+    assert run(capsys, "synth", str(plain), "--preset", "figS1-hbv", "--seed", "1")[0] == 0
+    lines = plain.read_bytes().splitlines(keepends=True)
+    blank = tmp_path / "blank.csv"
+    blank.write_bytes(b"".join(lines[:100] + [b"\r\n"] + lines[100:] + [b"\r\n"]))
+    for cohort in (plain, blank):
+        code, _, err = run(capsys, "evaluate", str(cohort), "--condition", "hbv",
+                           "--outdir", str(tmp_path / cohort.stem))
+        assert (code, err) == (0, "")
+    written = sorted(p.name for p in (tmp_path / "plain").iterdir())
+    assert len(written) == 6
+    for name in written:
+        assert (tmp_path / "blank" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
+    code, out, _ = run(capsys, "validate", str(blank))
+    assert (code, out) == (0, f"{blank}: 241 records parsed, 0 skipped, 0 warnings\n")
+
+
+def test_blank_cohort_line_counts_in_later_row_numbers(tmp_path, capsys):
+    cohort = tmp_path / "c.csv"
+    cohort.write_text("record_id,age,sex,note_text,hbsag_iu,anti_hcv_iu,collection_year\n"
+                      "r1,38,M,x,,,\n\nr2,bad,M,x,,,\n", encoding="utf-8")
+    code, _, err = run(capsys, "validate", str(cohort), "--strict")
+    assert (code, err) == (1, "error: row 4, column age: not an integer: 'bad'\n")
+
+
 def test_missing_input_is_exit_1(capsys):
     code, _, err = run(capsys, "evaluate", "/nonexistent.csv", "--condition", "hbv")
     assert code == 1
@@ -527,23 +553,8 @@ def test_field_over_csv_limit_is_exit_1(tmp_path, capsys, argv):
     assert err.splitlines() == ["error: row 3: field larger than field limit (131072)"]
 
 
-_LEXICON_BLOCKS = [f"[category {i}]\nlabel: c{i}\npriority: {i}\npattern: tok{i}"
+_LEXICON_BLOCKS = [f"[category {i}]\nlabel: c{i}\nchapter: -\npattern: tok{i}"
                    for i in range(1, 47)]
-
-
-@pytest.mark.parametrize("priority_line,message", [
-    ("", "error: line 25: category 7 has no priority"),
-    ("priority: one\n", "error: line 27: priority not an integer: 'one'"),
-])
-def test_classify_lexicon_bad_priority_is_exit_1(tmp_path, capsys, priority_line, message):
-    lexicon = tmp_path / "lexicon.txt"
-    lexicon.write_text("\n".join(_LEXICON_BLOCKS).replace("priority: 7\n", priority_line),
-                       encoding="utf-8")
-    notes = tmp_path / "notes.txt"
-    notes.write_text("tok7\n", encoding="utf-8")
-    code, out, err = run(capsys, "classify", str(notes), "--lexicon", str(lexicon))
-    assert code == 1 and out == ""
-    assert err.splitlines() == [message]
 
 
 def test_classify_lexicon_without_label_is_exit_1(tmp_path, capsys):
@@ -571,7 +582,11 @@ def test_classify_lexicon_with_empty_query_keyword_is_exit_1(tmp_path, capsys):
     ("label: c7\n", "label: c7\ncolour: red\n", "error: line 27: unknown key 'colour'"),
     ("[category 1]", "[category 0]", "error: line 1: category_id out of range: 0"),
     ("pattern: tok7\n", "", "error: line 25: category 7 has no patterns"),
-    ("priority: 9\n", "priority: 3\n", "error: line 33: duplicate priority 3, first at line 9"),
+    ("label: c7\n", "label:\n", "error: line 25: category 7 label must be a non-empty str: ''"),
+    # Block order ranks the categories; a lexicon no longer numbers them.
+    ("label: c7\n", "label: c7\npriority: 7\n", "error: line 27: unknown key 'priority'"),
+    ("pattern: tok46", "pattern: tok46\n[polarity]\nstatement: known",
+     "error: line 186: unknown polarity key 'statement'"),
     ("[category 9]", "[category 3]", "error: line 33: duplicate category 3, first at line 9"),
 ])
 def test_classify_malformed_lexicon_is_exit_1(tmp_path, capsys, old, new, message):

@@ -300,10 +300,14 @@ def _old_parse_cohort_file_with_report(path, strict: bool = True) -> tuple[Cohor
             raise CohortFormatError(f"row 1: {err}") from None
         if header != HEADER:
             raise CohortFormatError(f"{path}: bad header {header!r}, expected {HEADER!r}")
+        blank = 0
         try:
             for rownum, row in enumerate(reader, start=2):
+                if not row:  # a blank line is no row, but numbers the rows after it
+                    blank += 1
+                    continue
                 report.n_rows += 1
-                if row and row[0] in seen:  # never skipped, even in lenient mode
+                if row[0] in seen:  # never skipped, even in lenient mode
                     raise CohortFormatError(f"row {rownum}: duplicate record_id {row[0]!r}")
                 try:
                     records.append(_old_parse_row(row, rownum, report))
@@ -314,7 +318,7 @@ def _old_parse_cohort_file_with_report(path, strict: bool = True) -> tuple[Cohor
                     continue
                 seen.add(row[0])
         except csv.Error as err:
-            raise CohortFormatError(f"row {report.n_rows + 2}: {err}") from None
+            raise CohortFormatError(f"row {report.n_rows + blank + 2}: {err}") from None
     report.n_parsed = len(records)
     return Cohort(tuple(records)), report
 

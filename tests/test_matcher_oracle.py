@@ -4,7 +4,8 @@
 verbatim copies of the matcher as it was before the index: every pattern
 of every rule is searched at every token position. Whole
 `NoteClassification`s must be equal, including the order and positions
-of `all_matches`.
+of `all_matches`. The oracle's winner is its first match, as the block
+order of a lexicon file ranks the categories.
 """
 
 import re
@@ -43,18 +44,14 @@ def _oracle_classify_note(text: str, lexicon: Lexicon) -> NoteClassification:
         return NoteClassification(NO_NOTE_CATEGORY, "", "negative", "negative", ())
 
     matches: list[Match] = []
-    best: tuple[int, Match] | None = None
     for rule in lexicon.rules:
         for pattern in rule.patterns:
             pos = _oracle_contains(tokens, pattern)
             if pos >= 0:
-                m = Match(rule.category_id, " ".join(pattern), pos)
-                matches.append(m)
-                if best is None or rule.priority < best[0]:
-                    best = (rule.priority, m)
+                matches.append(Match(rule.category_id, " ".join(pattern), pos))
                 break  # one match per category is enough
 
-    if best is None:
+    if not matches:
         return NoteClassification(NONSPECIFIC_CATEGORY, "", "negative", "negative", ())
 
     is_query = _oracle_note_is_query(tokens, lexicon)
@@ -62,7 +59,7 @@ def _oracle_classify_note(text: str, lexicon: Lexicon) -> NoteClassification:
     hbv = "positive" if (HBV_CATEGORY in matched_ids and not is_query) else "negative"
     hcv = "positive" if (HCV_CATEGORY in matched_ids and not is_query) else "negative"
     return NoteClassification(
-        best[1].category_id, best[1].pattern, hbv, hcv, tuple(matches)
+        matches[0].category_id, matches[0].pattern, hbv, hcv, tuple(matches)
     )
 
 
@@ -73,21 +70,21 @@ def _oracle_note_is_query(tokens: tuple[str, ...], lexicon: Lexicon) -> bool:
     return any(_oracle_contains(tokens, kw) >= 0 for kw in lexicon.query_keywords)
 
 
-def _lexicon(custom: dict[int, tuple[str, ...]], priorities: dict[int, int] | None = None) -> Lexicon:
+def _lexicon(custom: dict[int, tuple[str, ...]], first: tuple[int, ...] = ()) -> Lexicon:
     """All 46 categories; those in `custom` get its patterns, the rest a unique token.
 
-    Priorities default to the category id. Rules are listed in descending id
-    order, so rule order and priority order disagree.
+    The rules of `first` lead, in that order; the rest follow in descending
+    id order, so rule order is not id order.
     """
+    order = [*first, *(cid for cid in range(46, 0, -1) if cid not in first)]
     rules = tuple(
         CategoryRule(
             category_id=cid,
             label=f"c{cid}",
             icd10_chapter=None,
-            priority=(priorities or {}).get(cid, cid),
             patterns=tuple(normalize_note(p) for p in custom.get(cid, (f"tok{cid}",))),
         )
-        for cid in range(46, 0, -1)
+        for cid in order
     )
     # No "?" keyword: a "?" token must make a query on its own.
     query = (("possible",), ("for", "investigation"), ("screen", "now"))
@@ -100,13 +97,14 @@ LATER_PATTERN_FIRST = _lexicon({
     5: ("alpha beta", "gamma", "delta"),
     6: ("omega", "gamma delta"),
 })
-# Rules 3, 4, 7 and the HCV rule share their first token.
+# Rules 3, 4, 7 and the HCV rule share their first token; rule 7 is listed
+# first, so it wins over the HCV rule that labels the note.
 SHARED_FIRST_TOKEN = _lexicon({
     HCV_CATEGORY: ("alpha hep c",),
     3: ("alpha beta",),
     4: ("alpha gamma", "beta"),
     7: ("alpha",),
-}, priorities={7: 0})
+}, first=(7,))
 # Overlapping multi-token patterns, within and across rules.
 OVERLAPPING = _lexicon({
     HBV_CATEGORY: ("a b hbv", "hbv"),
@@ -117,11 +115,12 @@ OVERLAPPING = _lexicon({
 })
 # Query keywords ("possible", "for investigation", "screen now") start or
 # equal patterns, so a token's index entries mix rules and the query group.
+# The HBV rule leads, as in the default lexicon.
 QUERY_TOKENS_IN_PATTERNS = _lexicon({
     HBV_CATEGORY: ("hbv",),
     8: ("screen", "possible cause"),
     9: ("for",),
-})
+}, first=(HBV_CATEGORY,))
 HAND_BUILT = {
     "later-pattern-first": LATER_PATTERN_FIRST,
     "shared-first-token": SHARED_FIRST_TOKEN,
@@ -165,13 +164,13 @@ def test_hand_built_polarity(text, lexicon, labels):
 
 @pytest.mark.parametrize("text, category_id, matches, hbv_label", [
     ("screen now hbv", HBV_CATEGORY,
-     (Match(8, "screen", 0), Match(HBV_CATEGORY, "hepatitis-b", 2)), "negative"),
+     (Match(HBV_CATEGORY, "hepatitis-b", 2), Match(8, "screen", 0)), "negative"),
     ("possible cause hbv", HBV_CATEGORY,
-     (Match(8, "possible cause", 0), Match(HBV_CATEGORY, "hepatitis-b", 2)), "negative"),
+     (Match(HBV_CATEGORY, "hepatitis-b", 2), Match(8, "possible cause", 0)), "negative"),
     ("for hbv", HBV_CATEGORY,
-     (Match(9, "for", 0), Match(HBV_CATEGORY, "hepatitis-b", 1)), "positive"),
+     (Match(HBV_CATEGORY, "hepatitis-b", 1), Match(9, "for", 0)), "positive"),
     ("for investigation hbv", HBV_CATEGORY,
-     (Match(9, "for", 0), Match(HBV_CATEGORY, "hepatitis-b", 2)), "negative"),
+     (Match(HBV_CATEGORY, "hepatitis-b", 2), Match(9, "for", 0)), "negative"),
     ("screen now", 8, (Match(8, "screen", 0),), "negative"),
     ("?", NONSPECIFIC_CATEGORY, (), "negative"),
 ])
@@ -206,6 +205,14 @@ def test_default_lexicon_matches_oracle(text):
     _assert_same(text, _DEFAULT)
 
 
+@settings(max_examples=300, deadline=None)
+@given(_notes(_DEFAULT_PHRASES))
+def test_first_match_in_lexicon_order_wins(text):
+    c = classify_note(text, _DEFAULT)
+    if c.all_matches:
+        assert (c.category_id, c.matched_pattern) == c.all_matches[0][:2]
+
+
 def _hand_built_phrases(lexicon: Lexicon) -> list[str]:
     return sorted({" ".join(p) for r in lexicon.rules for p in r.patterns if r.category_id <= 10}
                   | {"screen now", "alpha hep c", "a b hbv"})
@@ -222,7 +229,7 @@ def test_hand_built_lexicons_match_oracle(name, data):
 def test_empty_pattern_and_query_keyword_rejected():
     # The index keys every pattern by its first token; an empty one has none.
     with pytest.raises(ValueError, match="empty pattern"):
-        CategoryRule(3, "c3", None, 3, (("x",), ()))
+        CategoryRule(3, "c3", None, (("x",), ()))
     rules = LATER_PATTERN_FIRST.rules
     with pytest.raises(ValueError, match="empty query keyword"):
         Lexicon(rules, (("?",), ()))

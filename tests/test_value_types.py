@@ -23,7 +23,7 @@ PANEL = MetricPanel(ESTIMATE, ESTIMATE, ESTIMATE, ESTIMATE, MetricEstimate(None,
 RESULT = CategoryResult(1, "Hepatitis B", "B18", 2, 0, TABLE, PANEL)
 
 SAMPLES = {
-    "CategoryRule": lambda: CategoryRule(1, "Hepatitis B", "B18", 1, (("hepatitis-b",),)),
+    "CategoryRule": lambda: CategoryRule(1, "Hepatitis B", "B18", (("hepatitis-b",),)),
     "CiConfig": lambda: CiConfig(level=0.9, proportion_method="score"),
     "ContingencyTable": lambda: TABLE,
     "MetricEstimate": lambda: ESTIMATE,
@@ -42,7 +42,7 @@ SAMPLES = {
 
 REPRS = {
     "CategoryRule": (
-        "CategoryRule(category_id=1, label='Hepatitis B', icd10_chapter='B18', priority=1, "
+        "CategoryRule(category_id=1, label='Hepatitis B', icd10_chapter='B18', "
         "patterns=(('hepatitis-b',),))"
     ),
     "CiConfig": "CiConfig(level=0.9, proportion_method='score')",
@@ -172,8 +172,8 @@ CHECKED = [
     ("CategoryRule", "category_id", 47),
     ("CategoryRule", "category_id", True),
     ("CategoryRule", "category_id", "1"),
-    ("CategoryRule", "priority", "1"),
-    ("CategoryRule", "priority", 1.0),
+    ("CategoryRule", "label", ""),
+    ("CategoryRule", "label", None),
 ]
 
 

@@ -23,6 +23,10 @@ NONSPECIFIC_CATEGORY = 46
 HBV_CATEGORY = Condition.HEPATITIS_B.category_id
 HCV_CATEGORY = Condition.HEPATITIS_C.category_id
 VACCINATION_CATEGORY = 34
+# Notes are stock phrases, so `evaluate` and `classify` keep what each
+# distinct note gave for the rest of the run. They remember this many
+# distinct notes at most, so that all-distinct input keeps memory flat.
+NOTE_MEMO_LIMIT = 4096
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+|\?")
 

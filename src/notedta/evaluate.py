@@ -16,6 +16,7 @@ import math
 from collections import namedtuple
 
 from .classifier import (
+    NOTE_MEMO_LIMIT,
     VACCINATION_CATEGORY,
     Lexicon,
     classify_note,
@@ -92,7 +93,11 @@ class EvaluationResult(namedtuple("EvaluationResult", "condition primary control
 def evaluate_condition(
     cohort: Cohort, config: EvaluationConfig, lexicon: Lexicon | None = None
 ) -> EvaluationResult:
-    """Classify every note once, then tally per-category 2x2 tables in one pass.
+    """Classify each distinct note once, then tally per-category 2x2 tables in one pass.
+
+    What a note adds to the tally is kept per distinct note text, for the
+    first ``NOTE_MEMO_LIMIT`` distinct texts; a note first seen after that
+    is classified at each of its records.
 
     The reference to ``cohort`` is dropped once the tables and the
     demographic summary are built, before any interval is computed. A
@@ -108,29 +113,39 @@ def evaluate_condition(
     evaluated = (condition.category_id, *CONTROL_CATEGORIES)
     pairs: dict[int, list] = {cid: [] for cid in evaluated}
     n_vacc = {cid: 0 for cid in evaluated}
+    # note text -> (evaluated category ids, excluded for vaccination, _PAIRS row)
+    memo: dict[str, tuple] = {}
     for rec in cohort:
-        cls = classify_note(rec.note_text, lexicon)
-        # A note has at most one match per category, so the evaluated ones
-        # it matches can be listed without a set.
-        cids = []
-        vaccination = False
-        for m in cls.all_matches:
-            cid = m.category_id
-            if cid in pairs:
-                cids.append(cid)
-            if cid == VACCINATION_CATEGORY:
-                vaccination = True
-        if vaccination and exclude_vaccination:
+        note = rec.note_text
+        seen = memo.get(note)
+        if seen is None:
+            cls = classify_note(note, lexicon)
+            # A note has at most one match per category, so the evaluated
+            # ones it matches can be listed without a set.
+            cids = []
+            vaccination = False
+            for m in cls.all_matches:
+                cid = m.category_id
+                if cid in pairs:
+                    cids.append(cid)
+                if cid == VACCINATION_CATEGORY:
+                    vaccination = True
+            seen = (tuple(cids), vaccination and exclude_vaccination,
+                    _PAIRS[cls.hbv_label if hbv else cls.hcv_label])
+            if len(memo) < NOTE_MEMO_LIMIT:
+                memo[note] = seen
+        cids, excluded, with_status = seen
+        if excluded:
             for cid in cids:
                 n_vacc[cid] += 1
             continue
         if not cids:
             continue
-        with_status = _PAIRS[cls.hbv_label if hbv else cls.hcv_label]
         status = classify_marker(rec, condition, cutoff)
         pair = with_status[0 if status is positive else 1 if status is negative else 2]
         for cid in cids:
             pairs[cid].append(pair)
+    del memo
     tables = {cid: build_contingency(pairs.pop(cid)) for cid in evaluated}
     summary = summarize_demographics(cohort)
     # The first exact bound loads numpy and scipy's ufuncs (~19 MB). Dropping

@@ -10,7 +10,8 @@ rules (age, year and assay ranges, a non-empty id) are
 """
 
 import csv
-from collections import namedtuple
+from collections import Counter, namedtuple
+from operator import attrgetter
 
 from .model import Cohort, PathologyRecord, Sex
 
@@ -188,8 +189,6 @@ def summarize_demographics(cohort: Cohort) -> CohortSummary:
 
     if len(cohort) == 0:
         raise ValueError("cannot summarize an empty cohort")
-    ages = []
-    decades: dict[int, int] = {}
     # Sexes are counted by identity, as in write_cohort_file.
     male, female, unspecified = Sex.MALE, Sex.FEMALE, Sex.UNSPECIFIED
     n_male = n_female = n_unspecified = 0
@@ -201,14 +200,18 @@ def summarize_demographics(cohort: Cohort) -> CohortSummary:
             n_female += 1
         elif sex is unspecified:
             n_unspecified += 1
-        age = r.age
-        if age is not None:
-            ages.append(age)
-            decades[age // 10 * 10] = decades.get(age // 10 * 10, 0) + 1
+    # At most 131 keys however many records, counted by Counter's C loop.
+    ages = Counter(map(attrgetter("age"), cohort))
+    ages.pop(None, None)
+    decades: dict[int, int] = {}
+    for age, count in ages.items():
+        decades[age // 10 * 10] = decades.get(age // 10 * 10, 0) + count
+    # fmean and stdev sum exactly, so the order elements() gives is immaterial.
+    n_aged = ages.total()
     return CohortSummary(
         n_total=len(cohort),
-        age_mean=statistics.fmean(ages) if ages else None,
-        age_sd=(statistics.stdev(ages) if len(ages) > 1 else (0.0 if ages else None)),
+        age_mean=statistics.fmean(ages.elements()) if n_aged else None,
+        age_sd=(statistics.stdev(ages.elements()) if n_aged > 1 else (0.0 if n_aged else None)),
         n_male=n_male,
         n_female=n_female,
         n_unspecified=n_unspecified,

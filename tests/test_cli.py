@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 
 from notedta import cli, evaluate, ingest
-from notedta.classifier import classify_note, default_lexicon
+from notedta.classifier import NOTE_MEMO_LIMIT, classify_note, default_lexicon
 from notedta.cli import main
 from notedta.ingest import write_cohort_file
 from notedta.model import Cohort
@@ -196,6 +196,27 @@ def test_classify_output_same_unbuffered_and_buffered(tmp_path, source):
     assert stdouts[0] == stdouts[1] == _classified(_CLASSIFY_NOTES)
     assert hashlib.sha256(stdouts[0]).hexdigest() == (
         "4f6558aa6fd0594a386ab9bab03ef97b11e7a788e1d412f81f734763f220bb2f")
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_classify_repeated_notes_print_as_classified_one_by_one(tmp_path, source):
+    # Repeats of notes first seen before the memo's bound and after it,
+    # lines with a bare CR, an empty line, and an unterminated last line
+    # that repeats a note read with its newline.
+    phrases = ["Known Hep B", "?Hep C\r", "", "post vaccination", "Depression", "Hep C Pos"]
+    distinct = [f"{phrases[i % len(phrases)]} {i}" for i in range(NOTE_MEMO_LIMIT + 5)]
+    lines = [*distinct, "", *distinct[:5], *distinct[-5:], "Known Hep B\rpsi",
+             "Known Hep B\rpsi", "", "?Hep C", *distinct[-5:], "?Hep C"]
+    text = "\n".join(lines)
+    notes = tmp_path / "notes.txt"
+    notes.write_bytes(text.encode("utf-8"))
+    argv = ["-m", "notedta.cli", "classify", str(notes) if source == "file" else "-"]
+    for flags in (["-u"], []):
+        with open(notes, "rb") as stdin:
+            proc = subprocess.run([sys.executable, *flags, *argv], stdin=stdin,
+                                  capture_output=True, env=_cli_env(), timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == _classified(text)
 
 
 @pytest.mark.parametrize("source", ["file", "stdin"])

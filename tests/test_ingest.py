@@ -464,6 +464,23 @@ def test_summary_permutation_invariant():
     assert summarize_demographics(Cohort(tuple(shuffled))) == base
 
 
+@settings(max_examples=200, deadline=None)
+@given(ages=st.lists(st.none() | st.integers(0, 130), min_size=1, max_size=60))
+def test_summary_age_statistics_match_the_list_of_ages(ages):
+    # The summary counts ages; the statistics over the list of every age,
+    # in record order, are what it computed before and must stay bit for bit.
+    s = summarize_demographics(Cohort(tuple(
+        PathologyRecord(f"r{i}", age=a) for i, a in enumerate(ages))))
+    aged = [a for a in ages if a is not None]
+    mean = statistics.fmean(aged) if aged else None
+    sd = statistics.stdev(aged) if len(aged) > 1 else (0.0 if aged else None)
+    assert (repr(s.age_mean), repr(s.age_sd)) == (repr(mean), repr(sd))
+    decades: dict[int, int] = {}
+    for a in aged:
+        decades[a // 10 * 10] = decades.get(a // 10 * 10, 0) + 1
+    assert s.age_histogram == tuple(sorted(decades.items()))
+
+
 def test_summary_empty_cohort_rejected():
     with pytest.raises(ValueError):
         summarize_demographics(Cohort(()))

@@ -7,15 +7,24 @@ picked the marker and cutoff inline, with a test-local copy of the marker
 selector it called, `PathologyRecord.assay_value`, which the library has
 since dropped. Both oracles take one cutoff per condition, as the
 evaluation's settings did before they held only the target condition's.
-Results must be equal field for field, floats bit for bit.
+Results must be equal field for field, floats bit for bit. The oracle
+classifies the note of every record, so it is also the reference for the
+tally's memo of what each distinct note gave.
 """
 
 import math
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from notedta.classifier import VACCINATION_CATEGORY, classify_note, default_lexicon
+from notedta import evaluate
+from notedta.classifier import (
+    NOTE_MEMO_LIMIT,
+    VACCINATION_CATEGORY,
+    classify_note,
+    default_lexicon,
+)
 from notedta.evaluate import (
     CONTROL_CATEGORIES,
     CategoryResult,
@@ -101,14 +110,15 @@ def _oracle_evaluate_condition(cohort, config, thresholds, lexicon=None):
 # Notes of either condition as a statement or a query, vaccination notes
 # (alone and beside an evaluated category), notes in several evaluated
 # categories at once, single control categories, and notes that match none.
-_NOTES = st.sampled_from([
+_PHRASES = [
     "Known Hep B", "?Hep B", "Hep B exposure", "Possible Hep C", "Hep C Pos", "?Hep C",
     "Known Hep B and Hep C", "?Hep B ?Hep C", "Hep B, fatigue", "IVDA ?Hep C",
     "lethargy and deranged LFTs", "antenatal screen Hep B", "check response to Hep B vaccination",
     "post vaccination", "Hep C immunity", "vaccine, fatigue", "Fatigue", "work screening",
     "Depression", "Arthritis", "Crohn's disease", "Alcohol abuse", "Neutropaenia",
     "", "routine bloods",
-]) | st.text(max_size=16)
+]
+_NOTES = st.sampled_from(_PHRASES) | st.text(max_size=16)
 
 _CUTOFFS = sorted({c for t in _THRESHOLDS for c in t})
 # Missing markers, markers exactly at each cutoff, one ulp either side of it,
@@ -152,3 +162,36 @@ def test_classify_marker_matches_the_one_it_replaced():
             for condition in Condition:
                 assert (classify_marker(record, condition, _cutoff(thresholds, condition))
                         is _oracle_classify_marker(record, condition, thresholds))
+
+
+@pytest.mark.parametrize("exclude_vaccination", [True, False])
+def test_tally_past_the_memo_bound_matches_the_loop_it_replaced(monkeypatch,
+                                                                exclude_vaccination):
+    # Distinct notes up to and past the bound, each a stock phrase with its
+    # own number token, then repeats of notes first seen before the bound
+    # (served from the memo) and after it (classified again).
+    distinct = [f"{_PHRASES[i % len(_PHRASES)]} {i}" for i in range(NOTE_MEMO_LIMIT + 40)]
+    repeats = distinct[:40] + distinct[-40:] + distinct[NOTE_MEMO_LIMIT - 3:NOTE_MEMO_LIMIT + 3]
+    markers = [None, 0.0, 5.0]
+    cohort = Cohort(tuple(
+        PathologyRecord(f"r{i}", note_text=note, hbsag_iu=markers[i % 3],
+                        anti_hcv_iu=markers[i // 3 % 3])
+        for i, note in enumerate(distinct + repeats * 2)
+    ))
+    lexicon = default_lexicon()
+    unmemoized = set(distinct[NOTE_MEMO_LIMIT:])
+    for condition in Condition:
+        config = EvaluationConfig(condition, exclude_vaccination,
+                                  ci=CiConfig(proportion_method="score"))
+        calls = []
+        monkeypatch.setattr(evaluate, "classify_note",
+                            lambda text, lex: calls.append(text) or classify_note(text, lex))
+        got = evaluate_condition(cohort, config, lexicon)
+        monkeypatch.undo()
+        expected = _oracle_evaluate_condition(cohort, config, _DEFAULTS, lexicon)
+        assert got == expected
+        assert repr(got) == repr(expected)
+        # Each note is classified once while the memo has room, and a note
+        # first seen past the bound at every record.
+        assert len(calls) == NOTE_MEMO_LIMIT + sum(
+            rec.note_text in unmemoized for rec in cohort)

@@ -24,9 +24,12 @@ HBV_CATEGORY = Condition.HEPATITIS_B.category_id
 HCV_CATEGORY = Condition.HEPATITIS_C.category_id
 VACCINATION_CATEGORY = 34
 # Notes are stock phrases, so `evaluate` and `classify` keep what each
-# distinct note gave for the rest of the run. They remember this many
-# distinct notes at most, so that all-distinct input keeps memory flat.
+# distinct note gave for the rest of the run, in a `NoteMemo`. It holds the
+# first NOTE_MEMO_LIMIT distinct notes of at most NOTE_MEMO_MAX_CHARS
+# characters each and recomputes any other note at each occurrence, so that
+# all-distinct or long-line input keeps memory flat. Neither is a setting.
 NOTE_MEMO_LIMIT = 4096
+NOTE_MEMO_MAX_CHARS = 256
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+|\?")
 
@@ -72,6 +75,25 @@ def normalize_note(text: str) -> tuple[str, ...]:
             out.append(raw[i])
             i += 1
     return tuple(out)
+
+
+class NoteMemo(dict):
+    """Maps each note looked up to ``derive(note)``, first come, within the bounds above.
+
+    A held note is derived once; any other at each lookup. A hit is a plain
+    dict lookup. A ``derive`` that raises stores nothing.
+    """
+
+    __slots__ = ("_derive",)
+
+    def __init__(self, derive):
+        self._derive = derive
+
+    def __missing__(self, note):
+        value = self._derive(note)
+        if len(self) < NOTE_MEMO_LIMIT and len(note) <= NOTE_MEMO_MAX_CHARS:
+            self[note] = value
+        return value
 
 
 class CategoryRule(namedtuple("CategoryRule", "category_id label icd10_chapter patterns")):

@@ -12,7 +12,7 @@ import gc
 import importlib
 import sys
 
-from .classifier import NOTE_MEMO_LIMIT, classify_note, default_lexicon, load_lexicon
+from .classifier import NoteMemo, classify_note, default_lexicon, load_lexicon
 from .metrics import CiConfig
 from .model import Condition
 from .synth import PRESETS, preset_spec, synthesize_exact, synthesize_random
@@ -128,16 +128,15 @@ def _cmd_classify(args) -> int:
     source = (contextlib.nullcontext(sys.stdin) if args.input == "-"
               else open(args.input, encoding="utf-8", newline="\n"))
     write = sys.stdout.write  # one write per line: one syscall under -u
-    rendered: dict[str, str] = {}  # raw line -> its output line
+
+    def render(line: str) -> str:
+        c = classify_note(line.rstrip("\n"), lexicon)
+        return f"{c.category_id}\t{c.hbv_label}\t{c.hcv_label}\t{c.matched_pattern}\n"
+
+    rendered = NoteMemo(render)  # raw line -> its output line
     with source as fh:
         for line in fh:
-            out = rendered.get(line)
-            if out is None:
-                c = classify_note(line.rstrip("\n"), lexicon)
-                out = f"{c.category_id}\t{c.hbv_label}\t{c.hcv_label}\t{c.matched_pattern}\n"
-                if len(rendered) < NOTE_MEMO_LIMIT:
-                    rendered[line] = out
-            write(out)
+            write(rendered[line])
     return 0
 
 

@@ -15,13 +15,7 @@ import json
 import math
 from collections import namedtuple
 
-from .classifier import (
-    NOTE_MEMO_LIMIT,
-    VACCINATION_CATEGORY,
-    Lexicon,
-    classify_note,
-    default_lexicon,
-)
+from .classifier import VACCINATION_CATEGORY, Lexicon, NoteMemo, classify_note, default_lexicon
 from .ingest import CohortSummary, summarize_demographics
 from .metrics import (
     METRICS,
@@ -95,9 +89,9 @@ def evaluate_condition(
 ) -> EvaluationResult:
     """Classify each distinct note once, then tally per-category 2x2 tables in one pass.
 
-    What a note adds to the tally is kept per distinct note text, for the
-    first ``NOTE_MEMO_LIMIT`` distinct texts; a note first seen after that
-    is classified at each of its records.
+    What a note adds to the tally is kept per distinct note text in a
+    `NoteMemo`; a note the memo does not hold (one first seen after it
+    filled, or a long one) is classified at each of its records.
 
     The reference to ``cohort`` is dropped once the tables and the
     demographic summary are built, before any interval is computed. A
@@ -113,28 +107,26 @@ def evaluate_condition(
     evaluated = (condition.category_id, *CONTROL_CATEGORIES)
     pairs: dict[int, list] = {cid: [] for cid in evaluated}
     n_vacc = {cid: 0 for cid in evaluated}
-    # note text -> (evaluated category ids, excluded for vaccination, _PAIRS row)
-    memo: dict[str, tuple] = {}
+
+    def tally_row(note: str) -> tuple:
+        """(evaluated category ids, excluded for vaccination, _PAIRS row) of a note."""
+        cls = classify_note(note, lexicon)
+        # A note has at most one match per category, so the evaluated
+        # ones it matches can be listed without a set.
+        cids = []
+        vaccination = False
+        for m in cls.all_matches:
+            cid = m.category_id
+            if cid in pairs:
+                cids.append(cid)
+            if cid == VACCINATION_CATEGORY:
+                vaccination = True
+        return (tuple(cids), vaccination and exclude_vaccination,
+                _PAIRS[cls.hbv_label if hbv else cls.hcv_label])
+
+    rows = NoteMemo(tally_row)
     for rec in cohort:
-        note = rec.note_text
-        seen = memo.get(note)
-        if seen is None:
-            cls = classify_note(note, lexicon)
-            # A note has at most one match per category, so the evaluated
-            # ones it matches can be listed without a set.
-            cids = []
-            vaccination = False
-            for m in cls.all_matches:
-                cid = m.category_id
-                if cid in pairs:
-                    cids.append(cid)
-                if cid == VACCINATION_CATEGORY:
-                    vaccination = True
-            seen = (tuple(cids), vaccination and exclude_vaccination,
-                    _PAIRS[cls.hbv_label if hbv else cls.hcv_label])
-            if len(memo) < NOTE_MEMO_LIMIT:
-                memo[note] = seen
-        cids, excluded, with_status = seen
+        cids, excluded, with_status = rows[rec.note_text]
         if excluded:
             for cid in cids:
                 n_vacc[cid] += 1
@@ -145,7 +137,7 @@ def evaluate_condition(
         pair = with_status[0 if status is positive else 1 if status is negative else 2]
         for cid in cids:
             pairs[cid].append(pair)
-    del memo
+    del rows
     tables = {cid: build_contingency(pairs.pop(cid)) for cid in evaluated}
     summary = summarize_demographics(cohort)
     # The first exact bound loads numpy and scipy's ufuncs (~19 MB). Dropping

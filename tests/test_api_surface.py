@@ -6,9 +6,10 @@ constructor (`__new__` or `__init__`); `self` and `cls` are left out. The
 sorted list must equal `SURFACE`, so a parameter added or removed shows up
 as one line of this file's diff. `OPTIONS` does the same for the arguments
 of each subcommand, read from the parser, and no module reads the
-environment: every setting of a run is on its command line. Every
-`notedta` line of README's `sh` blocks must parse, so the README names no
-removed subcommand or flag.
+environment: every setting of a run is on its command line. Only
+`classifier` names the note memo's bounds. Every `notedta` line of
+README's `sh` blocks must parse, so the README names no removed
+subcommand or flag.
 """
 
 import argparse
@@ -29,6 +30,7 @@ SURFACE = [
     "classifier.Lexicon.__new__(query_keywords)",
     "classifier.Lexicon.__new__(rules)",
     "classifier.Lexicon.rule(category_id)",
+    "classifier.NoteMemo.__init__(derive)",
     "classifier.classify_note(lexicon)",
     "classifier.classify_note(text)",
     "classifier.load_lexicon(path)",
@@ -162,6 +164,20 @@ def test_no_module_reads_the_environment():
         and any(alias.name in env for alias in node.names)
     ]
     assert reads == []
+
+
+def test_only_the_classifier_names_the_note_memo_bounds():
+    # Callers go through `classifier.NoteMemo`, so its bounds live in one place.
+    bounds = {"NOTE_MEMO_LIMIT", "NOTE_MEMO_MAX_CHARS"}
+    names = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py")) if path.stem != "classifier"
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if isinstance(node, ast.Name) and node.id in bounds
+        or isinstance(node, ast.Attribute) and node.attr in bounds
+        or isinstance(node, ast.alias) and node.name in bounds
+    ]
+    assert names == []
 
 
 def readme_commands() -> list[str]:

@@ -7,10 +7,13 @@ from notedta.classifier import (
     HCV_CATEGORY,
     NO_NOTE_CATEGORY,
     NONSPECIFIC_CATEGORY,
+    NOTE_MEMO_LIMIT,
+    NOTE_MEMO_MAX_CHARS,
     CategoryRule,
     Lexicon,
     Match,
     NoteClassification,
+    NoteMemo,
     classify_note,
     default_lexicon,
     normalize_note,
@@ -291,3 +294,62 @@ def test_polarity_soundness(text):
         assert "?" not in tokens
         idx = tokens.index("hepatitis-c")
         assert idx == 0 or tokens[idx - 1] != "?"
+
+
+# -- note memo ----------------------------------------------------------------
+
+# Notes at and past the length bound, notes whose derivation raises (those
+# ending in "!"), and short text. None can equal a "filler N" note.
+_MEMO_NOTES = st.sampled_from([
+    "", "Known Hep B", "?Hep C\r", "boom!", "x" * NOTE_MEMO_MAX_CHARS,
+    "x" * (NOTE_MEMO_MAX_CHARS + 1), "y" * NOTE_MEMO_MAX_CHARS + "!",
+]) | st.text(max_size=4)
+
+
+@given(st.sampled_from([0, NOTE_MEMO_LIMIT - 3, NOTE_MEMO_LIMIT]),
+       st.lists(_MEMO_NOTES, max_size=30))
+def test_note_memo_derives_each_held_note_once(filled, notes):
+    calls = []
+
+    def derive(note):
+        calls.append(note)
+        if note.endswith("!"):
+            raise ValueError(note)
+        return [note]  # a new object per call: a held result shows by identity
+
+    memo = NoteMemo(derive)
+    fillers = [f"filler {i}" for i in range(filled)]
+    for note in fillers:
+        memo[note]
+    assert calls == fillers and len(memo) == filled
+    held = dict(memo)
+    # Each lookup returns derive(note). A held note is not derived again;
+    # any other note is derived once per lookup, and is held from then on
+    # only if the memo has room, it is short enough and derive returned.
+    for note in notes:
+        before = len(calls)
+        try:
+            value = memo[note]
+        except ValueError as err:
+            assert err.args == (note,)
+            value = None
+        else:
+            assert value == [note]
+        if note in held:
+            assert value is held[note] and len(calls) == before
+            continue
+        assert calls[before:] == [note]
+        if value is not None and len(held) < NOTE_MEMO_LIMIT and len(note) <= NOTE_MEMO_MAX_CHARS:
+            held[note] = value
+        assert len(memo) <= NOTE_MEMO_LIMIT
+    assert memo == held
+
+
+def test_note_memo_holds_notes_of_at_most_256_characters():
+    calls = []
+    memo = NoteMemo(lambda note: calls.append(note) or len(note))
+    at, past = "a" * 256, "a" * 257
+    for _ in range(3):
+        assert (memo[at], memo[past]) == (256, 257)
+    assert list(memo) == [at]
+    assert calls == [at, past, past, past]

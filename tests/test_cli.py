@@ -12,7 +12,12 @@ from pathlib import Path
 import pytest
 
 from notedta import cli, evaluate, ingest
-from notedta.classifier import NOTE_MEMO_LIMIT, classify_note, default_lexicon
+from notedta.classifier import (
+    NOTE_MEMO_LIMIT,
+    NOTE_MEMO_MAX_CHARS,
+    classify_note,
+    default_lexicon,
+)
 from notedta.cli import main
 from notedta.ingest import write_cohort_file
 from notedta.model import Cohort
@@ -201,12 +206,15 @@ def test_classify_output_same_unbuffered_and_buffered(tmp_path, source):
 @pytest.mark.parametrize("source", ["file", "stdin"])
 def test_classify_repeated_notes_print_as_classified_one_by_one(tmp_path, source):
     # Repeats of notes first seen before the memo's bound and after it,
-    # lines with a bare CR, an empty line, and an unterminated last line
-    # that repeats a note read with its newline.
+    # lines with a bare CR, an empty line, a line too long to be remembered
+    # (with a bare CR too) seen first while the memo has room, and an
+    # unterminated last line that repeats a note read with its newline.
     phrases = ["Known Hep B", "?Hep C\r", "", "post vaccination", "Depression", "Hep C Pos"]
     distinct = [f"{phrases[i % len(phrases)]} {i}" for i in range(NOTE_MEMO_LIMIT + 5)]
-    lines = [*distinct, "", *distinct[:5], *distinct[-5:], "Known Hep B\rpsi",
-             "Known Hep B\rpsi", "", "?Hep C", *distinct[-5:], "?Hep C"]
+    long = "?Hep C\rKnown Hep B " + "fatigue " * (NOTE_MEMO_MAX_CHARS // 8)
+    assert len(long) > NOTE_MEMO_MAX_CHARS
+    lines = [long, *distinct, "", *distinct[:5], long, *distinct[-5:], "Known Hep B\rpsi",
+             "Known Hep B\rpsi", "", "?Hep C", *distinct[-5:], long, "?Hep C"]
     text = "\n".join(lines)
     notes = tmp_path / "notes.txt"
     notes.write_bytes(text.encode("utf-8"))
@@ -217,6 +225,37 @@ def test_classify_repeated_notes_print_as_classified_one_by_one(tmp_path, source
                                   capture_output=True, env=_cli_env(), timeout=60)
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert proc.stdout == _classified(text)
+
+
+# Run by a small interpreter of its own: a child's peak RSS starts from its
+# parent's RSS at the fork, which in a test session is larger than classify's.
+_PEAK_RSS = """
+import os, subprocess, sys
+proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
+_, status, usage = os.wait4(proc.pid, 0)
+print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+"""
+
+
+def _classify_peak_rss_kib(path) -> int:
+    """Peak RSS of `notedta classify path` in a fresh interpreter, read by `os.wait4`."""
+    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS,
+                           sys.executable, "-m", "notedta.cli", "classify", str(path)],
+                          capture_output=True, env=_cli_env(), timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    code, kib = map(int, proc.stdout.split())
+    assert code == 0
+    return kib
+
+
+def test_classify_memory_stays_flat_on_long_distinct_lines(tmp_path):
+    # Held by the memo, 4096 distinct lines of about 2 KB would take 8 MB
+    # more than 4096 short ones. Each long line is two tokens, so cheap to
+    # classify.
+    short, long = tmp_path / "short.txt", tmp_path / "long.txt"
+    short.write_text("".join(f"Known Hep B {i}\n" for i in range(NOTE_MEMO_LIMIT)))
+    long.write_text("".join(f"{i} {'x' * 2040}\n" for i in range(NOTE_MEMO_LIMIT)))
+    assert _classify_peak_rss_kib(long) <= _classify_peak_rss_kib(short) + 3 * 1024
 
 
 @pytest.mark.parametrize("source", ["file", "stdin"])

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 from notedta import evaluate
 from notedta.classifier import (
     NOTE_MEMO_LIMIT,
+    NOTE_MEMO_MAX_CHARS,
     VACCINATION_CATEGORY,
     classify_note,
     default_lexicon,
@@ -169,9 +170,15 @@ def test_tally_past_the_memo_bound_matches_the_loop_it_replaced(monkeypatch,
                                                                 exclude_vaccination):
     # Distinct notes up to and past the bound, each a stock phrase with its
     # own number token, then repeats of notes first seen before the bound
-    # (served from the memo) and after it (classified again).
-    distinct = [f"{_PHRASES[i % len(_PHRASES)]} {i}" for i in range(NOTE_MEMO_LIMIT + 40)]
-    repeats = distinct[:40] + distinct[-40:] + distinct[NOTE_MEMO_LIMIT - 3:NOTE_MEMO_LIMIT + 3]
+    # (served from the memo) and after it (classified again). A note too
+    # long to be remembered, with a bare CR, comes while the memo has room
+    # and is classified again at each record.
+    short = [f"{_PHRASES[i % len(_PHRASES)]} {i}" for i in range(NOTE_MEMO_LIMIT + 40)]
+    long = "check response to Hep B vaccination\r" + "fatigue " * (NOTE_MEMO_MAX_CHARS // 8)
+    assert len(long) > NOTE_MEMO_MAX_CHARS
+    distinct = [*short[:20], long, *short[20:]]
+    repeats = (short[:40] + short[-40:] + short[NOTE_MEMO_LIMIT - 3:NOTE_MEMO_LIMIT + 3]
+               + [long] * 3)
     markers = [None, 0.0, 5.0]
     cohort = Cohort(tuple(
         PathologyRecord(f"r{i}", note_text=note, hbsag_iu=markers[i % 3],
@@ -179,7 +186,7 @@ def test_tally_past_the_memo_bound_matches_the_loop_it_replaced(monkeypatch,
         for i, note in enumerate(distinct + repeats * 2)
     ))
     lexicon = default_lexicon()
-    unmemoized = set(distinct[NOTE_MEMO_LIMIT:])
+    unmemoized = {*short[NOTE_MEMO_LIMIT:], long}
     for condition in Condition:
         config = EvaluationConfig(condition, exclude_vaccination,
                                   ci=CiConfig(proportion_method="score"))
@@ -191,7 +198,7 @@ def test_tally_past_the_memo_bound_matches_the_loop_it_replaced(monkeypatch,
         expected = _oracle_evaluate_condition(cohort, config, _DEFAULTS, lexicon)
         assert got == expected
         assert repr(got) == repr(expected)
-        # Each note is classified once while the memo has room, and a note
-        # first seen past the bound at every record.
+        # Each short note is classified once while the memo has room, and a
+        # note first seen past the bound, or a long one, at every record.
         assert len(calls) == NOTE_MEMO_LIMIT + sum(
             rec.note_text in unmemoized for rec in cohort)

@@ -34,12 +34,8 @@ from .serology import classify_marker
 CONTROL_CATEGORIES = (10, 16, 17, 22, 24, 26, 29, 31, 32, 37)
 
 # Every (test label, marker status) pair the tally appends, built once so
-# that the pair lists hold references to six shared tuples: by label, the
-# pairs with a positive, a negative and a missing marker. The tally picks
-# one by the status's identity; a key holding the status would hash it
-# through the Python-level Enum.__hash__ once per record.
-_PAIRS = {label: tuple((label, status) for status in
-                       (SerologyStatus.POSITIVE, SerologyStatus.NEGATIVE, SerologyStatus.MISSING))
+# that the pair lists hold references to six shared tuples.
+_PAIRS = {label: {status: (label, status) for status in SerologyStatus}
           for label in ("positive", "negative")}
 
 
@@ -52,9 +48,15 @@ class EvaluationConfig(namedtuple("EvaluationConfig", "target_condition exclude_
 
     def __new__(cls, target_condition: Condition, exclude_vaccination: bool = True,
                 cutoff: float | None = None, ci: CiConfig = CiConfig()):
+        if type(target_condition) is not Condition:
+            raise ValueError(f"target_condition must be a Condition: {target_condition!r}")
+        if type(exclude_vaccination) is not bool:
+            raise ValueError(f"exclude_vaccination must be a bool: {exclude_vaccination!r}")
         # By exact type, as a bool is an int; `< inf` rules out nan and inf.
         if cutoff is not None and not (type(cutoff) in (int, float) and 0 < cutoff < math.inf):
             raise ValueError(f"cutoff must be finite and > 0: {cutoff!r}")
+        if type(ci) is not CiConfig:
+            raise ValueError(f"ci must be a CiConfig: {ci!r}")
         return tuple.__new__(cls, (target_condition, exclude_vaccination, cutoff, ci))
 
 
@@ -103,7 +105,6 @@ def evaluate_condition(
     hbv = condition is Condition.HEPATITIS_B
     cutoff = condition.default_cutoff if config.cutoff is None else config.cutoff
     exclude_vaccination = config.exclude_vaccination
-    positive, negative = SerologyStatus.POSITIVE, SerologyStatus.NEGATIVE
     evaluated = (condition.category_id, *CONTROL_CATEGORIES)
     pairs: dict[int, list] = {cid: [] for cid in evaluated}
     n_vacc = {cid: 0 for cid in evaluated}
@@ -133,8 +134,7 @@ def evaluate_condition(
             continue
         if not cids:
             continue
-        status = classify_marker(rec, condition, cutoff)
-        pair = with_status[0 if status is positive else 1 if status is negative else 2]
+        pair = with_status[classify_marker(rec, condition, cutoff)]
         for cid in cids:
             pairs[cid].append(pair)
     del rows

@@ -18,6 +18,7 @@ from .model import Cohort, PathologyRecord, Sex
 HEADER = ["record_id", "age", "sex", "note_text", "hbsag_iu", "anti_hcv_iu", "collection_year"]
 
 _SEX_TOKENS = {"m": Sex.MALE, "1": Sex.MALE, "f": Sex.FEMALE, "2": Sex.FEMALE, "": Sex.UNSPECIFIED}
+_SEX_CODES = {Sex.MALE: "M", Sex.FEMALE: "F", Sex.UNSPECIFIED: ""}
 
 
 class CohortFormatError(ValueError):
@@ -155,16 +156,12 @@ def write_cohort_file(cohort: Cohort, path) -> None:
             raise ValueError(f"duplicate record_id: {record.record_id!r}")
         seen.add(record.record_id)
     del seen  # not held while the rows are written
-    # Sex is told apart by identity: a dict keyed by Sex would call the
-    # Python-level Enum.__hash__ once per record.
-    male, female = Sex.MALE, Sex.FEMALE
     with open(path, "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(HEADER)
         # csv writes None as an empty field and a float as its repr.
         writer.writerows(
-            (record_id, age, "M" if sex is male else "F" if sex is female else "", note_text,
-             hbsag_iu, anti_hcv_iu, collection_year)
+            (record_id, age, _SEX_CODES[sex], note_text, hbsag_iu, anti_hcv_iu, collection_year)
             for record_id, age, sex, note_text, hbsag_iu, anti_hcv_iu, collection_year in cohort
         )
 
@@ -189,18 +186,8 @@ def summarize_demographics(cohort: Cohort) -> CohortSummary:
 
     if len(cohort) == 0:
         raise ValueError("cannot summarize an empty cohort")
-    # Sexes are counted by identity, as in write_cohort_file.
-    male, female, unspecified = Sex.MALE, Sex.FEMALE, Sex.UNSPECIFIED
-    n_male = n_female = n_unspecified = 0
-    for r in cohort:
-        sex = r.sex
-        if sex is male:
-            n_male += 1
-        elif sex is female:
-            n_female += 1
-        elif sex is unspecified:
-            n_unspecified += 1
-    # At most 131 keys however many records, counted by Counter's C loop.
+    # At most 131 ages and 3 sexes however many records, counted by Counter's C loop.
+    sexes = Counter(map(attrgetter("sex"), cohort))
     ages = Counter(map(attrgetter("age"), cohort))
     ages.pop(None, None)
     decades: dict[int, int] = {}
@@ -212,8 +199,8 @@ def summarize_demographics(cohort: Cohort) -> CohortSummary:
         n_total=len(cohort),
         age_mean=statistics.fmean(ages.elements()) if n_aged else None,
         age_sd=(statistics.stdev(ages.elements()) if n_aged > 1 else (0.0 if n_aged else None)),
-        n_male=n_male,
-        n_female=n_female,
-        n_unspecified=n_unspecified,
+        n_male=sexes[Sex.MALE],
+        n_female=sexes[Sex.FEMALE],
+        n_unspecified=sexes[Sex.UNSPECIFIED],
         age_histogram=tuple(sorted(decades.items())),
     )

@@ -17,7 +17,7 @@ Confidence intervals:
 """
 
 import math
-from collections import namedtuple
+from collections import Counter, namedtuple
 
 from .model import SerologyStatus, checked_make
 
@@ -130,28 +130,21 @@ def build_contingency(pairs) -> tuple[ContingencyTable, int]:
     SerologyStatus; anything else raises ValueError. Pairs with missing
     truth are excluded; their count is returned alongside the table.
     """
-    positive, negative, missing = (SerologyStatus.POSITIVE, SerologyStatus.NEGATIVE,
-                                   SerologyStatus.MISSING)
-    tp = fp = fn = tn = n_missing = 0
-    for test_label, truth in pairs:
-        test_pos = test_label == "positive"
-        if not test_pos and test_label != "negative":
+    rows = map(tuple, pairs)  # a `pairs` that is not iterable stays a TypeError
+    try:
+        counts = Counter(rows)
+    except TypeError as err:  # a pair that is not iterable, or holds an unhashable value
+        raise ValueError(f"not a (test label, truth) pair: {err}") from None
+    # Distinct pairs in first-seen order, so the first bad pair is the one reported.
+    for test_label, truth in counts:
+        if test_label != "positive" and test_label != "negative":
             raise ValueError(f"test label is not 'positive' or 'negative': {test_label!r}")
-        if truth is positive:
-            if test_pos:
-                tp += 1
-            else:
-                fn += 1
-        elif truth is negative:
-            if test_pos:
-                fp += 1
-            else:
-                tn += 1
-        elif truth is missing:
-            n_missing += 1
-        else:
+        if type(truth) is not SerologyStatus:
             raise ValueError(f"truth is not a SerologyStatus: {truth!r}")
-    return ContingencyTable(tp, fp, fn, tn), n_missing
+    positive, negative, missing = SerologyStatus
+    table = ContingencyTable(counts["positive", positive], counts["positive", negative],
+                             counts["negative", positive], counts["negative", negative])
+    return table, counts["positive", missing] + counts["negative", missing]
 
 
 def ci_proportion(
@@ -164,6 +157,9 @@ def ci_proportion(
     (0, 1), as for `CiConfig`.
     """
     _check_level(level)
+    for name, v in (("successes", successes), ("trials", trials)):
+        if type(v) is not int:  # as in ContingencyTable: a float or a bool is no count
+            raise ValueError(f"{name} must be an integer, got {v!r}")
     if trials < 1:
         raise ValueError("trials must be >= 1")
     if not (0 <= successes <= trials):

@@ -9,7 +9,8 @@ subclasses with ``__slots__ = ()``): they unpack, index and compare equal
 to plain tuples, and ``_replace`` and ``_asdict`` take the place of
 ``dataclasses.replace`` and ``asdict``. A type with rules checks them in
 ``__new__``, and ``_replace`` checks them again. `Cohort`, a sequence of
-records, is a plain tuple subclass.
+records, is a plain tuple subclass. `Sex` and `SerologyStatus` hash by
+identity, so counting or looking up members by key stays in C.
 """
 
 import math
@@ -27,12 +28,18 @@ class Sex(Enum):
     FEMALE = "female"
     UNSPECIFIED = "unspecified"
 
+    # Members are singletons and Enum equality is identity, so this agrees
+    # with `==`, and unlike Enum.__hash__ it runs no Python code.
+    __hash__ = object.__hash__
+
 
 class SerologyStatus(Enum):
     """Gold-standard marker state for one record and one condition."""
     POSITIVE = "positive"
     NEGATIVE = "negative"
     MISSING = "missing"
+
+    __hash__ = object.__hash__  # as Sex's
 
 
 class Condition(Enum):

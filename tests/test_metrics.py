@@ -83,12 +83,73 @@ def test_build_contingency_permutation_invariant():
         assert (table, excl) == (base, base_excl)
 
 
-@pytest.mark.parametrize("pair", [("Positive", POS), (1, POS), (True, POS), (None, NEG),
-                                  ("positive", "positive"), ("negative", None), ("positive", True)])
+_MALFORMED_PAIRS = [("Positive", POS), (1, POS), (True, POS), (None, NEG),
+                    ("positive", "positive"), ("negative", None), ("positive", True)]
+
+
+@pytest.mark.parametrize("pair", _MALFORMED_PAIRS)
 def test_build_contingency_rejects_what_it_cannot_count(pair):
     # Each used to land in a cell: an unknown label counted as a negative
     # test, an unknown truth as a positive or negative marker.
     with pytest.raises(ValueError, match="^(test label|truth) is not"):
+        build_contingency([("positive", POS), pair])
+
+
+def _oracle_build_contingency(pairs) -> tuple[ContingencyTable, int]:
+    """The loop `build_contingency` counted with before it used a Counter."""
+    positive, negative, missing = (SerologyStatus.POSITIVE, SerologyStatus.NEGATIVE,
+                                   SerologyStatus.MISSING)
+    tp = fp = fn = tn = n_missing = 0
+    for test_label, truth in pairs:
+        test_pos = test_label == "positive"
+        if not test_pos and test_label != "negative":
+            raise ValueError(f"test label is not 'positive' or 'negative': {test_label!r}")
+        if truth is positive:
+            if test_pos:
+                tp += 1
+            else:
+                fn += 1
+        elif truth is negative:
+            if test_pos:
+                fp += 1
+            else:
+                tn += 1
+        elif truth is missing:
+            n_missing += 1
+        else:
+            raise ValueError(f"truth is not a SerologyStatus: {truth!r}")
+    return ContingencyTable(tp, fp, fn, tn), n_missing
+
+
+_VALID_PAIRS = [(label, truth) for label in ("positive", "negative") for truth in (POS, NEG, MIS)]
+_PAIR = st.sampled_from(_VALID_PAIRS + _MALFORMED_PAIRS)
+
+
+def _outcome(build, pairs):
+    try:
+        return build(pairs)
+    except (TypeError, ValueError) as err:
+        return type(err), str(err)
+
+
+# Each pair as a tuple, as a list, or with a third element.
+@given(st.lists(st.one_of(_PAIR, _PAIR.map(list), _PAIR.map(lambda pair: (*pair, MIS))),
+                max_size=50))
+def test_build_contingency_matches_the_loop_it_replaced(pairs):
+    assert _outcome(build_contingency, pairs) == _outcome(_oracle_build_contingency, pairs)
+
+
+def test_build_contingency_rejects_a_pair_that_is_not_iterable():
+    # The loop it replaced raised TypeError from unpacking.
+    with pytest.raises(TypeError):
+        _oracle_build_contingency([("positive", POS), 7])
+    with pytest.raises(ValueError, match=r"^not a \(test label, truth\) pair: "):
+        build_contingency([("positive", POS), 7])
+
+
+@pytest.mark.parametrize("pair", [(["positive"], POS), ("positive", {POS})])
+def test_build_contingency_rejects_a_pair_holding_an_unhashable_value(pair):
+    with pytest.raises(ValueError, match=r"^not a \(test label, truth\) pair: unhashable"):
         build_contingency([("positive", POS), pair])
 
 
@@ -210,6 +271,16 @@ def test_wilson_against_high_precision_oracle():
 def test_ci_proportion_rejects_zero_trials():
     with pytest.raises(ValueError):
         ci_proportion(0, 0)
+
+
+@pytest.mark.parametrize("count", [1.5, True, 2.0])
+@pytest.mark.parametrize("name", ["successes", "trials"])
+def test_ci_proportion_rejects_a_count_of_another_type(name, count):
+    # 1.5 successes of 2 used to give a score interval, and True an exact one.
+    counts = {"successes": 1, "trials": 2, name: count}
+    for method in ("exact", "score"):
+        with pytest.raises(ValueError, match=f"^{name} must be an integer, got {count!r}$"):
+            ci_proportion(**counts, method=method)
 
 
 def test_clopper_pearson_coverage_exhaustive():

@@ -1,11 +1,14 @@
 import math
+import pickle
+import sys
+from collections import Counter
 from decimal import Decimal
 
 import numpy
 import pytest
 
 from notedta.ingest import write_cohort_file
-from notedta.model import Cohort, Condition, PathologyRecord, Sex
+from notedta.model import Cohort, Condition, PathologyRecord, SerologyStatus, Sex
 
 _TWICE_R1 = (PathologyRecord("r1", note_text="Hep B"), PathologyRecord("r1", note_text="Hep C"))
 
@@ -125,3 +128,22 @@ def test_slotted_record_behaves_as_before():
     assert rec != rec._replace(age=41)
     with pytest.raises(ValueError, match="^age: out of range"):
         rec._replace(age=200)
+
+
+
+def test_sex_and_serology_status_hash_by_identity():
+    # Enum.__hash__ is Python code, run once per member counted.
+    members = {enum: list(enum) * 3334 for enum in (Sex, SerologyStatus)}
+    Counter(members[Sex][:3])  # fills the ABC caches that Counter's isinstance checks use
+    calls = []
+    sys.setprofile(lambda frame, event, arg: event == "call" and calls.append(frame))
+    try:
+        counts = {enum: Counter(members[enum]) for enum in members}
+    finally:
+        sys.setprofile(None)
+    assert len(calls) < 10
+    for enum, count in counts.items():
+        assert count == {member: 3334 for member in enum}
+        for member in enum:
+            assert count[pickle.loads(pickle.dumps(member))] == 3334
+            assert count[enum(member.value)] == 3334

@@ -174,6 +174,9 @@ CHECKED = [
     ("CategoryRule", "category_id", "1"),
     ("CategoryRule", "label", ""),
     ("CategoryRule", "label", None),
+    ("EvaluationConfig", "target_condition", "hbv"),
+    ("EvaluationConfig", "exclude_vaccination", "no"),
+    ("EvaluationConfig", "ci", (0.95, "exact")),
 ]
 
 

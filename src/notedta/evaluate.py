@@ -14,12 +14,14 @@ import io
 import json
 import math
 from collections import namedtuple
+from operator import attrgetter
 
 from .classifier import VACCINATION_CATEGORY, Lexicon, NoteMemo, classify_note, default_lexicon
 from .ingest import CohortSummary, summarize_demographics
 from .metrics import (
     METRICS,
     CiConfig,
+    ContingencyTable,
     MetricEstimate,
     build_contingency,
     compute_metrics,
@@ -81,9 +83,6 @@ class EvaluationResult(namedtuple("EvaluationResult", "condition primary control
     """ci_level: the confidence level of every interval in the panels."""
 
     __slots__ = ()
-
-    def all_results(self) -> tuple[CategoryResult, ...]:
-        return (self.primary, *self.controls)
 
 
 def evaluate_condition(
@@ -176,38 +175,27 @@ def _with_ci(est: MetricEstimate, fmt, fmt_bound) -> str:
     return f"{fmt(est.value)} ({fmt_bound(est.ci_low)}-{fmt_bound(est.ci_high)})"
 
 
+def _csv(rows) -> str:
+    """`rows` as CSV text: csv writes None as an empty field and a float as its repr."""
+    buf = io.StringIO()
+    csv.writer(buf).writerows(rows)
+    return buf.getvalue()
+
+
 def _panel_json(result: CategoryResult) -> dict:
-    def est(e: MetricEstimate) -> dict:
-        def num(v):
-            if v is None:
-                return None
-            return "inf" if math.isinf(v) else v
-
-        return {
-            "value": num(e.value),
-            "ci_low": num(e.ci_low),
-            "ci_high": num(e.ci_high),
-            "method": e.method,
-            "note": e.note,
-            "display": format_proportion(e.value),
-        }
-
-    p = result.panel
+    # Every estimate and bound is >= 0, so inf is the one value JSON cannot hold.
     return {
         "category_id": result.category_id,
         "label": result.label,
         "n_evaluated": result.n_evaluated,
         "n_missing_excluded": result.n_missing_excluded,
         "n_vaccination_excluded": result.n_vaccination_excluded,
-        "counts": {
-            "tp": result.table.tp,
-            "fp": result.table.fp,
-            "fn": result.table.fn,
-            "tn": result.table.tn,
-        },
+        "counts": result.table._asdict(),
         "percent_marker_positive": result.percent_marker_positive,
-        **{m: est(getattr(p, m)) for m in METRICS},
-        "prevalence_sample": p.prevalence_sample,
+        **{m: {**{k: "inf" if v == math.inf else v for k, v in e._asdict().items()},
+               "display": format_proportion(e.value)}
+           for m, e in zip(METRICS, result.panel)},
+        "prevalence_sample": result.panel.prevalence_sample,
     }
 
 
@@ -220,13 +208,12 @@ def emit_report(result: EvaluationResult, format: str) -> str:
     reproducible. JSON stores ``ci_level`` only when it is not 0.95.
     """
     if format == "json":
+        demographics = result.summary._asdict()
+        del demographics["age_histogram"]
         payload = {
             "condition": result.condition.value,
             "marker": result.condition.marker_name,
-            "demographics": {  # every summary field but the age histogram
-                name: value for name, value in zip(CohortSummary._fields, result.summary)
-                if name != "age_histogram"
-            },
+            "demographics": demographics,
             "primary": _panel_json(result.primary),
             "controls": [_panel_json(c) for c in result.controls],
         }
@@ -234,26 +221,16 @@ def emit_report(result: EvaluationResult, format: str) -> str:
             payload["ci_level"] = result.ci_level
         return json.dumps(payload, indent=2)
     if format == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(
-            [
-                "category_id", "label", "role", "n_evaluated", "n_missing_excluded",
-                "tp", "fp", "fn", "tn", "percent_marker_positive",
-                *(m + suffix for m in METRICS for suffix in ("", "_low", "_high")),
-            ]
-        )
-        for role, res in [("primary", result.primary)] + [("control", c) for c in result.controls]:
-            row = [
-                res.category_id, res.label, role, res.n_evaluated, res.n_missing_excluded,
-                res.table.tp, res.table.fp, res.table.fn, res.table.tn,
-                res.percent_marker_positive,
-            ]
-            for m in METRICS:
-                e = getattr(res.panel, m)
-                row.extend(v if v is not None else "" for v in (e.value, e.ci_low, e.ci_high))
-            writer.writerow(row)
-        return buf.getvalue()
+        return _csv([
+            ["category_id", "label", "role", "n_evaluated", "n_missing_excluded",
+             *ContingencyTable._fields, "percent_marker_positive",
+             *(m + suffix for m in METRICS for suffix in ("", "_low", "_high"))],
+            *([r.category_id, r.label, role, r.n_evaluated, r.n_missing_excluded, *r.table,
+               r.percent_marker_positive,
+               *(v for m in METRICS for v in getattr(r.panel, m)[:3])]
+              for role, r in [("primary", result.primary),
+                              *(("control", c) for c in result.controls)]),
+        ])
     if format == "markdown":
         return _markdown_report(result)
     raise ValueError(f"unknown report format: {format!r}")
@@ -311,28 +288,19 @@ def _markdown_report(result: EvaluationResult) -> str:
 
 def emit_plot_data(result: EvaluationResult) -> dict[str, str]:
     """Plot-ready CSV series (per-category Sn and Sp), ordered by id."""
-    out = {}
-    for metric in ("sensitivity", "specificity"):
-        buf = io.StringIO()
-        writer = csv.writer(buf)
-        writer.writerow(["category_id", "label", metric])
-        for res in sorted(result.all_results(), key=lambda r: r.category_id):
-            est = res.panel.sn if metric == "sensitivity" else res.panel.sp
-            writer.writerow(
-                [res.category_id, res.label, "" if est.value is None else est.value]
-            )
-        out[metric] = buf.getvalue()
-    return out
+    results = sorted((result.primary, *result.controls), key=attrgetter("category_id"))
+    return {metric: _csv([["category_id", "label", metric],
+                          *([r.category_id, r.label, getattr(r.panel, m).value] for r in results)])
+            for metric, m in (("sensitivity", "sn"), ("specificity", "sp"))}
 
 
 def emit_demographics_csv(summary: CohortSummary) -> str:
     """Plot-ready demographic data: per-decade age histogram + sex counts."""
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["kind", "key", "count"])
-    for decade, count in summary.age_histogram:
-        writer.writerow(["age_decade", f"{decade}-{decade + 9}", count])
-    writer.writerow(["sex", "male", summary.n_male])
-    writer.writerow(["sex", "female", summary.n_female])
-    writer.writerow(["sex", "unspecified", summary.n_unspecified])
-    return buf.getvalue()
+    return _csv([
+        ["kind", "key", "count"],
+        *(["age_decade", f"{decade}-{decade + 9}", count]
+          for decade, count in summary.age_histogram),
+        ["sex", "male", summary.n_male],
+        ["sex", "female", summary.n_female],
+        ["sex", "unspecified", summary.n_unspecified],
+    ])

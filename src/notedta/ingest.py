@@ -10,6 +10,7 @@ rules (age, year and assay ranges, a non-empty id) are
 """
 
 import csv
+import math
 from collections import Counter, namedtuple
 from operator import attrgetter
 
@@ -176,14 +177,27 @@ class CohortSummary(namedtuple("CohortSummary", "n_total age_mean age_sd n_male 
     __slots__ = ()
 
 
+def _sqrt_of_frac(num: int, den: int) -> float:
+    """sqrt(num / den) correctly rounded, for ints num >= 0 and den > 0.
+
+    The quotient is scaled to about 109 bits (2 * 53 + 3), so its integer
+    root holds at least two bits past a float's 53. Round-to-odd sets the
+    last of them when the root is inexact, and the conversion to float then
+    rounds once, ties to even.
+    """
+    shift = (num.bit_length() - den.bit_length() - 109) // 2
+    num, den = (num, den << 2 * shift) if shift >= 0 else (num << -2 * shift, den)
+    root = math.isqrt(num // den)
+    return math.ldexp(root | (root * root * den != num), shift)
+
+
 def summarize_demographics(cohort: Cohort) -> CohortSummary:
     """Counts, age mean/SD (sample SD), and a per-decade age histogram.
 
     Age statistics cover only records with age present; a single aged
-    record yields SD 0.
+    record yields SD 0. Both are computed from exact integer sums and
+    rounded once, so they are the same on every interpreter.
     """
-    import statistics
-
     if len(cohort) == 0:
         raise ValueError("cannot summarize an empty cohort")
     # At most 131 ages and 3 sexes however many records, counted by Counter's C loop.
@@ -191,14 +205,16 @@ def summarize_demographics(cohort: Cohort) -> CohortSummary:
     ages = Counter(map(attrgetter("age"), cohort))
     ages.pop(None, None)
     decades: dict[int, int] = {}
+    n = s = q = 0  # the count, sum and sum of squares of the ages
     for age, count in ages.items():
         decades[age // 10 * 10] = decades.get(age // 10 * 10, 0) + count
-    # fmean and stdev sum exactly, so the order elements() gives is immaterial.
-    n_aged = ages.total()
+        n += count
+        s += age * count
+        q += age * age * count
     return CohortSummary(
         n_total=len(cohort),
-        age_mean=statistics.fmean(ages.elements()) if n_aged else None,
-        age_sd=(statistics.stdev(ages.elements()) if n_aged > 1 else (0.0 if n_aged else None)),
+        age_mean=s / n if n else None,  # int true division rounds correctly
+        age_sd=_sqrt_of_frac(n * q - s * s, n * (n - 1)) if n > 1 else (0.0 if n else None),
         n_male=sexes[Sex.MALE],
         n_female=sexes[Sex.FEMALE],
         n_unspecified=sexes[Sex.UNSPECIFIED],

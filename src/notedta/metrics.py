@@ -203,6 +203,8 @@ def ci_likelihood_ratio(
     (0, 1), as for `CiConfig`.
     """
     _check_level(level)
+    if type(table) is not ContingencyTable:
+        raise ValueError(f"table must be a ContingencyTable: {table!r}")
     x, x_tot, y, y_tot = _lr_cells(table.tp, table.fp, table.fn, table.tn, which)
     if x <= 0 or y <= 0:
         return None
@@ -254,6 +256,8 @@ def _lr_estimate(table: ContingencyTable, which: str, ci: CiConfig) -> MetricEst
 
 def compute_metrics(table: ContingencyTable, ci: CiConfig = CiConfig()) -> MetricPanel:
     """The six-metric diagnostic accuracy panel for a 2x2 table."""
+    if type(table) is not ContingencyTable:
+        raise ValueError(f"table must be a ContingencyTable: {table!r}")
     tp, fp, fn, tn = table.tp, table.fp, table.fn, table.tn
     return MetricPanel(
         sn=_proportion_estimate(tp, tp + fn, ci),
@@ -269,10 +273,14 @@ def compute_metrics(table: ContingencyTable, ci: CiConfig = CiConfig()) -> Metri
 def adjust_predictive_values(
     sn: float, sp: float, prevalence: float
 ) -> tuple[float | None, float | None]:
-    """PPV/NPV at an externally supplied prevalence (Bayes identities)."""
+    """PPV/NPV at an externally supplied prevalence (Bayes identities).
+
+    Each argument must be an `int` or `float` (not a `bool`) in [0, 1].
+    """
     for name, v in (("sn", sn), ("sp", sp), ("prevalence", prevalence)):
-        if not (0.0 <= v <= 1.0):
-            raise ValueError(f"{name} must be in [0,1]: {v}")
+        # By exact type, as a bool is an int; the range rules out nan.
+        if not (type(v) in (int, float) and 0.0 <= v <= 1.0):
+            raise ValueError(f"{name} must be an int or float in [0,1]: {v!r}")
     p = prevalence
     ppv_num = sn * p
     ppv_den = sn * p + (1 - sp) * (1 - p)

@@ -5,6 +5,7 @@ import random
 import statistics
 from dataclasses import dataclass, field
 from decimal import Decimal
+from fractions import Fraction
 
 import numpy
 import pytest
@@ -17,6 +18,7 @@ from notedta.ingest import (
     CohortFormatError,
     CohortSummary,
     _parse_row,
+    _sqrt_of_frac,
     parse_cohort_file,
     summarize_demographics,
     validate_cohort_file,
@@ -479,6 +481,52 @@ def test_summary_age_statistics_match_the_list_of_ages(ages):
     for a in aged:
         decades[a // 10 * 10] = decades.get(a // 10 * 10, 0) + 1
     assert s.age_histogram == tuple(sorted(decades.items()))
+
+
+def _is_rounded_root(r: float, square: Fraction) -> bool:
+    """Whether r is sqrt(square) rounded to the nearest float, ties to even.
+
+    With `below` and `above` the midpoints between r and its float
+    neighbours, r is the rounded root iff below**2 <= square <= above**2,
+    in exact rational arithmetic. At either end, unless r itself is exact,
+    the root is a midpoint (a tie), and round-half-even takes the neighbour
+    whose 53-bit significand is even, so there r must be the even one.
+    This needs no `statistics`, so it holds the same on every interpreter.
+    """
+    below = (Fraction(r) + Fraction(math.nextafter(r, 0.0))) / 2
+    above = (Fraction(r) + Fraction(math.nextafter(r, math.inf))) / 2
+    if not below * below <= square <= above * above:
+        return False
+    tie = square in (below * below, above * above) and Fraction(r) ** 2 != square
+    return not tie or int(math.ldexp(math.frexp(r)[0], 53)) % 2 == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(ages=st.lists(st.integers(0, 130), min_size=2, max_size=120))
+def test_summary_age_sd_is_the_correctly_rounded_root_of_the_variance(ages):
+    s = summarize_demographics(Cohort(tuple(
+        PathologyRecord(f"r{i}", age=a) for i, a in enumerate(ages))))
+    n, total = len(ages), sum(ages)
+    variance = Fraction(n * sum(a * a for a in ages) - total * total, n * (n - 1))
+    assert _is_rounded_root(s.age_sd, variance)
+    assert s.age_mean == total / n  # int true division rounds correctly
+
+
+@settings(max_examples=500, deadline=None)
+@given(num=st.integers(0, 2**300), den=st.integers(1, 2**300))
+def test_sqrt_of_frac_is_correctly_rounded(num, den):
+    assert _is_rounded_root(_sqrt_of_frac(num, den), Fraction(num, den))
+
+
+def test_sqrt_of_frac_rounds_an_exact_tie_to_even():
+    # (1 + 2**-53)**2 lies halfway between the squares of 1.0 (even) and
+    # 1 + 2**-52 (odd); (1 + 3 * 2**-53)**2 halfway between 1 + 2**-52 and
+    # 1 + 2**-51 (even).
+    for mid, even in ((2**53 + 1, 1.0), (2**53 + 3, 1.0 + 2.0**-51)):
+        square = Fraction(mid * mid, 2**106)
+        assert _sqrt_of_frac(square.numerator, square.denominator) == even
+        assert _is_rounded_root(even, square)
+        assert not _is_rounded_root(math.nextafter(even, 0.0 if even > 1 else 2.0), square)
 
 
 def test_summary_empty_cohort_rejected():

@@ -4,6 +4,7 @@ import math
 import random
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath
@@ -447,8 +448,9 @@ def test_cli_command_loads_neither_dataclasses_nor_inspect(cli_inputs, argv):
 
 # Stdlib modules that a command does not use, so does not load: `decimal`
 # is for the display formatters (~2 ms), `pathlib` for `evaluate --outdir`
-# (6-8 ms with shutil, urllib.parse and ipaddress), `json` for reports and
-# `statistics` for demographics. Under -S no site hook loads them first.
+# (6-8 ms with shutil, urllib.parse and ipaddress) and `json` for reports.
+# No command loads `statistics`: the demographic summary computes its mean
+# and SD from exact integer sums. Under -S no site hook loads them first.
 @pytest.mark.parametrize(
     "argv, absent",
     [
@@ -458,8 +460,10 @@ def test_cli_command_loads_neither_dataclasses_nor_inspect(cli_inputs, argv):
          ("decimal", "json", "pathlib", "statistics")),
         (["classify", "{d}/notes.txt"], ("decimal", "json", "pathlib", "statistics")),
         (["validate", "{d}/cohort.csv"], ("decimal", "json", "pathlib", "statistics")),
+        (["evaluate", "{d}/cohort.csv", "--condition", "hbv", "--outdir", "{d}/stdlib",
+          "--ci-method", "score"], ("statistics",)),
     ],
-    ids=["synth-preset", "synth-n", "classify", "validate"],
+    ids=["synth-preset", "synth-n", "classify", "validate", "evaluate-score"],
 )
 def test_cli_command_loads_no_stdlib_module_it_does_not_use(cli_inputs, argv, absent):
     argv = [a.format(d=cli_inputs) for a in argv]
@@ -630,6 +634,16 @@ def test_lr_interval_requires_nonzero_cells():
     assert ci_likelihood_ratio(ContingencyTable(5, 4, 3, 0), "lr_neg") is None
 
 
+
+@pytest.mark.parametrize("call", [
+    lambda table: ci_likelihood_ratio(table, "lr_pos"),
+    lambda table: compute_metrics(table),
+], ids=["ci_likelihood_ratio", "compute_metrics"])
+@pytest.mark.parametrize("table", [(1, 2, 3, 4), [1, 2, 3, 4], None], ids=repr)
+def test_table_must_be_a_contingency_table(call, table):
+    with pytest.raises(ValueError, match="table must be a ContingencyTable"):
+        call(table)
+
 # -- oracle equivalence -------------------------------------------------------
 
 def _naive_panel(tp, fp, fn, tn):
@@ -725,6 +739,27 @@ def test_adjust_undefined_ppv():
 def test_adjust_rejects_out_of_range():
     with pytest.raises(ValueError):
         adjust_predictive_values(1.2, 0.5, 0.5)
+
+
+# Checked by exact type, as `EvaluationConfig.cutoff` is: a bool is an int,
+# and a str or another number type is no probability here.
+@pytest.mark.parametrize("args, name", [
+    ((True, 0.5, 0.1), "sn"),
+    ((0.9, False, 0.1), "sp"),
+    ((0.9, 0.5, "0.1"), "prevalence"),
+    ((0.9, 0.5, None), "prevalence"),
+    ((Fraction(9, 10), 0.5, 0.1), "sn"),
+    ((0.9, np.float64(0.5), 0.1), "sp"),
+    ((0.9, 0.5, math.nan), "prevalence"),
+    ((0.9, -0.0001, 0.1), "sp"),
+])
+def test_adjust_rejects_what_is_not_a_probability(args, name):
+    with pytest.raises(ValueError, match=f"^{name} must be an int or float in \\[0,1\\]"):
+        adjust_predictive_values(*args)
+
+
+def test_adjust_takes_int_probabilities():
+    assert adjust_predictive_values(1, 0, 1) == adjust_predictive_values(1.0, 0.0, 1.0)
 
 
 # -- display rounding ---------------------------------------------------------

@@ -10,6 +10,7 @@ import argparse
 import contextlib
 import gc
 import importlib
+import io
 import sys
 
 from .classifier import NoteMemo, classify_note, default_lexicon, load_lexicon
@@ -55,6 +56,7 @@ def __getattr__(name):
 
 _CONDITIONS = {"hbv": Condition.HEPATITIS_B, "hcv": Condition.HEPATITIS_C}
 _LEXICON_HELP = "lexicon file (default: built-in)"
+_BLOCK_HINT = 1 << 16  # characters of a file that classify reads per write
 
 
 def _load_lexicon(path: str | None):
@@ -121,22 +123,42 @@ def _cmd_validate(args) -> int:
     return 0
 
 
+@contextlib.contextmanager
+def _utf8_stdin():
+    """stdin decoded as strict UTF-8 and split at "\n" only, as a file is.
+
+    The wrapper is detached on the way out, so stdin stays open. A text
+    stream put in place of stdin, with no bytes under it, is read as it is.
+    """
+    buffer = getattr(sys.stdin, "buffer", None)
+    if buffer is None:
+        yield sys.stdin
+        return
+    fh = io.TextIOWrapper(buffer, encoding="utf-8", newline="\n")
+    try:
+        yield fh
+    finally:
+        fh.detach()
+
+
 def _cmd_classify(args) -> int:
     lexicon = _load_lexicon(args.lexicon)
-    # Only a file this command opened is closed; stdin stays the caller's.
-    # A file is split at "\n" only, as stdin is: a bare "\r" stays inside its note.
-    source = (contextlib.nullcontext(sys.stdin) if args.input == "-"
-              else open(args.input, encoding="utf-8", newline="\n"))
-    write = sys.stdout.write  # one write per line: one syscall under -u
 
     def render(line: str) -> str:
         c = classify_note(line.rstrip("\n"), lexicon)
         return f"{c.category_id}\t{c.hbv_label}\t{c.hcv_label}\t{c.matched_pattern}\n"
 
     rendered = NoteMemo(render)  # raw line -> its output line
-    with source as fh:
-        for line in fh:
-            write(rendered[line])
+    write = sys.stdout.write
+    stdin = args.input == "-"
+    # A bare "\r" stays inside its note. Only a file this command opened is closed.
+    with _utf8_stdin() if stdin else open(args.input, encoding="utf-8", newline="\n") as fh:
+        # One write per block: a file's block is about _BLOCK_HINT characters
+        # of lines; stdin's is one line, so under -u each line is written
+        # before the next note is read.
+        blocks = ([line] for line in fh) if stdin else iter(lambda: fh.readlines(_BLOCK_HINT), [])
+        for lines in blocks:
+            write("".join(map(rendered.__getitem__, lines)))
     return 0
 
 

@@ -258,6 +258,8 @@ def compute_metrics(table: ContingencyTable, ci: CiConfig = CiConfig()) -> Metri
     """The six-metric diagnostic accuracy panel for a 2x2 table."""
     if type(table) is not ContingencyTable:
         raise ValueError(f"table must be a ContingencyTable: {table!r}")
+    if type(ci) is not CiConfig:
+        raise ValueError(f"ci must be a CiConfig: {ci!r}")
     tp, fp, fn, tn = table.tp, table.fp, table.fn, table.tn
     return MetricPanel(
         sn=_proportion_estimate(tp, tp + fn, ci),

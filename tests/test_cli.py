@@ -227,6 +227,64 @@ def test_classify_repeated_notes_print_as_classified_one_by_one(tmp_path, source
         assert proc.stdout == _classified(text)
 
 
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_classify_block_boundaries_print_as_classified(tmp_path, source):
+    # Several blocks of a file: lines with a bare CR, non-ASCII text, a line
+    # longer than a whole block and an unterminated last line.
+    phrases = ["Known Hep B", "?Hep C\r", "", "hépatite C", "Depression", "Hep C Pos\rx"]
+    distinct = [f"{phrases[i % len(phrases)]} {i % 997}" for i in range(30_000)]
+    long = "?Hep C\rKnown Hep B " + "é" * cli._BLOCK_HINT
+    lines = [*distinct[:12_000], long, *distinct[12_000:], long, "?Hep C\r"]
+    text = "\n".join(lines)
+    assert len(text) > 5 * cli._BLOCK_HINT
+    notes = tmp_path / "notes.txt"
+    notes.write_bytes(text.encode("utf-8"))
+    argv = ["-m", "notedta.cli", "classify", str(notes) if source == "file" else "-"]
+    for flags in (["-u"], []):
+        with open(notes, "rb") as stdin:
+            proc = subprocess.run([sys.executable, *flags, *argv], stdin=stdin,
+                                  capture_output=True, env=_cli_env(), timeout=60)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert proc.stdout == _classified(text)
+
+
+class _CountingStdout(io.StringIO):
+    def __init__(self):
+        super().__init__()
+        self.writes = 0
+
+    def write(self, s):
+        self.writes += 1
+        return super().write(s)
+
+
+def test_classify_writes_a_file_a_block_at_a_time(tmp_path, monkeypatch):
+    text = "".join(f"{('Known Hep B', '?Hep C', 'fatigue')[i % 3]} {i}\n" for i in range(20_000))
+    notes = tmp_path / "notes.txt"
+    notes.write_text(text, encoding="utf-8")
+    stdout = _CountingStdout()
+    monkeypatch.setattr(sys, "stdout", stdout)
+    assert main(["classify", str(notes)]) == 0
+    assert stdout.writes <= math.ceil(notes.stat().st_size / cli._BLOCK_HINT) + 1
+    assert stdout.getvalue().encode("utf-8") == _classified(text[:-1])
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_classify_invalid_utf8_is_exit_1(tmp_path, source):
+    # In UTF-8 mode stdin would pass undecodable bytes on as surrogates:
+    # classify decodes it strictly, as it decodes a file.
+    notes = tmp_path / "notes.txt"
+    notes.write_bytes(b"Known Hep B\n\xff\xfe bad\n")
+    env = {k: v for k, v in _cli_env().items() if k != "PYTHONIOENCODING"}
+    argv = ["-X", "utf8", "-m", "notedta.cli", "classify", str(notes) if source == "file" else "-"]
+    with open(notes, "rb") as stdin:
+        proc = subprocess.run([sys.executable, *argv], stdin=stdin, capture_output=True,
+                              env=env, timeout=60)
+    assert proc.returncode == 1
+    (line,) = proc.stderr.decode("utf-8").splitlines()
+    assert line.startswith("error: 'utf-8' codec can't decode byte 0xff")
+
+
 # Run by a small interpreter of its own: a child's peak RSS starts from its
 # parent's RSS at the fork, which in a test session is larger than classify's.
 _PEAK_RSS = """

@@ -644,6 +644,12 @@ def test_table_must_be_a_contingency_table(call, table):
     with pytest.raises(ValueError, match="table must be a ContingencyTable"):
         call(table)
 
+
+@pytest.mark.parametrize("ci", ["score", (0.95, "exact"), None], ids=repr)
+def test_compute_metrics_ci_must_be_a_ci_config(ci):
+    with pytest.raises(ValueError, match="ci must be a CiConfig"):
+        compute_metrics(ContingencyTable(1, 2, 3, 4), ci)
+
 # -- oracle equivalence -------------------------------------------------------
 
 def _naive_panel(tp, fp, fn, tn):

@@ -256,7 +256,7 @@ def classify_note(text: str, lexicon: Lexicon) -> NoteClassification:
 
 
 def load_lexicon(path) -> Lexicon:
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         return parse_lexicon(fh.read())
 
 

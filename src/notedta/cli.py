@@ -130,6 +130,8 @@ def _utf8_stdin():
     The wrapper is detached on the way out, so stdin stays open. A text
     stream put in place of stdin, with no bytes under it, is read as it is.
     """
+    if sys.stdin is None:  # the process was started with fd 0 closed
+        raise OSError("cannot read stdin: it is closed")
     buffer = getattr(sys.stdin, "buffer", None)
     if buffer is None:
         yield sys.stdin

@@ -1,3 +1,6 @@
+import codecs
+from importlib.resources import files
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -16,6 +19,7 @@ from notedta.classifier import (
     NoteMemo,
     classify_note,
     default_lexicon,
+    load_lexicon,
     normalize_note,
     parse_lexicon,
 )
@@ -81,6 +85,14 @@ def test_default_lexicon_key_patterns():
 
 def test_default_lexicon_parsed_once():
     assert default_lexicon() is default_lexicon()
+
+
+def test_lexicon_file_may_start_with_a_byte_order_mark(tmp_path):
+    text = (files("notedta") / "data/default_lexicon.txt").read_text("utf-8")
+    assert text.startswith("#")
+    lexicon = tmp_path / "lexicon.txt"
+    lexicon.write_bytes(codecs.BOM_UTF8 + text.encode("utf-8"))
+    assert load_lexicon(lexicon) == default_lexicon()
 
 
 _MINIMAL_LEXICON = "\n".join(

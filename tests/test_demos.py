@@ -1,6 +1,5 @@
 """Every demo the README advertises runs cleanly from a source checkout."""
 
-import hashlib
 import os
 import subprocess
 import sys
@@ -8,25 +7,30 @@ from pathlib import Path
 
 import pytest
 
+from test_golden import GOLDEN, assert_same
+
 ROOT = Path(__file__).resolve().parents[1]
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
-# sha256 of the tour's stdout: its categories and polarity labels check the
-# matcher end to end. Demo 01 is not pinned: its exact intervals come from
-# the installed scipy.
-STDOUT_SHA256 = {
-    "02_note_classification_tour.py":
-        "af0721fe7f92bee898428965f06695f7dbadf8f74d1153814769cbb4d9865790",
-}
+# The demos whose stdout is stored in tests/golden/demos/: the headline
+# reports at 2 dp, and the tour, whose categories and polarity labels check
+# the matcher end to end.
+PINNED = [ROOT / "demos" / name for name in ("01_headline_reproduction.py",
+                                             "02_note_classification_tour.py")]
+
+
+def run_demo(demo: Path) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    env["PYTHONDONTWRITEBYTECODE"] = "1"  # as tests/conftest.py does for this process
+    return subprocess.run([sys.executable, str(demo)], capture_output=True, env=env, timeout=120)
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.name for d in DEMOS])
 def test_demo_runs(demo):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    env["PYTHONDONTWRITEBYTECODE"] = "1"  # as tests/conftest.py does for this process
-    proc = subprocess.run([sys.executable, str(demo)], capture_output=True, env=env, timeout=120)
+    proc = run_demo(demo)
     assert (proc.returncode, proc.stderr) == (0, b"")
-    assert set(STDOUT_SHA256) <= {d.name for d in DEMOS}
-    if demo.name in STDOUT_SHA256:
-        assert hashlib.sha256(proc.stdout).hexdigest() == STDOUT_SHA256[demo.name]
+    assert set(PINNED) <= set(DEMOS)
+    if demo in PINNED:
+        name = f"demos/{demo.stem}.txt"
+        assert_same({name: (GOLDEN / name).read_bytes()}, {name: proc.stdout})

@@ -1,0 +1,134 @@
+"""Every output the CLI is pinned to is stored, byte for byte, in tests/golden/.
+
+Each case of CASES runs its commands in an empty directory, and the files
+they write must be the files stored under tests/golden/<case>/. After an
+output change made on purpose, `python tests/golden/regen.py` rewrites the
+store, so the change reaches review as a diff of these files.
+"""
+
+import contextlib
+import difflib
+import io
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from notedta import cli
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
+
+# An empty line, a '?'-only line, non-ASCII text and a last line without a newline.
+CLASSIFY_NOTES = "Known Hep C\n\n?\n?Hep B – dépistage\nRANTS, hépatite, known HBV\nscreen"
+
+# Case -> the commands it runs, in order, through cli.main. A command that
+# ends in "> NAME" has its stdout kept as the file NAME. A command may write
+# a file again only with the same bytes: the preset holds no
+# vaccination-response note, so --keep-vaccination writes the default files.
+CASES = {
+    "figS1-hbv": [
+        "synth cohort.csv --preset figS1-hbv --seed 1",
+        "evaluate cohort.csv --condition hbv --outdir .",
+        "evaluate cohort.csv --condition hbv --outdir . --keep-vaccination",
+        "evaluate cohort.csv --condition hbv --outdir score --ci-method score",
+        "evaluate cohort.csv --condition hbv --outdir ci-level-0.9 --ci-level 0.9",
+    ],
+    "figS1-hcv": [
+        "synth cohort.csv --preset figS1-hcv --seed 1",
+        "evaluate cohort.csv --condition hcv --outdir .",
+    ],
+    "random-hcv": ["synth cohort.csv --n 200 --prevalence 0.2 --condition hcv --seed 3"],
+    "classify": ["classify notes.txt > stdout.txt"],
+    # A lenient run over a bad age, an unknown sex token and a short row.
+    "validate": ["validate cohort.csv --report report.json > stdout.txt"],
+}
+
+# Case -> the files it reads, written before its first command.
+INPUTS = {
+    "classify": {"notes.txt": CLASSIFY_NOTES},
+    "validate": {"cohort.csv": "record_id,age,sex,note_text,hbsag_iu,anti_hcv_iu,collection_year\n"
+                               "r1,38,M,Known Hep B,2.4,,2001\n"
+                               "r2,bad,F,x,,,\n"
+                               "r3,40,X,\"?Hep C, screen\",,0.3,2003\n"
+                               "r4,50,F\n"},
+}
+
+
+def files_under(top: Path) -> dict[str, bytes]:
+    """Every file below `top`, by its '/'-separated path relative to `top`."""
+    return {p.relative_to(top).as_posix(): p.read_bytes()
+            for p in sorted(top.rglob("*")) if p.is_file()}
+
+
+def produce(case: str, workdir: Path) -> dict[str, bytes]:
+    """Run `case` in the empty directory `workdir`; return the files it writes."""
+    inputs = INPUTS.get(case, {})
+    for name, text in inputs.items():
+        (workdir / name).write_bytes(text.encode("utf-8"))
+    written: dict[str, bytes] = {}
+    cwd = os.getcwd()
+    os.chdir(workdir)  # the validate report holds its input path as given
+    try:
+        for command in CASES[case]:
+            argv, _, stdout_name = command.partition(" > ")
+            with contextlib.redirect_stdout(io.StringIO()) as out:
+                code = cli.main(argv.split())
+            if code != 0:
+                raise AssertionError(f"{case}: `notedta {argv}` exited {code}")
+            if stdout_name:
+                Path(stdout_name).write_bytes(out.getvalue().encode("utf-8"))
+            for name, data in files_under(Path()).items():
+                if name not in inputs and written.setdefault(name, data) != data:
+                    raise AssertionError(f"{case}: `notedta {argv}` rewrote {name}\n"
+                                         + _diff(name, written[name], data))
+    finally:
+        os.chdir(cwd)
+    return written
+
+
+def _diff(name: str, stored: bytes, produced: bytes, limit: int = 40) -> str:
+    lines = [line.rstrip("\r\n") for line in difflib.unified_diff(
+        stored.decode("utf-8", "backslashreplace").splitlines(keepends=True),
+        produced.decode("utf-8", "backslashreplace").splitlines(keepends=True),
+        f"stored/{name}", f"produced/{name}")]
+    if len(lines) > limit:
+        lines[limit:] = [f"... {len(lines) - limit} more diff lines"]
+    return "\n".join(lines)
+
+
+def assert_same(stored: dict[str, bytes], produced: dict[str, bytes]) -> None:
+    """Fail naming each file missing or extra, with a short diff of each that differs."""
+    problems = [f"missing from the output: {name}" for name in sorted(stored.keys() - produced.keys())]
+    problems += [f"not in the store: {name}" for name in sorted(produced.keys() - stored.keys())]
+    problems += [_diff(name, stored[name], produced[name])
+                 for name in sorted(stored.keys() & produced.keys()) if stored[name] != produced[name]]
+    if problems:
+        raise AssertionError("\n".join(problems))
+
+
+def test_every_case_writes_the_stored_files(tmp_path):
+    produced = {}
+    for case in CASES:
+        (tmp_path / case).mkdir()
+        produced.update((f"{case}/{name}", data)
+                        for name, data in produce(case, tmp_path / case).items())
+    # regen.py sits at the top of the store, and test_demos.py checks demos/.
+    stored = {name: data for name, data in files_under(GOLDEN).items()
+              if "/" in name and not name.startswith("demos/")}
+    assert_same(stored, produced)
+
+
+def test_evaluate_files_do_not_depend_on_the_hash_seed(tmp_path):
+    # Sex and SerologyStatus hash by identity, so a set of them may iterate
+    # in another order in another process; no output may follow that order.
+    expected = {name: data for name, data in files_under(GOLDEN / "figS1-hbv").items()
+                if "/" not in name and name != "cohort.csv"}
+    for seed in ("0", "1"):
+        env = dict(os.environ, PYTHONPATH=str(GOLDEN.parents[1] / "src"), PYTHONHASHSEED=seed,
+                   PYTHONDONTWRITEBYTECODE="1")
+        proc = subprocess.run(
+            [sys.executable, "-m", "notedta.cli", "evaluate", str(GOLDEN / "figS1-hbv" / "cohort.csv"),
+             "--condition", "hbv", "--outdir", str(tmp_path / seed)],
+            capture_output=True, env=env, timeout=120)
+        assert (proc.returncode, proc.stderr) == (0, b"")
+        assert_same(expected, files_under(tmp_path / seed))

@@ -187,7 +187,7 @@ def test_splitmix64_reference_stream():
 
 @pytest.mark.parametrize("argv", [
     *(("--preset", preset, "--seed", seed) for preset in sorted(PRESETS) for seed in "015"),
-    # the cohort behind tests/test_cli.py::RANDOM_COHORT_DIGEST
+    # the cohort stored in tests/golden/random-hcv/
     ("--n", "200", "--prevalence", "0.2", "--condition", "hcv", "--seed", "3"),
 ])
 def test_pinned_cohort_ages_clear_every_rounding_boundary(tmp_path, capsys, monkeypatch, argv):

@@ -1,4 +1,4 @@
-"""Rewrite tests/golden/ from the cases of tests/test_golden.py and the pinned demos.
+"""Rewrite tests/golden/ from the cases of tests/test_golden.py and the demos.
 
     python tests/golden/regen.py
 
@@ -16,7 +16,8 @@ GOLDEN = Path(__file__).resolve().parent
 sys.path[:0] = [str(GOLDEN.parent), str(GOLDEN.parents[1] / "src")]
 sys.dont_write_bytecode = True  # as tests/conftest.py: leave no bytecode in the tree
 
-from test_demos import PINNED, run_demo  # noqa: E402
+from launch import run_python  # noqa: E402
+from test_demos import DEMOS  # noqa: E402
 from test_golden import CASES, produce  # noqa: E402
 
 
@@ -27,8 +28,8 @@ def main() -> None:
             workdir = Path(tmp, case)
             workdir.mkdir()
             files.update((f"{case}/{name}", data) for name, data in produce(case, workdir).items())
-    for demo in PINNED:
-        proc = run_demo(demo)
+    for demo in DEMOS:
+        proc = run_python(str(demo))
         if proc.returncode != 0 or proc.stderr:
             sys.exit(f"{demo.name} exited {proc.returncode}: {proc.stderr.decode()}")
         files[f"demos/{demo.stem}.txt"] = proc.stdout

@@ -1,7 +1,6 @@
 import io
 import json
 import math
-import os
 import select
 import subprocess
 import sys
@@ -21,6 +20,7 @@ from notedta.cli import main
 from notedta.ingest import write_cohort_file
 from notedta.model import Cohort
 from notedta.synth import preset_spec, synthesize_exact, synthesize_random
+from launch import child_env, run_python
 from test_golden import CLASSIFY_NOTES
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -80,30 +80,7 @@ def _classified(text: str) -> bytes:
                    for c in cs).encode("utf-8")
 
 
-def _cli_env() -> dict:
-    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
-    env.update(PYTHONPATH=str(ROOT / "src"), PYTHONIOENCODING="utf-8",
-               PYTHONDONTWRITEBYTECODE="1")
-    return env
-
-
-@pytest.mark.parametrize("source", ["file", "stdin"])
-def test_classify_output_same_unbuffered_and_buffered(tmp_path, source):
-    notes = tmp_path / "notes.txt"
-    notes.write_bytes(CLASSIFY_NOTES.encode("utf-8"))
-    argv = ["-m", "notedta.cli", "classify", str(notes) if source == "file" else "-"]
-    stdouts = []
-    for flags in (["-u"], []):
-        with open(notes, "rb") as stdin:
-            proc = subprocess.run([sys.executable, *flags, *argv], stdin=stdin,
-                                  capture_output=True, env=_cli_env(), timeout=60)
-        assert (proc.returncode, proc.stderr) == (0, b"")
-        stdouts.append(proc.stdout)
-    assert stdouts[0] == stdouts[1] == _classified(CLASSIFY_NOTES)
-
-
-@pytest.mark.parametrize("source", ["file", "stdin"])
-def test_classify_repeated_notes_print_as_classified_one_by_one(tmp_path, source):
+def _memo_bound_notes() -> str:
     # Repeats of notes first seen before the memo's bound and after it,
     # lines with a bare CR, an empty line, a line too long to be remembered
     # (with a bare CR too) seen first while the memo has room, and an
@@ -112,39 +89,64 @@ def test_classify_repeated_notes_print_as_classified_one_by_one(tmp_path, source
     distinct = [f"{phrases[i % len(phrases)]} {i}" for i in range(NOTE_MEMO_LIMIT + 5)]
     long = "?Hep C\rKnown Hep B " + "fatigue " * (NOTE_MEMO_MAX_CHARS // 8)
     assert len(long) > NOTE_MEMO_MAX_CHARS
-    lines = [long, *distinct, "", *distinct[:5], long, *distinct[-5:], "Known Hep B\rpsi",
-             "Known Hep B\rpsi", "", "?Hep C", *distinct[-5:], long, "?Hep C"]
-    text = "\n".join(lines)
-    notes = tmp_path / "notes.txt"
-    notes.write_bytes(text.encode("utf-8"))
-    argv = ["-m", "notedta.cli", "classify", str(notes) if source == "file" else "-"]
-    for flags in (["-u"], []):
-        with open(notes, "rb") as stdin:
-            proc = subprocess.run([sys.executable, *flags, *argv], stdin=stdin,
-                                  capture_output=True, env=_cli_env(), timeout=60)
-        assert (proc.returncode, proc.stderr) == (0, b"")
-        assert proc.stdout == _classified(text)
+    return "\n".join([long, *distinct, "", *distinct[:5], long, *distinct[-5:], "Known Hep B\rpsi",
+                      "Known Hep B\rpsi", "", "?Hep C", *distinct[-5:], long, "?Hep C"])
 
 
-@pytest.mark.parametrize("source", ["file", "stdin"])
-def test_classify_block_boundaries_print_as_classified(tmp_path, source):
-    # Several blocks of a file: lines with a bare CR, non-ASCII text, a line
-    # longer than a whole block and an unterminated last line.
+def _block_boundary_notes() -> str:
+    # Several blocks of a file, and far more output than a pipe holds: lines
+    # with a bare CR, non-ASCII text, a line longer than a whole block and an
+    # unterminated last line.
     phrases = ["Known Hep B", "?Hep C\r", "", "hépatite C", "Depression", "Hep C Pos\rx"]
     distinct = [f"{phrases[i % len(phrases)]} {i % 997}" for i in range(30_000)]
     long = "?Hep C\rKnown Hep B " + "é" * cli._BLOCK_HINT
-    lines = [*distinct[:12_000], long, *distinct[12_000:], long, "?Hep C\r"]
-    text = "\n".join(lines)
+    text = "\n".join([*distinct[:12_000], long, *distinct[12_000:], long, "?Hep C\r"])
     assert len(text) > 5 * cli._BLOCK_HINT
+    return text
+
+
+# Inputs whose `notedta classify` stdout must be classify_note applied line
+# by line, read from a file and from stdin, with and without -u.
+CLASSIFY_INPUTS = {
+    # A bare CR is inside its note; CRLF lines classify as their LF twins.
+    "cr-crlf": "Known Hep B\rpsi\nKnown Hep C\r\n?Hep B\r\nscreen\r\n" + CLASSIFY_NOTES,
+    "memo-bound": _memo_bound_notes(),
+    "block-boundaries": _block_boundary_notes(),
+}
+
+
+@pytest.mark.parametrize("flags", [["-u"], []], ids=["unbuffered", "buffered"])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize("text", CLASSIFY_INPUTS.values(), ids=CLASSIFY_INPUTS)
+def test_classify_prints_each_line_as_classified(tmp_path, text, source, flags):
     notes = tmp_path / "notes.txt"
     notes.write_bytes(text.encode("utf-8"))
-    argv = ["-m", "notedta.cli", "classify", str(notes) if source == "file" else "-"]
-    for flags in (["-u"], []):
-        with open(notes, "rb") as stdin:
-            proc = subprocess.run([sys.executable, *flags, *argv], stdin=stdin,
-                                  capture_output=True, env=_cli_env(), timeout=60)
-        assert (proc.returncode, proc.stderr) == (0, b"")
-        assert proc.stdout == _classified(text)
+    with open(notes, "rb") as stdin:
+        proc = run_python(*flags, "-m", "notedta.cli", "classify",
+                          str(notes) if source == "file" else "-", stdin=stdin)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == _classified(text.replace("\r\n", "\n"))
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+@pytest.mark.parametrize(
+    "raw, notes",
+    [
+        # a bare CR is inside its note: one note, one output line
+        (b"Known Hep B\rpsi\n", "Known Hep B\rpsi"),
+        # CRLF lines classify as their LF twins
+        (b"Known Hep C\r\n?Hep B\r\nscreen\r\n", "Known Hep C\n?Hep B\nscreen"),
+    ],
+    ids=["bare-cr", "crlf"],
+)
+def test_classify_splits_notes_at_lf_only(tmp_path, source, raw, notes):
+    path = tmp_path / "notes.txt"
+    path.write_bytes(raw)
+    with open(path, "rb") as stdin:
+        proc = run_python("-m", "notedta.cli", "classify",
+                          str(path) if source == "file" else "-", stdin=stdin)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    assert proc.stdout == _classified(notes)
 
 
 class _CountingStdout(io.StringIO):
@@ -174,11 +176,10 @@ def test_classify_invalid_utf8_is_exit_1(tmp_path, source):
     # classify decodes it strictly, as it decodes a file.
     notes = tmp_path / "notes.txt"
     notes.write_bytes(b"Known Hep B\n\xff\xfe bad\n")
-    env = {k: v for k, v in _cli_env().items() if k != "PYTHONIOENCODING"}
-    argv = ["-X", "utf8", "-m", "notedta.cli", "classify", str(notes) if source == "file" else "-"]
     with open(notes, "rb") as stdin:
-        proc = subprocess.run([sys.executable, *argv], stdin=stdin, capture_output=True,
-                              env=env, timeout=60)
+        proc = run_python("-X", "utf8", "-m", "notedta.cli", "classify",
+                          str(notes) if source == "file" else "-",
+                          stdin=stdin, env={"PYTHONIOENCODING": None})
     assert proc.returncode == 1
     (line,) = proc.stderr.decode("utf-8").splitlines()
     assert line.startswith("error: 'utf-8' codec can't decode byte 0xff")
@@ -190,15 +191,14 @@ _PEAK_RSS = """
 import os, subprocess, sys
 proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL)
 _, status, usage = os.wait4(proc.pid, 0)
-print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)
+proc.returncode = os.waitstatus_to_exitcode(status)  # else Popen warns it still runs
+print(proc.returncode, usage.ru_maxrss)
 """
 
 
 def _classify_peak_rss_kib(path) -> int:
     """Peak RSS of `notedta classify path` in a fresh interpreter, read by `os.wait4`."""
-    proc = subprocess.run([sys.executable, "-c", _PEAK_RSS,
-                           sys.executable, "-m", "notedta.cli", "classify", str(path)],
-                          capture_output=True, env=_cli_env(), timeout=60)
+    proc = run_python("-c", _PEAK_RSS, sys.executable, "-m", "notedta.cli", "classify", str(path))
     assert (proc.returncode, proc.stderr) == (0, b"")
     code, kib = map(int, proc.stdout.split())
     assert code == 0
@@ -215,33 +215,11 @@ def test_classify_memory_stays_flat_on_long_distinct_lines(tmp_path):
     assert _classify_peak_rss_kib(long) <= _classify_peak_rss_kib(short) + 3 * 1024
 
 
-@pytest.mark.parametrize("source", ["file", "stdin"])
-@pytest.mark.parametrize(
-    "raw, notes",
-    [
-        # a bare CR is inside its note: one note, one output line
-        (b"Known Hep B\rpsi\n", "Known Hep B\rpsi"),
-        # CRLF lines classify as their LF twins
-        (b"Known Hep C\r\n?Hep B\r\nscreen\r\n", "Known Hep C\n?Hep B\nscreen"),
-    ],
-    ids=["bare-cr", "crlf"],
-)
-def test_classify_splits_notes_at_lf_only(tmp_path, source, raw, notes):
-    path = tmp_path / "notes.txt"
-    path.write_bytes(raw)
-    argv = ["-m", "notedta.cli", "classify", str(path) if source == "file" else "-"]
-    with open(path, "rb") as stdin:
-        proc = subprocess.run([sys.executable, *argv], stdin=stdin, capture_output=True,
-                              env=_cli_env(), timeout=60)
-    assert (proc.returncode, proc.stderr) == (0, b"")
-    assert proc.stdout == _classified(notes)
-
-
 def test_classify_stdin_streams_under_u():
     # Each line is classified and written before the next one is read.
     proc = subprocess.Popen([sys.executable, "-u", "-m", "notedta.cli", "classify", "-"],
                             stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                            stderr=subprocess.PIPE, env=_cli_env())
+                            stderr=subprocess.PIPE, env=child_env())
     try:
         for line in ("Known Hep C\n", "?Hep B\n"):
             proc.stdin.write(line.encode("utf-8"))
@@ -269,7 +247,7 @@ def test_classify_stdin_is_left_open(monkeypatch, capsys):
 def test_classify_with_stdin_closed_is_exit_1():
     # Started with fd 0 closed, the process has no sys.stdin at all.
     proc = subprocess.run(["sh", "-c", 'exec "$0" -m notedta.cli classify - <&-', sys.executable],
-                          capture_output=True, env=_cli_env(), timeout=60)
+                          capture_output=True, env=child_env(), timeout=60)
     assert (proc.returncode, proc.stdout) == (1, b"")
     assert proc.stderr == b"error: cannot read stdin: it is closed\n"
 
@@ -803,27 +781,15 @@ def test_console_script_and_module_run_the_same_entry():
 
 
 @pytest.mark.parametrize("argv, code", [(["classify", "/dev/null"], 0),
-                                        (["validate", "missing.csv"], 1)])
+                                        (["validate", "{tmp}/missing.csv"], 1)])
 def test_entry_exits_with_mains_code_after_freezing(tmp_path, argv, code):
     # An atexit hook runs after SystemExit has left the entry, before the
     # interpreter's final collections.
+    argv = [a.format(tmp=tmp_path) for a in argv]
     probe = ("import atexit, gc, runpy, sys\n"
              "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0, file=sys.stderr))\n"
              f"sys.argv = ['notedta', *{argv!r}]\n"
              "runpy.run_module('notedta.cli', run_name='__main__')\n")
-    proc = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, capture_output=True,
-                          env=_cli_env(), timeout=60)
+    proc = run_python("-c", probe)
     assert proc.returncode == code
     assert proc.stderr.decode("utf-8").splitlines()[-1] == "frozen True"
-
-
-def test_classify_through_a_pipe_prints_every_line(tmp_path):
-    # Far more output than a pipe holds: all of it is flushed at exit.
-    text = "\n".join(["Known Hep B", "?Hep C", "fatigue", "routine bloods"] * 5000)
-    notes = tmp_path / "notes.txt"
-    notes.write_bytes(text.encode("utf-8"))
-    proc = subprocess.run([sys.executable, "-m", "notedta.cli", "classify", str(notes)],
-                          capture_output=True, env=_cli_env(), timeout=120)
-    assert (proc.returncode, proc.stderr) == (0, b"")
-    assert proc.stdout.count(b"\n") == 20000
-    assert proc.stdout == _classified(text)

@@ -10,10 +10,9 @@ import contextlib
 import difflib
 import io
 import os
-import subprocess
-import sys
 from pathlib import Path
 
+from launch import run_python
 from notedta import cli
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -38,6 +37,11 @@ CASES = {
         "evaluate cohort.csv --condition hcv --outdir .",
     ],
     "random-hcv": ["synth cohort.csv --n 200 --prevalence 0.2 --condition hcv --seed 3"],
+    # Control rows with real percentages, where every preset control row prints n.d.
+    "random-hbv": [
+        "synth cohort.csv --n 200 --prevalence 0.2 --condition hbv --seed 3",
+        "evaluate cohort.csv --condition hbv --outdir .",
+    ],
     "classify": ["classify notes.txt > stdout.txt"],
     # A lenient run over a bad age, an unknown sex token and a short row.
     "validate": ["validate cohort.csv --report report.json > stdout.txt"],
@@ -124,11 +128,8 @@ def test_evaluate_files_do_not_depend_on_the_hash_seed(tmp_path):
     expected = {name: data for name, data in files_under(GOLDEN / "figS1-hbv").items()
                 if "/" not in name and name != "cohort.csv"}
     for seed in ("0", "1"):
-        env = dict(os.environ, PYTHONPATH=str(GOLDEN.parents[1] / "src"), PYTHONHASHSEED=seed,
-                   PYTHONDONTWRITEBYTECODE="1")
-        proc = subprocess.run(
-            [sys.executable, "-m", "notedta.cli", "evaluate", str(GOLDEN / "figS1-hbv" / "cohort.csv"),
-             "--condition", "hbv", "--outdir", str(tmp_path / seed)],
-            capture_output=True, env=env, timeout=120)
+        proc = run_python("-m", "notedta.cli", "evaluate", str(GOLDEN / "figS1-hbv" / "cohort.csv"),
+                          "--condition", "hbv", "--outdir", str(tmp_path / seed),
+                          env={"PYTHONHASHSEED": seed})
         assert (proc.returncode, proc.stderr) == (0, b"")
         assert_same(expected, files_under(tmp_path / seed))

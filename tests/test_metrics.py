@@ -1,9 +1,8 @@
 import ast
+import functools
 import itertools
 import math
 import random
-import subprocess
-import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,6 +30,7 @@ from notedta.metrics import (
     _z_quantile,
 )
 from notedta.model import SerologyStatus
+from launch import run_python
 
 HBV_TABLE = ContingencyTable(tp=69, fp=45, fn=8, tn=57)
 HCV_TABLE = ContingencyTable(tp=101, fp=38, fn=17, tn=10)
@@ -371,12 +371,6 @@ def test_z_quantile_equals_scipy_stats_norm_ppf():
         assert _z_quantile(level).hex() == expected.hex(), level
 
 
-_PROBE = """
-import sys
-{setup}
-print(sorted(m for m in {watch!r} if m in sys.modules))
-"""
-_SCIPY = ("numpy", "scipy", "scipy.special", "scipy.stats")
 _SUBMODULES = tuple(f"notedta.{m}" for m in (
     "classifier", "cli", "evaluate", "ingest", "metrics", "model", "serology", "synth"))
 _RUN_CLI = """
@@ -387,17 +381,11 @@ with contextlib.redirect_stdout(io.StringIO()):
 """
 
 
-def _modules_loaded_by(
-    setup: str, watch: tuple[str, ...] = _SCIPY, flags: tuple[str, ...] = ()
-) -> list[str]:
-    """Run `setup` in a fresh interpreter started with `flags`; list which of
-    the `watch` modules it loaded. It writes no bytecode next to the sources."""
-    src = str(Path(notedta.__file__).resolve().parents[1])
-    env = {"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"}
-    out = subprocess.run([sys.executable, *flags, "-c", _PROBE.format(setup=setup, watch=watch)],
-                         capture_output=True, text=True, env=env)
-    assert out.returncode == 0, out.stderr
-    return ast.literal_eval(out.stdout.splitlines()[-1])
+def _modules_after(setup: str, *flags: str) -> set[str]:
+    """The modules a fresh interpreter started with `flags` holds after running `setup`."""
+    proc = run_python(*flags, "-c", f"import sys\n{setup}\nprint(*sys.modules)")
+    assert proc.returncode == 0, proc.stderr.decode()
+    return set(proc.stdout.decode().splitlines()[-1].split())
 
 
 @pytest.fixture(scope="module")
@@ -410,64 +398,125 @@ def cli_inputs(tmp_path_factory):
     return d
 
 
-@pytest.mark.parametrize("module", ["notedta", "notedta.cli"])
-def test_import_loads_neither_numpy_nor_scipy(module):
-    assert _modules_loaded_by(f"import {module}") == []
+# Only exact intervals and z quantiles at levels other than 0.95 need scipy.
+_NUMPY_SCIPY = ("numpy", "scipy", "scipy.special", "scipy.stats")
+# `import dataclasses` pulls in inspect, ast, dis and tokenize: ~10 ms of
+# start-up. `decimal` is for the display formatters (~2 ms), `pathlib` for
+# `evaluate --outdir` (6-8 ms with shutil, urllib.parse and ipaddress) and
+# `json` for reports. No command loads `statistics`: the demographic summary
+# computes its mean and SD from exact integer sums.
+_UNUSED_STDLIB = ("dataclasses", "inspect", "decimal", "json", "pathlib", "statistics")
+# `import scipy.special` costs ~0.5 s, ~0.3 s of it in its array-API layer
+# (numpy.f2py, charset_normalizer); scipy.stats ~1 s. numpy still loads
+# inspect, but nothing loads dataclasses.
+_BEYOND_UFUNCS = ("scipy.special", "scipy.special._support_alternative_backends",
+                  "scipy._lib._array_api", "scipy.stats", "dataclasses")
+# perfbench's import probe times notedta.metrics inside `import notedta.cli`.
+_CLI_CORE = ("notedta.classifier", "notedta.metrics")
+# The modules only `evaluate` loads, and with `ingest` its whole pipeline.
+_EVALUATE_ONLY = ("notedta.evaluate", "notedta.serology")
+_PIPELINE = (*_EVALUATE_ONLY, "notedta.ingest")
+
+# importlib.resources would pull in tempfile, typing and zipfile to read the
+# built-in lexicon.
+_RESOURCES = ("importlib.resources", "tempfile", "typing", "zipfile")
+
+# Setup -> (the modules it must load, the modules it must not load); any
+# other module is free. A list is a command run through cli.main in {d}.
+LOADS = {
+    # dir() still lists every public name before any is loaded.
+    "import-notedta": ("import notedta\n"
+                       "assert [n for n in dir(notedta) if n[0] != '_'] == sorted(notedta.__all__)",
+                       (), _NUMPY_SCIPY + _SUBMODULES),
+    "import-cli": ("import notedta.cli", _CLI_CORE, _NUMPY_SCIPY + _PIPELINE),
+    "classify": (["classify", "{d}/notes.txt"], _CLI_CORE,
+                 _NUMPY_SCIPY + _UNUSED_STDLIB + _PIPELINE + _RESOURCES),
+    "synth-preset": (["synth", "{d}/a.csv", "--preset", "figS1-hcv"], _CLI_CORE,
+                     _NUMPY_SCIPY + _UNUSED_STDLIB + _EVALUATE_ONLY),
+    "synth-n": (["synth", "{d}/b.csv", "--n", "200", "--seed", "3"], (),
+                _NUMPY_SCIPY + _UNUSED_STDLIB),
+    "validate": (["validate", "{d}/cohort.csv"], _CLI_CORE,
+                 _NUMPY_SCIPY + _UNUSED_STDLIB + _EVALUATE_ONLY),
+    "evaluate-score": (["evaluate", "{d}/cohort.csv", "--condition", "hbv", "--outdir",
+                        "{d}/score", "--ci-method", "score"], (),
+                       _NUMPY_SCIPY + ("dataclasses", "inspect", "statistics")),
+    "evaluate-exact": (["evaluate", "{d}/cohort.csv", "--condition", "hbv", "--outdir",
+                        "{d}/exact"], ("scipy.special._ufuncs",), _BEYOND_UFUNCS),
+    "evaluate-score-0.9": (["evaluate", "{d}/cohort.csv", "--condition", "hbv", "--outdir",
+                            "{d}/level", "--ci-method", "score", "--ci-level", "0.9"],
+                           ("scipy.special._ufuncs",), _BEYOND_UFUNCS),
+}
+
+# Under -S no site hook loads anything first. numpy and scipy go back on the
+# path by hand, so a stray import of them shows as a loaded module.
+_SCIPY_ON_PATH = "sys.path.extend({!r})\n".format(
+    sorted({str(Path(m.__file__).parents[1]) for m in (np, scipy)}))
 
 
-# Every command but exact-interval `evaluate`, which loads numpy and scipy's ufuncs.
+@pytest.fixture(scope="module")
+def loaded_by(cli_inputs):
+    """Row of LOADS -> the modules its setup leaves loaded; each row starts one interpreter."""
+    @functools.cache
+    def loaded(row: str) -> set[str]:
+        setup = LOADS[row][0]
+        if isinstance(setup, list):
+            setup = _RUN_CLI.format(argv=[a.format(d=cli_inputs) for a in setup])
+        return _modules_after(_SCIPY_ON_PATH + setup, "-S")
+    return loaded
+
+
+def _assert_loads(loaded: set[str], must=(), must_not=()):
+    missing, stray = sorted(set(must) - loaded), sorted(set(must_not) & loaded)
+    assert not (missing or stray), f"did not load {missing}; loaded {stray}"
+
+
+@pytest.mark.parametrize("row", LOADS)
+def test_setup_loads_what_it_needs_and_nothing_it_must_not(loaded_by, row):
+    _, must, must_not = LOADS[row]
+    _assert_loads(loaded_by(row), must, must_not)
+
+
+# The tests below each check one part of a row, on that row's one run.
+@pytest.mark.parametrize("row", ["import-notedta", "import-cli"], ids=["notedta", "notedta.cli"])
+def test_import_loads_neither_numpy_nor_scipy(loaded_by, row):
+    _assert_loads(loaded_by(row), must_not=_NUMPY_SCIPY)
+
+
+def test_import_notedta_loads_no_submodule(loaded_by):
+    _assert_loads(loaded_by("import-notedta"), must_not=_SUBMODULES)
+
+
 _COMMANDS_WITHOUT_SCIPY = pytest.mark.parametrize(
-    "argv",
-    [
-        ["synth", "{d}/a.csv", "--preset", "figS1-hcv"],
-        ["synth", "{d}/b.csv", "--n", "200", "--seed", "3"],
-        ["classify", "{d}/notes.txt"],
-        ["validate", "{d}/cohort.csv"],
-        ["evaluate", "{d}/cohort.csv", "--condition", "hbv", "--outdir", "{d}/score",
-         "--ci-method", "score"],
-    ],
-    ids=["synth-preset", "synth-n", "classify", "validate", "evaluate-score"],
-)
+    "row", ["synth-preset", "synth-n", "classify", "validate", "evaluate-score"])
 
 
 @_COMMANDS_WITHOUT_SCIPY
-def test_cli_command_loads_neither_numpy_nor_scipy(cli_inputs, argv):
-    # Only exact intervals and z quantiles at levels other than 0.95 need scipy.
-    argv = [a.format(d=cli_inputs) for a in argv]
-    assert _modules_loaded_by(_RUN_CLI.format(argv=argv)) == []
+def test_cli_command_loads_neither_numpy_nor_scipy(loaded_by, row):
+    _assert_loads(loaded_by(row), must_not=_NUMPY_SCIPY)
 
 
 @_COMMANDS_WITHOUT_SCIPY
-def test_cli_command_loads_neither_dataclasses_nor_inspect(cli_inputs, argv):
-    # `import dataclasses` pulls in inspect, ast, dis and tokenize: ~10 ms of
-    # start-up. Under -S no site hook loads them first.
-    argv = [a.format(d=cli_inputs) for a in argv]
-    watch = ("dataclasses", "inspect")
-    assert _modules_loaded_by(_RUN_CLI.format(argv=argv), watch, flags=("-S",)) == []
+def test_cli_command_loads_neither_dataclasses_nor_inspect(loaded_by, row):
+    _assert_loads(loaded_by(row), must_not=("dataclasses", "inspect"))
 
 
-# Stdlib modules that a command does not use, so does not load: `decimal`
-# is for the display formatters (~2 ms), `pathlib` for `evaluate --outdir`
-# (6-8 ms with shutil, urllib.parse and ipaddress) and `json` for reports.
-# No command loads `statistics`: the demographic summary computes its mean
-# and SD from exact integer sums. Under -S no site hook loads them first.
-@pytest.mark.parametrize(
-    "argv, absent",
-    [
-        (["synth", "{d}/a.csv", "--preset", "figS1-hcv"],
-         ("decimal", "json", "pathlib", "statistics")),
-        (["synth", "{d}/b.csv", "--n", "200", "--seed", "3"],
-         ("decimal", "json", "pathlib", "statistics")),
-        (["classify", "{d}/notes.txt"], ("decimal", "json", "pathlib", "statistics")),
-        (["validate", "{d}/cohort.csv"], ("decimal", "json", "pathlib", "statistics")),
-        (["evaluate", "{d}/cohort.csv", "--condition", "hbv", "--outdir", "{d}/stdlib",
-          "--ci-method", "score"], ("statistics",)),
-    ],
-    ids=["synth-preset", "synth-n", "classify", "validate", "evaluate-score"],
-)
-def test_cli_command_loads_no_stdlib_module_it_does_not_use(cli_inputs, argv, absent):
-    argv = [a.format(d=cli_inputs) for a in argv]
-    assert _modules_loaded_by(_RUN_CLI.format(argv=argv), absent, flags=("-S",)) == []
+@_COMMANDS_WITHOUT_SCIPY
+def test_cli_command_loads_no_stdlib_module_it_does_not_use(loaded_by, row):
+    # `evaluate` uses decimal, json and pathlib.
+    absent = ("statistics",) if row == "evaluate-score" else _UNUSED_STDLIB[2:]
+    _assert_loads(loaded_by(row), must_not=absent)
+
+
+@pytest.mark.parametrize("row, absent", [
+    ("import-cli", _PIPELINE), ("classify", _PIPELINE),
+    ("synth-preset", _EVALUATE_ONLY), ("validate", _EVALUATE_ONLY),
+], ids=["import-cli", "classify", "synth", "validate"])
+def test_cli_loads_only_what_the_command_runs(loaded_by, row, absent):
+    _assert_loads(loaded_by(row), _CLI_CORE, absent)
+
+
+def test_classify_without_site_loads_no_importlib_resources(loaded_by):
+    _assert_loads(loaded_by("classify"), must_not=_RESOURCES)
 
 
 def test_no_module_of_the_package_imports_dataclasses():
@@ -477,30 +526,6 @@ def test_no_module_of_the_package_imports_dataclasses():
                 assert "dataclasses" not in [alias.name for alias in node.names], path.name
             elif isinstance(node, ast.ImportFrom):
                 assert node.module != "dataclasses", path.name
-
-
-# Under -S no site hook loads anything first; the probe puts numpy and scipy
-# back on the path by hand.
-_SCIPY_ON_PATH = "sys.path.extend({!r})\n".format(
-    sorted({str(Path(m.__file__).parents[1]) for m in (np, scipy)}))
-
-
-@pytest.mark.parametrize(
-    "options",
-    [[], ["--ci-method", "score", "--ci-level", "0.9"]],
-    ids=["exact", "score-at-0.9"],
-)
-def test_evaluate_loads_scipy_special_ufuncs_alone(cli_inputs, options):
-    # `import scipy.special` costs ~0.5 s, ~0.3 s of it in its array-API
-    # layer (numpy.f2py, charset_normalizer); scipy.stats ~1 s. numpy still
-    # loads inspect, but nothing loads dataclasses.
-    argv = ["evaluate", f"{cli_inputs}/cohort.csv", "--condition", "hbv",
-            "--outdir", f"{cli_inputs}/ufuncs", *options]
-    watch = ("scipy.special._ufuncs", "scipy.special",
-             "scipy.special._support_alternative_backends", "scipy._lib._array_api",
-             "scipy.stats", "dataclasses")
-    loaded = _modules_loaded_by(_SCIPY_ON_PATH + _RUN_CLI.format(argv=argv), watch, flags=("-S",))
-    assert loaded == ["scipy.special._ufuncs"]
 
 
 _QUANTILES_THEN_SCIPY_STATS = """
@@ -535,43 +560,7 @@ def test_ufuncs_loaded_alone_equal_scipy_stats_loaded_after():
     # The quantiles are computed before scipy.special or scipy.stats is
     # imported, then checked bit for bit against scipy.stats; a full
     # `import scipy.special` afterwards reuses the very same ufuncs.
-    assert _modules_loaded_by(_QUANTILES_THEN_SCIPY_STATS, ("scipy.stats",)) == ["scipy.stats"]
-
-
-def test_import_notedta_loads_no_submodule():
-    # dir() still lists every public name before any is loaded.
-    setup = ("import notedta\n"
-             "assert [n for n in dir(notedta) if n[0] != '_'] == sorted(notedta.__all__)")
-    assert _modules_loaded_by(setup, _SUBMODULES) == []
-
-
-@pytest.mark.parametrize(
-    "setup, absent",
-    [
-        ("import notedta.cli", ("notedta.evaluate", "notedta.ingest", "notedta.serology")),
-        (_RUN_CLI.format(argv=["classify", "/dev/null"]),
-         ("notedta.evaluate", "notedta.ingest", "notedta.serology")),
-        (_RUN_CLI.format(argv=["synth", "{d}/s.csv", "--preset", "figS1-hbv"]),
-         ("notedta.evaluate", "notedta.serology")),
-        (_RUN_CLI.format(argv=["validate", "{d}/cohort.csv"]),
-         ("notedta.evaluate", "notedta.serology")),
-    ],
-    ids=["import-cli", "classify", "synth", "validate"],
-)
-def test_cli_loads_only_what_the_command_runs(cli_inputs, setup, absent):
-    loaded = _modules_loaded_by(setup.replace("{d}", str(cli_inputs)), _SUBMODULES)
-    assert "notedta.classifier" in loaded
-    # perfbench's import probe times notedta.metrics inside `import notedta.cli`.
-    assert "notedta.metrics" in loaded
-    assert not set(absent) & set(loaded), loaded
-
-
-def test_classify_without_site_loads_no_importlib_resources(cli_inputs):
-    # Under -S no site hook loads them first. importlib.resources would pull
-    # in tempfile, typing and zipfile to read the built-in lexicon.
-    argv = ["classify", f"{cli_inputs}/notes.txt"]
-    watch = ("importlib.resources", "tempfile", "typing", "zipfile")
-    assert _modules_loaded_by(_RUN_CLI.format(argv=argv), watch, flags=("-S",)) == []
+    assert "scipy.stats" in _modules_after(_QUANTILES_THEN_SCIPY_STATS)
 
 
 # The package's public names, by the submodule that defines each.

@@ -10,15 +10,13 @@ cohorts record for record (floats bit for bit) and CSVs byte for byte.
 """
 
 import math
-import subprocess
 import sys
-from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import notedta
+from launch import run_python
 from notedta.classifier import default_lexicon
 from notedta.ingest import HEADER, write_cohort_file
 from notedta.metrics import ContingencyTable
@@ -232,13 +230,12 @@ def test_foreign_byte_order_unpacks_the_same_draws(start):
 
 
 def test_import_cli_builds_no_lane_constants():
-    src = str(Path(notedta.__file__).resolve().parents[1])
     probe = ("import notedta.cli, notedta.synth\n"
              "assert notedta.synth._lane_constants.cache_info().currsize == 0\n"
              "notedta.synth.SplitMix64(1).next_u64()\n"
              "assert notedta.synth._lane_constants.cache_info().currsize == 1\n")
-    subprocess.run([sys.executable, "-c", probe], check=True,
-                   env={"PYTHONPATH": src, "PYTHONDONTWRITEBYTECODE": "1"})
+    proc = run_python("-c", probe)
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 # -- the cohorts --------------------------------------------------------------

@@ -20,6 +20,47 @@ GOLDEN = Path(__file__).resolve().parent / "golden"
 # An empty line, a '?'-only line, non-ASCII text and a last line without a newline.
 CLASSIFY_NOTES = "Known Hep C\n\n?\n?Hep B – dépistage\nRANTS, hépatite, known HBV\nscreen"
 
+_LEXICON_FILE = Path(cli.__file__).with_name("data") / "default_lexicon.txt"
+_CASINGS = (str.lower, str.upper, str.title, str.capitalize)
+_WRAPPERS = (("", ""), ("- ", "."), ("(", ")"), ('"', '";'), ("#", "!!"), ("...", " ,"))
+_WORD_SEPARATORS = (" ", "  ", "-", "_", "/", "\t", ", ")
+
+
+def lexicon_notes() -> str:
+    """Notes that reach every pattern, query keyword and abbreviation of the default lexicon.
+
+    One line per pattern of the lexicon file, in file order, with its case,
+    the separator between its words and the punctuation around it varied by
+    line; then query keywords and '?' around hepatitis phrases, every
+    abbreviation, punctuation only, an empty line, bare '\\r's, other ASCII
+    controls and non-ASCII text whose lower case holds ASCII letters
+    (KELVIN SIGN, 'İ') or which no token covers ('٣', 'é', '–').
+    """
+    patterns = [line.partition(":")[2].strip()
+                for line in _LEXICON_FILE.read_text(encoding="utf-8").splitlines()
+                if line.startswith("pattern:")]
+    lines = []
+    for k, pattern in enumerate(patterns):
+        before, after = _WRAPPERS[k % len(_WRAPPERS)]
+        words = _CASINGS[k % len(_CASINGS)](pattern).split()
+        lines.append(before + _WORD_SEPARATORS[k % len(_WORD_SEPARATORS)].join(words) + after)
+    lines += [
+        "?Hep C", "Hep C?", "hep c ?", "? hepatitis b", "?HBV?", "known hep b?screen",
+        "Possible Hep B", "POSSIBLE hcv", "screen HCV", "Hep B screen", "cause: hep c",
+        "HBV for investigation", "FI hep c", "fi: HBV", "for hep b", "investigation hep c",
+        "hep b", "HEP C", "Hep-B", "hep.c", "HBV", "hcv", "Hepatitis B", "HEPATITIS-C",
+        "hepatitis", "hep", "hep hep b", "hepatitis hepatitis c", "b hep", "Hx", "Hx hep B",
+        "Hx of HCV", "hx pos hbv", "hep B pos", "POS", "pos hcv", "FI", "FI anaemia",
+        "HBVHCV", "hbv1", "known hep b, hep c",
+        "?!.,;:-()", "...", "", "Known Hep B\rscreen", "\r", "hep\rb",
+        "hep\tb", "hep\x1cb\x1f", "hep\x0bc\x0c", "\x00hbv\x7f",
+        "\u212anown Hep B", "\u212a", "HEPAT\u0130T\u0130S C", "\u0130 hep b", "Hep C \u0663",
+        "\u0663hbv", "h\u00e9patite C", "Hep B \u2013 known", "hep\u00a0b", "hep\x85c",
+        "hep\u2028b", "stra\u00dfe hcv",
+    ]
+    return "\n".join(lines) + "\n"
+
+
 # Case -> the commands it runs, in order, through cli.main. A command that
 # ends in "> NAME" has its stdout kept as the file NAME. A command may write
 # a file again only with the same bytes: the preset holds no
@@ -43,6 +84,7 @@ CASES = {
         "evaluate cohort.csv --condition hbv --outdir .",
     ],
     "classify": ["classify notes.txt > stdout.txt"],
+    "classify-lexicon": ["classify notes.txt > stdout.txt"],
     # A lenient run over a bad age, an unknown sex token and a short row.
     "validate": ["validate cohort.csv --report report.json > stdout.txt"],
 }
@@ -50,6 +92,7 @@ CASES = {
 # Case -> the files it reads, written before its first command.
 INPUTS = {
     "classify": {"notes.txt": CLASSIFY_NOTES},
+    "classify-lexicon": {"notes.txt": lexicon_notes()},
     "validate": {"cohort.csv": "record_id,age,sex,note_text,hbsag_iu,anti_hcv_iu,collection_year\n"
                                "r1,38,M,Known Hep B,2.4,,2001\n"
                                "r2,bad,F,x,,,\n"

@@ -32,6 +32,13 @@ NOTE_MEMO_LIMIT = 4096
 NOTE_MEMO_MAX_CHARS = 256
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+|\?")
+# The same tokens for ASCII text, through `str.translate` and `str.split`:
+# A-Z to lower case, '?' spaced apart, any other character but a-z and 0-9
+# to a space. Every ASCII character has an entry: `translate` pays for a
+# failed lookup at each character that has none.
+_ASCII_TOKENS = str.maketrans({
+    ch: " ? " if ch == "?" else ch.lower() if ch.isalnum() else " " for ch in map(chr, range(128))
+})
 
 # Multi-token abbreviation canonicalization, applied longest-match-first.
 _CANONICAL: dict[tuple[str, ...], tuple[str, ...]] = {
@@ -52,10 +59,19 @@ _ABBREV_STARTS = frozenset(k[0] for k in _CANONICAL)
 def normalize_note(text: str) -> tuple[str, ...]:
     """Lower-case, isolate '?' as its own token, canonicalize abbreviations.
 
+    The tokens are the runs of a-z and 0-9 and each '?' of the lower-cased
+    text (`_TOKEN_RE`). An ASCII note is split through a translate table
+    instead, which gives the same tokens; any other note takes the regex,
+    since lower-casing can turn a non-ASCII letter into an ASCII one
+    (KELVIN SIGN into 'k').
+
     Idempotent: normalizing the joined token sequence returns the same
     sequence.
     """
-    raw = _TOKEN_RE.findall(text.lower())
+    if text.isascii():
+        raw = text.translate(_ASCII_TOKENS).split()
+    else:
+        raw = _TOKEN_RE.findall(text.lower())
     if _ABBREV_STARTS.isdisjoint(raw):
         return tuple(raw)
     out: list[str] = []
@@ -220,11 +236,14 @@ def classify_note(text: str, lexicon: Lexicon) -> NoteClassification:
     # rule position -> (pattern position, token position, category id,
     # joined pattern); tokens are scanned left to right, so the first hit of
     # a pattern is its first position. The same scan finds the query group,
-    # which marks the note as a query and is no match.
+    # which marks the note as a query and is no match. Only the tokens that
+    # start a pattern are visited, each at its position past the last.
     found: dict[int, tuple[int, int, int | None, str]] = {}
     index = lexicon._pattern_index
-    for i, token in enumerate(tokens):
-        for r, p, width, category_id, joined, pattern in index.get(token, ()):
+    i = -1
+    for token in filter(index.__contains__, tokens):
+        i = tokens.index(token, i + 1)
+        for r, p, width, category_id, joined, pattern in index[token]:
             if (r not in found or p < found[r][0]) and (
                 width == 1 or tokens[i : i + width] == pattern
             ):

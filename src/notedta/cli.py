@@ -16,15 +16,16 @@ import sys
 from .classifier import NoteMemo, classify_note, default_lexicon, load_lexicon
 from .metrics import CiConfig
 from .model import Condition
-from .synth import PRESETS, preset_spec, synthesize_exact, synthesize_random
 
 # Bound on first use, so that each command imports only the modules it runs
-# (`classify` never loads evaluate or ingest). They stay attributes of this
-# module, looked up at call time, so a caller can replace them here.
+# (`classify` never loads evaluate, ingest or synth, and only `synth` loads
+# synth). They stay attributes of this module, looked up at call time, so a
+# caller can replace them here.
 _LAZY = {
     "evaluate": ("EvaluationConfig", "emit_demographics_csv", "emit_plot_data", "emit_report",
                  "evaluate_condition"),
     "ingest": ("parse_cohort_file", "validate_cohort_file", "write_cohort_file"),
+    "synth": ("PRESETS", "preset_spec", "synthesize_exact", "synthesize_random"),
 }
 TYPE_CHECKING = False  # read as true by type checkers; spares importing typing
 if TYPE_CHECKING:
@@ -36,6 +37,7 @@ if TYPE_CHECKING:
         evaluate_condition,
     )
     from .ingest import parse_cohort_file, validate_cohort_file, write_cohort_file
+    from .synth import PRESETS, preset_spec, synthesize_exact, synthesize_random
 
 
 def _load(*modules: str) -> None:
@@ -61,6 +63,19 @@ _BLOCK_HINT = 1 << 16  # characters of a file that classify reads per write
 
 def _load_lexicon(path: str | None):
     return load_lexicon(path) if path else default_lexicon()
+
+
+class _PresetNames:
+    """`sorted(PRESETS)` as `--preset`'s choices, read only when argparse reads them.
+
+    argparse iterates the choices for the synth help and usage and tests a
+    value with `in`, which falls back to iteration; so building the parser
+    loads no synth.
+    """
+
+    def __iter__(self):
+        _load("synth")
+        return iter(sorted(PRESETS))
 
 
 class _Parser(argparse.ArgumentParser):
@@ -102,7 +117,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="write a synthetic cohort CSV")
     p.add_argument("output")
     size = p.add_mutually_exclusive_group(required=True)
-    size.add_argument("--preset", choices=sorted(PRESETS))
+    size.add_argument("--preset", choices=_PresetNames())
     size.add_argument("--n", type=int, help="random cohort size")
     p.add_argument("--condition", choices=sorted(_CONDITIONS), help="with --n (default: hbv)")
     p.add_argument("--prevalence", type=float, help="with --n (default: 0.1)")
@@ -214,7 +229,7 @@ def _cmd_evaluate(args) -> int:
 
 
 def _cmd_synth(args) -> int:
-    _load("ingest")
+    _load("ingest", "synth")
     if args.preset:
         if args.condition or args.prevalence is not None:
             raise ValueError("--condition and --prevalence apply only with --n")

@@ -213,6 +213,45 @@ def test_first_match_in_lexicon_order_wins(text):
         assert (c.category_id, c.matched_pattern) == c.all_matches[0][:2]
 
 
+# The scan visits only tokens that start a pattern, and finds each one's
+# position past the last; these notes repeat such tokens before the pattern.
+_MULTI_TOKEN_PHRASES = sorted({" ".join(p) for r in _DEFAULT.rules for p in r.patterns
+                               if len(p) > 1})
+_MULTI_TOKEN_STARTS = sorted({p.split()[0] for p in _MULTI_TOKEN_PHRASES})
+
+
+@st.composite
+def _repeated_first_tokens(draw) -> str:
+    """First tokens of multi-token patterns, repeated, and sometimes one whole
+    pattern at a later occurrence of its first token."""
+    words = draw(st.sampled_from(_MULTI_TOKEN_PHRASES)).split()
+    parts = draw(st.lists(st.sampled_from(
+        [words[0]] * 4 + words[1:] + _MULTI_TOKEN_STARTS + _FILLER + ["?"]), min_size=1, max_size=10))
+    if draw(st.booleans()):
+        parts.insert(draw(st.integers(1, len(parts))), " ".join(words))
+    return draw(st.sampled_from([" ", ", ", "-"])).join(parts)
+
+
+@pytest.mark.parametrize("text, matches", [
+    ("low low wcc", (Match(10, "low wcc", 1), Match(4, "wcc", 2))),
+    ("low white low wcc", (Match(10, "low wcc", 2), Match(4, "wcc", 3))),
+    ("liver liver disease liver", (Match(24, "liver disease", 1),)),
+    ("pre post pre op", (Match(43, "pre op", 2),)),
+    ("post travel travel post op", (Match(39, "travel", 1), Match(43, "post op", 3))),
+    ("travel travel screen", (Match(32, "travel screen", 1), Match(39, "travel", 0))),
+    ("low low low", ()),
+])
+def test_repeated_first_token_examples(text, matches):
+    assert classify_note(text, _DEFAULT).all_matches == matches
+    _assert_same(text, _DEFAULT)
+
+
+@settings(max_examples=400, deadline=None)
+@given(_repeated_first_tokens())
+def test_repeated_first_tokens_match_oracle(text):
+    _assert_same(text, _DEFAULT)
+
+
 def _hand_built_phrases(lexicon: Lexicon) -> list[str]:
     return sorted({" ".join(p) for r in lexicon.rules for p in r.patterns if r.category_id <= 10}
                   | {"screen now", "alpha hep c", "a b hbv"})

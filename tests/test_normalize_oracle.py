@@ -1,10 +1,14 @@
-"""Differential test: `normalize_note` against its abbreviation scan at every token.
+"""Differential test: `normalize_note` against its regex tokenizer and its
+abbreviation scan at every token.
 
 `_oracle_normalize_note` is a verbatim copy of `normalize_note` as it was
-before tokens that start no abbreviation skipped the window lookup: every
-raw token is tried against `_CANONICAL` at widths 3, 2 and 1.
+before tokens that start no abbreviation skipped the window lookup, and
+before ASCII notes were split through a translate table: every note is
+tokenized by `_TOKEN_RE` on its lower case, and every raw token is tried
+against `_CANONICAL` at widths 3, 2 and 1.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -59,3 +63,36 @@ def test_normalize_note_equals_oracle(text):
 def test_normalize_note_idempotent_on_abbreviation_text(text):
     once = normalize_note(text)
     assert normalize_note(" ".join(once)) == once
+
+
+# Characters the two tokenizers could treat apart: ASCII controls, the
+# separators str.split() knows beyond ASCII, letters whose lower case holds
+# ASCII letters (KELVIN SIGN, 'İ') or none ('ß', 'ſ', ANGSTROM SIGN, 'é'),
+# and a digit and a dash outside ASCII.
+_EDGE_CHARS = (*map(chr, range(32)), "\x7f", "\x85", "\xa0", "\u1680", "\u2028", "\u2029",
+               "\u3000", "\u212a", "\u0130", "\u0663", "\u00df", "\u017f", "\u212b", "\u00e9",
+               "\u2013", "?", " ", "-")
+
+
+@pytest.mark.parametrize("text", [
+    "\u212anown Hep B",  # KELVIN SIGN lowers to 'k'
+    "HEPAT\u0130T\u0130S C",  # 'İ' lowers to 'i' and a combining dot
+    "\u0130 hep b", "Hep C \u0663", "\u0663hbv",  # an Arabic-Indic digit is no token
+    "stra\u00dfe hcv", "\u00df",  # 'ß' lowers to itself
+    "hep\x1cb", "hep\x1fc\x1e", "hep\x85c", "hep\xa0b", "hep\u2028c", "\x00hbv\x7f",
+    "Hep B? screen", "?HBV?", "?", "", "\t\n\r\x0b\x0c",
+])
+def test_oracle_examples_beyond_letters(text):
+    assert normalize_note(text) == _oracle_normalize_note(text)
+
+
+@settings(max_examples=500)
+@given(st.text())
+def test_normalize_note_equals_oracle_on_any_text(text):
+    assert normalize_note(text) == _oracle_normalize_note(text)
+
+
+@settings(max_examples=500)
+@given(st.lists(_words | st.sampled_from(_EDGE_CHARS), max_size=20).map("".join))
+def test_normalize_note_equals_oracle_on_words_and_edge_characters(text):
+    assert normalize_note(text) == _oracle_normalize_note(text)

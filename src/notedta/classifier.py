@@ -32,13 +32,13 @@ NOTE_MEMO_LIMIT = 4096
 NOTE_MEMO_MAX_CHARS = 256
 
 _TOKEN_RE = re.compile(r"[a-z0-9]+|\?")
-# The same tokens for ASCII text, through `str.translate` and `str.split`:
-# A-Z to lower case, '?' spaced apart, any other character but a-z and 0-9
-# to a space. Every ASCII character has an entry: `translate` pays for a
-# failed lookup at each character that has none.
-_ASCII_TOKENS = str.maketrans({
-    ch: " ? " if ch == "?" else ch.lower() if ch.isalnum() else " " for ch in map(chr, range(128))
-})
+# The same tokens for ASCII text: this table maps A-Z to lower case and
+# every other byte but a-z, 0-9 and '?' to a space; '?' is then spaced
+# apart, and `str.split` cuts the tokens. A bytes table is one array lookup
+# per character, where `str.translate` looks up each distinct character of
+# a note in a dict on every call.
+_ASCII_TOKENS = bytes(ord(ch.lower()) if ch.isascii() and ch.isalnum() or ch == "?" else 32
+                      for ch in map(chr, range(256)))
 
 # Multi-token abbreviation canonicalization, applied longest-match-first.
 _CANONICAL: dict[tuple[str, ...], tuple[str, ...]] = {
@@ -69,7 +69,7 @@ def normalize_note(text: str) -> tuple[str, ...]:
     sequence.
     """
     if text.isascii():
-        raw = text.translate(_ASCII_TOKENS).split()
+        raw = text.encode().translate(_ASCII_TOKENS).decode().replace("?", " ? ").split()
     else:
         raw = _TOKEN_RE.findall(text.lower())
     if _ABBREV_STARTS.isdisjoint(raw):

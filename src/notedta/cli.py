@@ -18,7 +18,7 @@ from .metrics import CiConfig
 from .model import Condition
 
 # Bound on first use, so that each command imports only the modules it runs
-# (`classify` never loads evaluate, ingest or synth, and only `synth` loads
+# (`classify` never loads evaluate, ingest or synth; only `synth` loads
 # synth). They stay attributes of this module, looked up at call time, so a
 # caller can replace them here.
 _LAZY = {

@@ -674,7 +674,8 @@ def test_inputs_not_mutated(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv, message",
     [
-        (("synth", "x.csv", "--preset", "nope"), "argument --preset: invalid choice: 'nope'"),
+        (("synth", "x.csv", "--preset", "nope"),
+         "argument --preset: invalid choice: 'nope' (choose from 'figS1-hbv', 'figS1-hcv')"),
         (("evaluate", "c.csv"), "the following arguments are required: --condition"),
         (("synth", "x.csv", "--n", "abc"), "argument --n: invalid int value: 'abc'"),
         (("bogus",), "argument subcommand: invalid choice: 'bogus'"),
@@ -706,6 +707,15 @@ def test_help_is_exit_0(capsys, argv):
         main(list(argv))
     assert exit_info.value.code == 0
     assert capsys.readouterr().out.startswith("usage: notedta")
+
+
+def test_synth_help_lists_the_presets(capsys):
+    # The parser reads the preset names from synth only when it prints or checks them.
+    with pytest.raises(SystemExit):
+        main(["synth", "--help"])
+    out = capsys.readouterr().out
+    assert out.startswith("usage: notedta synth [-h] (--preset {figS1-hbv,figS1-hcv} | --n N)\n")
+    assert "\n  --preset {figS1-hbv,figS1-hcv}\n" in out
 
 
 # The names `notedta.cli` commands call through its module attributes (the

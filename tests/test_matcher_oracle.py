@@ -225,8 +225,8 @@ def _repeated_first_tokens(draw) -> str:
     """First tokens of multi-token patterns, repeated, and sometimes one whole
     pattern at a later occurrence of its first token."""
     words = draw(st.sampled_from(_MULTI_TOKEN_PHRASES)).split()
-    parts = draw(st.lists(st.sampled_from(
-        [words[0]] * 4 + words[1:] + _MULTI_TOKEN_STARTS + _FILLER + ["?"]), min_size=1, max_size=10))
+    choices = [words[0]] * 4 + words[1:] + _MULTI_TOKEN_STARTS + _FILLER + ["?"]
+    parts = draw(st.lists(st.sampled_from(choices), min_size=1, max_size=10))
     if draw(st.booleans()):
         parts.insert(draw(st.integers(1, len(parts))), " ".join(words))
     return draw(st.sampled_from([" ", ", ", "-"])).join(parts)

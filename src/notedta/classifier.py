@@ -31,14 +31,11 @@ VACCINATION_CATEGORY = 34
 NOTE_MEMO_LIMIT = 4096
 NOTE_MEMO_MAX_CHARS = 256
 
-_TOKEN_RE = re.compile(r"[a-z0-9]+|\?")
-# The same tokens for ASCII text: this table maps A-Z to lower case and
-# every other byte but a-z, 0-9 and '?' to a space; '?' is then spaced
-# apart, and `str.split` cuts the tokens. A bytes table is one array lookup
-# per character, where `str.translate` looks up each distinct character of
-# a note in a dict on every call.
-_ASCII_TOKENS = bytes(ord(ch.lower()) if ch.isascii() and ch.isalnum() or ch == "?" else 32
-                      for ch in map(chr, range(256)))
+# Maps a-z, 0-9 and '?' to themselves and every other byte to a space, so
+# that each byte of a non-ASCII character's UTF-8 separates tokens. A bytes
+# table is one array lookup per byte, where `str.translate` looks up each
+# distinct character of a note in a dict on every call.
+_TOKEN_BYTES = bytes(b if b in b"abcdefghijklmnopqrstuvwxyz0123456789?" else 32 for b in range(256))
 
 # Multi-token abbreviation canonicalization, applied longest-match-first.
 _CANONICAL: dict[tuple[str, ...], tuple[str, ...]] = {
@@ -60,18 +57,16 @@ def normalize_note(text: str) -> tuple[str, ...]:
     """Lower-case, isolate '?' as its own token, canonicalize abbreviations.
 
     The tokens are the runs of a-z and 0-9 and each '?' of the lower-cased
-    text (`_TOKEN_RE`). An ASCII note is split through a translate table
-    instead, which gives the same tokens; any other note takes the regex,
-    since lower-casing can turn a non-ASCII letter into an ASCII one
-    (KELVIN SIGN into 'k').
+    text. Lower-casing comes first, because it turns two non-ASCII letters
+    into ASCII ones: U+0130 ('İ') into 'i' and a combining dot, U+212A
+    (KELVIN SIGN) into 'k'. Every other non-ASCII character separates
+    tokens, and so does a lone surrogate.
 
     Idempotent: normalizing the joined token sequence returns the same
     sequence.
     """
-    if text.isascii():
-        raw = text.encode().translate(_ASCII_TOKENS).decode().replace("?", " ? ").split()
-    else:
-        raw = _TOKEN_RE.findall(text.lower())
+    raw = (text.lower().encode("utf-8", "surrogatepass").translate(_TOKEN_BYTES).decode()
+           .replace("?", " ? ").split())
     if _ABBREV_STARTS.isdisjoint(raw):
         return tuple(raw)
     out: list[str] = []

@@ -24,10 +24,10 @@ arithmetic evaluates the three lines after ``state +=`` for 128 consecutive
 states at once (`_block`), which yields the same numbers in the same order.
 """
 
-import functools
 import itertools
 import math
 import sys
+from bisect import bisect_right
 from collections import namedtuple
 
 from .classifier import default_lexicon
@@ -39,19 +39,13 @@ _GAMMA = 0x9E3779B97F4A7C15
 _LANES = 128  # draws per block
 
 
-@functools.cache
-def _lane_constants() -> tuple[int, int, int]:
-    """(ones, gammas, lane mask) of a block, each packing one value per lane.
-
-    Lane k holds bits 128k to 128k+127 of the packed integer; its value
-    lives in the low 64 bits, so a 64x64-bit product fits in the lane.
-    ``gammas`` holds (k+1) * 0x9E3779B97F4A7C15 in lane k. Built on first
-    use: a command that draws nothing does not pay for them.
-    """
-    ones = int.from_bytes((b"\x01" + bytes(15)) * _LANES, "little")
-    mask = int.from_bytes((b"\xff" * 8 + bytes(8)) * _LANES, "little")
-    gammas = sum(((k + 1) * _GAMMA & _MASK) << (128 * k) for k in range(_LANES))
-    return ones, gammas, mask
+# A block's ones, gammas and lane mask, each packing one value per lane.
+# Lane k holds bits 128k to 128k+127 of the packed integer; its value lives
+# in the low 64 bits, so a 64x64-bit product fits in the lane. _GAMMAS holds
+# (k+1) * 0x9E3779B97F4A7C15 in lane k.
+_ONES = int.from_bytes((b"\x01" + bytes(15)) * _LANES, "little")
+_GAMMAS = sum(((k + 1) * _GAMMA & _MASK) << (128 * k) for k in range(_LANES))
+_LANE_MASK = int.from_bytes((b"\xff" * 8 + bytes(8)) * _LANES, "little")
 
 
 def _block(start: int, byteorder: str = sys.byteorder):
@@ -63,10 +57,9 @@ def _block(start: int, byteorder: str = sys.byteorder):
     value mod 2**64. The last shift's spill is left in the high halves,
     which unpacking skips.
     """
-    ones, gammas, mask = _lane_constants()
-    z = ((start & _MASK) * ones + gammas) & mask
-    z = ((z ^ (z >> 30)) & mask) * 0xBF58476D1CE4E5B9 & mask
-    z = ((z ^ (z >> 27)) & mask) * 0x94D049BB133111EB & mask
+    z = ((start & _MASK) * _ONES + _GAMMAS) & _LANE_MASK
+    z = ((z ^ (z >> 30)) & _LANE_MASK) * 0xBF58476D1CE4E5B9 & _LANE_MASK
+    z = ((z ^ (z >> 27)) & _LANE_MASK) * 0x94D049BB133111EB & _LANE_MASK
     z ^= z >> 31
     # "Q" reads words in host byte order, so the bytes are laid out in it: in
     # little-endian order each lane's value is the first of its two words,
@@ -242,8 +235,6 @@ def synthesize_random(
         raise ValueError("prevalence must be in [0,1]")
     if not note_mix or any(w < 0 for w in note_mix.values()) or sum(note_mix.values()) <= 0:
         raise ValueError("note_mix weights must be non-negative and not all zero")
-    from bisect import bisect_right  # here, not at the top: ~0.7 ms that classify never uses
-
     lexicon = default_lexicon()
     known = {rule.category_id for rule in lexicon.rules}
     for category, weight in note_mix.items():

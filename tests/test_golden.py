@@ -76,6 +76,8 @@ CASES = {
     "figS1-hcv": [
         "synth cohort.csv --preset figS1-hcv --seed 1",
         "evaluate cohort.csv --condition hcv --outdir .",
+        "evaluate cohort.csv --condition hcv --outdir score --ci-method score",
+        "evaluate cohort.csv --condition hcv --outdir ci-level-0.9 --ci-level 0.9",
     ],
     "random-hcv": ["synth cohort.csv --n 200 --prevalence 0.2 --condition hcv --seed 3"],
     # Control rows with real percentages, where every preset control row prints n.d.
@@ -87,6 +89,8 @@ CASES = {
     "classify-lexicon": ["classify notes.txt > stdout.txt"],
     # A lenient run over a bad age, an unknown sex token and a short row.
     "validate": ["validate cohort.csv --report report.json > stdout.txt"],
+    # A strict run over a clean cohort with an empty sex field and an empty note.
+    "validate-strict": ["validate cohort.csv --strict --report report.json > stdout.txt"],
 }
 
 # Case -> the files it reads, written before its first command.
@@ -98,6 +102,10 @@ INPUTS = {
                                "r2,bad,F,x,,,\n"
                                "r3,40,X,\"?Hep C, screen\",,0.3,2003\n"
                                "r4,50,F\n"},
+    "validate-strict": {"cohort.csv": "record_id,age,sex,note_text,hbsag_iu,anti_hcv_iu,collection_year\n"
+                                      "r1,38,M,Known Hep B,2.4,,2001\n"
+                                      "r2,61,F,,0.1,0.2,1999\n"
+                                      "r3,40,,\"?Hep C, screen\",,12.5,2003\n"},
 }
 
 

@@ -1,5 +1,4 @@
 import ast
-import functools
 import itertools
 import math
 import random
@@ -457,70 +456,14 @@ _SCIPY_ON_PATH = "sys.path.extend({!r})\n".format(
     sorted({str(Path(m.__file__).parents[1]) for m in (np, scipy)}))
 
 
-@pytest.fixture(scope="module")
-def loaded_by(cli_inputs):
-    """Row of LOADS -> the modules its setup leaves loaded; each row starts one interpreter."""
-    @functools.cache
-    def loaded(row: str) -> set[str]:
-        setup = LOADS[row][0]
-        if isinstance(setup, list):
-            setup = _RUN_CLI.format(argv=[a.format(d=cli_inputs) for a in setup])
-        return _modules_after(_SCIPY_ON_PATH + setup, "-S")
-    return loaded
-
-
-def _assert_loads(loaded: set[str], must=(), must_not=()):
+@pytest.mark.parametrize("row", LOADS)
+def test_setup_loads_what_it_needs_and_nothing_it_must_not(cli_inputs, row):
+    setup, must, must_not = LOADS[row]
+    if isinstance(setup, list):
+        setup = _RUN_CLI.format(argv=[a.format(d=cli_inputs) for a in setup])
+    loaded = _modules_after(_SCIPY_ON_PATH + setup, "-S")
     missing, stray = sorted(set(must) - loaded), sorted(set(must_not) & loaded)
     assert not (missing or stray), f"did not load {missing}; loaded {stray}"
-
-
-@pytest.mark.parametrize("row", LOADS)
-def test_setup_loads_what_it_needs_and_nothing_it_must_not(loaded_by, row):
-    _, must, must_not = LOADS[row]
-    _assert_loads(loaded_by(row), must, must_not)
-
-
-# The tests below each check one part of a row, on that row's one run.
-@pytest.mark.parametrize("row", ["import-notedta", "import-cli"], ids=["notedta", "notedta.cli"])
-def test_import_loads_neither_numpy_nor_scipy(loaded_by, row):
-    _assert_loads(loaded_by(row), must_not=_NUMPY_SCIPY)
-
-
-def test_import_notedta_loads_no_submodule(loaded_by):
-    _assert_loads(loaded_by("import-notedta"), must_not=_SUBMODULES)
-
-
-_COMMANDS_WITHOUT_SCIPY = pytest.mark.parametrize(
-    "row", ["synth-preset", "synth-n", "classify", "validate", "evaluate-score"])
-
-
-@_COMMANDS_WITHOUT_SCIPY
-def test_cli_command_loads_neither_numpy_nor_scipy(loaded_by, row):
-    _assert_loads(loaded_by(row), must_not=_NUMPY_SCIPY)
-
-
-@_COMMANDS_WITHOUT_SCIPY
-def test_cli_command_loads_neither_dataclasses_nor_inspect(loaded_by, row):
-    _assert_loads(loaded_by(row), must_not=("dataclasses", "inspect"))
-
-
-@_COMMANDS_WITHOUT_SCIPY
-def test_cli_command_loads_no_stdlib_module_it_does_not_use(loaded_by, row):
-    # `evaluate` uses decimal, json and pathlib.
-    absent = ("statistics",) if row == "evaluate-score" else _UNUSED_STDLIB[2:]
-    _assert_loads(loaded_by(row), must_not=absent)
-
-
-@pytest.mark.parametrize("row, absent", [
-    ("import-cli", _PIPELINE), ("classify", _PIPELINE),
-    ("synth-preset", _EVALUATE_ONLY), ("validate", _EVALUATE_ONLY),
-], ids=["import-cli", "classify", "synth", "validate"])
-def test_cli_loads_only_what_the_command_runs(loaded_by, row, absent):
-    _assert_loads(loaded_by(row), _CLI_CORE, absent)
-
-
-def test_classify_without_site_loads_no_importlib_resources(loaded_by):
-    _assert_loads(loaded_by("classify"), must_not=_RESOURCES)
 
 
 def test_no_module_of_the_package_imports_dataclasses():
@@ -642,61 +585,6 @@ def test_table_must_be_a_contingency_table(call, table):
 def test_compute_metrics_ci_must_be_a_ci_config(ci):
     with pytest.raises(ValueError, match="ci must be a CiConfig"):
         compute_metrics(ContingencyTable(1, 2, 3, 4), ci)
-
-# -- oracle equivalence -------------------------------------------------------
-
-def _naive_panel(tp, fp, fn, tn):
-    """Independently coded straight-from-definition evaluator."""
-    sn = tp / (tp + fn) if tp + fn else None
-    sp = tn / (tn + fp) if tn + fp else None
-    ppv = tp / (tp + fp) if tp + fp else None
-    npv = tn / (tn + fn) if tn + fn else None
-    if sn is None or sp is None:
-        lr_pos = lr_neg = None
-    else:
-        if sp == 1.0:
-            lr_pos = math.inf if sn > 0 else None
-        else:
-            lr_pos = sn / (1 - sp)
-        if sp == 0.0:
-            lr_neg = math.inf if sn < 1 else None
-        else:
-            lr_neg = (1 - sn) / sp
-    return sn, sp, ppv, npv, lr_pos, lr_neg
-
-
-def _same(a, b):
-    if a is None or b is None:
-        return a is None and b is None
-    if math.isinf(a) or math.isinf(b):
-        return math.isinf(a) and math.isinf(b)
-    return math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
-
-
-def test_brute_force_oracle_equivalence():
-    for tp, fp, fn, tn in itertools.product(range(7), repeat=4):
-        p = compute_metrics(ContingencyTable(tp, fp, fn, tn))
-        expected = _naive_panel(tp, fp, fn, tn)
-        got = (p.sn.value, p.sp.value, p.ppv.value, p.npv.value, p.lr_pos.value, p.lr_neg.value)
-        for e, g in zip(expected, got):
-            assert _same(e, g), (tp, fp, fn, tn, expected, got)
-
-
-# -- identities ---------------------------------------------------------------
-
-def test_lr_and_bayes_identities_random_tables():
-    rng = random.Random(7)
-    for _ in range(10_000):
-        tp, fp, fn, tn = (rng.randint(1, 200) for _ in range(4))
-        p = compute_metrics(ContingencyTable(tp, fp, fn, tn))
-        sn, sp = p.sn.value, p.sp.value
-        assert p.lr_pos.value == pytest.approx(sn / (1 - sp), rel=1e-12)
-        assert p.lr_neg.value == pytest.approx((1 - sn) / sp, rel=1e-12)
-        prev = p.prevalence_sample
-        ppv, npv = adjust_predictive_values(sn, sp, prev)
-        assert ppv == pytest.approx(p.ppv.value, rel=1e-12)
-        assert npv == pytest.approx(p.npv.value, rel=1e-12)
-
 
 @given(
     tp=st.integers(0, 500), fp=st.integers(0, 500),

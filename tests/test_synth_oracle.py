@@ -16,7 +16,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from launch import run_python
 from notedta.classifier import default_lexicon
 from notedta.ingest import HEADER, write_cohort_file
 from notedta.metrics import ContingencyTable
@@ -227,15 +226,6 @@ def test_foreign_byte_order_unpacks_the_same_draws(start):
     words = [int.from_bytes(w.to_bytes(8, sys.byteorder), other) for w in _block(start, other)]
     assert words == _scalar_stream(start, 128)
     assert list(_block(start)) == words
-
-
-def test_import_cli_builds_no_lane_constants():
-    probe = ("import notedta.cli, notedta.synth\n"
-             "assert notedta.synth._lane_constants.cache_info().currsize == 0\n"
-             "notedta.synth.SplitMix64(1).next_u64()\n"
-             "assert notedta.synth._lane_constants.cache_info().currsize == 1\n")
-    proc = run_python("-c", probe)
-    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 # -- the cohorts --------------------------------------------------------------

@@ -11,6 +11,7 @@ negative. Polarity applies to the two hepatitis categories only.
 Category 45 absorbs empty notes, category 46 everything unmatched.
 """
 
+import codecs
 import functools
 import os
 import re
@@ -270,8 +271,17 @@ def classify_note(text: str, lexicon: Lexicon) -> NoteClassification:
 
 
 def load_lexicon(path) -> Lexicon:
-    with open(path, encoding="utf-8-sig") as fh:
-        return parse_lexicon(fh.read())
+    """The lexicon of the UTF-8 file `path`, which may start with a byte-order mark."""
+    with open(path, "rb") as fh:
+        data = fh.read().removeprefix(codecs.BOM_UTF8)
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as err:
+        # Numbered as parse_lexicon numbers its lines.
+        line = len((data[:err.start].decode("utf-8") + "x").splitlines())
+        raise ValueError(f"{path}: line {line}: not UTF-8 (byte 0x{data[err.start]:02x}: "
+                         f"{err.reason})") from None
+    return parse_lexicon(text)
 
 
 @functools.cache

@@ -182,10 +182,11 @@ def _cmd_classify(args) -> int:
 def _cmd_evaluate(args) -> int:
     """Check the flags, then read, evaluate and report the cohort.
 
-    The flags and the lexicon are checked before the cohort file is read,
-    so a bad flag is reported first. The cohort is passed to
-    `evaluate_condition` without a name: on CPython 3.11+ the callee then
-    holds its last reference and frees the records before the intervals.
+    The flags, the output directory and the lexicon are checked before the
+    cohort file is read, so a bad flag is reported first. The cohort is
+    passed to `evaluate_condition` without a name: on CPython 3.11+ the
+    callee then holds its last reference and frees the records before the
+    intervals.
     """
     from pathlib import Path
 
@@ -196,9 +197,16 @@ def _cmd_evaluate(args) -> int:
         cutoff=args.cutoff,
         ci=CiConfig(level=args.ci_level, proportion_method=args.ci_method),
     )
+    outdir = Path(args.outdir)
+    # The directory is made once the reports are ready; until then, the
+    # nearest of it and its ancestors that exists must be a directory.
+    for path in (outdir, *outdir.parents):
+        if path.exists():
+            if not path.is_dir():
+                raise ValueError(f"--outdir {outdir}: {path} is not a directory")
+            break
     lexicon = _load_lexicon(args.lexicon)
     result = evaluate_condition(parse_cohort_file(args.input), config, lexicon)
-    outdir = Path(args.outdir)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.md").write_text(emit_report(result, "markdown"), encoding="utf-8")
     (outdir / "report.csv").write_text(emit_report(result, "csv"), encoding="utf-8")
@@ -263,12 +271,11 @@ def main(argv=None) -> int:
     except (OSError, ValueError) as err:  # CohortFormatError included
         print(f"error: {err}", file=sys.stderr)
         return 1
-    except Exception as err:  # internal invariant failure, or no scipy for the quantiles
+    except Exception as err:  # internal invariant failure, or no scipy for exact bounds
         missing = err.name if isinstance(err, ImportError) else None
         if missing and missing.split(".")[0] in ("numpy", "scipy"):
-            print(f"error: cannot import scipy ({err}); exact intervals and a --ci-level other "
-                  "than 0.95 need it, --ci-method score at the default level does not",
-                  file=sys.stderr)
+            print(f"error: cannot import scipy ({err}); exact intervals need it, "
+                  "--ci-method score does not", file=sys.stderr)
         else:
             print(f"internal error: {err!r}", file=sys.stderr)
         return 2

@@ -14,6 +14,10 @@ Confidence intervals:
 * likelihood ratios: the standard log method,
   ``exp(ln(LR) +/- z * se)`` with
   ``se = sqrt(1/a - 1/(a+b) + 1/c - 1/(c+d))`` over the relevant cells.
+
+Only an exact bound loads numpy and scipy, for scipy's inverse incomplete
+beta function (`_ibeta`); see there for threads. The normal quantile z is
+fixed at 95%, and at any other level comes from `statistics.NormalDist`.
 """
 
 import math
@@ -25,39 +29,15 @@ from .model import SerologyStatus, checked_make
 Z_95 = 1.959964
 
 
-def _scipy_ufuncs():
-    """scipy's compiled `scipy.special._ufuncs`, loaded without `scipy.special`.
-
-    Its `betaincinv` and `ndtri` give the quantiles of scipy.stats' beta.ppf
-    and norm.ppf bit for bit (tests/test_metrics.py). Only an exact or
-    non-95% `evaluate` computes a quantile, so only it loads scipy. A full
-    `import scipy.special` would take about 0.2 s more than `_ufuncs` with
-    numpy (0.31 s against 0.11 s on a 2-vCPU host), nearly all of it in an
-    array-API layer notedta never calls. So, unless `scipy.special` is
-    loaded already, a bare package module stands in for it while `_ufuncs`
-    loads, and is removed again; a later `import scipy.special` runs in full
-    and reuses the same ufuncs. The CLI is single-threaded. In a threaded
-    caller, the first exact bound must not race another thread's first
-    `import scipy.special`, which could find the stand-in.
-    """
-    import importlib.util
-    import sys
-
-    name = "scipy.special._ufuncs"
-    if name in sys.modules or "scipy.special" in sys.modules:
-        return importlib.import_module(name)
-    sys.modules["scipy.special"] = importlib.util.module_from_spec(
-        importlib.util.find_spec("scipy.special"))
-    try:
-        return importlib.import_module(name)
-    finally:
-        del sys.modules["scipy.special"]
-
-
 def _z_quantile(level: float) -> float:
     if abs(level - 0.95) < 1e-12:
         return Z_95
-    return float(_scipy_ufuncs().ndtri(1.0 - (1.0 - level) / 2.0))
+    # Imported here, as only another level needs it. The lower tail keeps
+    # every digit of alpha/2; 1 - alpha/2 loses them, and at the largest
+    # level below 1 it rounds to 1.0, whose quantile is infinite.
+    from statistics import NormalDist
+
+    return -NormalDist().inv_cdf((1.0 - level) / 2.0)
 
 
 def _check_level(level) -> None:
@@ -167,9 +147,10 @@ def ci_proportion(
     alpha = 1.0 - level
     k, n = successes, trials
     if method == "exact":
-        betaincinv = _scipy_ufuncs().betaincinv
-        low = 0.0 if k == 0 else float(betaincinv(k, n - k + 1, alpha / 2.0))
-        high = 1.0 if k == n else float(betaincinv(k + 1, n - k, 1.0 - alpha / 2.0))
+        from ._ibeta import ibeta_inv
+
+        low = 0.0 if k == 0 else ibeta_inv(k, n - k + 1, alpha / 2.0)
+        high = 1.0 if k == n else ibeta_inv(k + 1, n - k, 1.0 - alpha / 2.0)
         return low, high
     if method == "score":
         z = _z_quantile(level)

@@ -1,9 +1,11 @@
 import io
 import json
 import math
+import re
 import select
 import subprocess
 import sys
+import types
 from importlib.resources import files
 from pathlib import Path
 
@@ -370,6 +372,21 @@ def test_evaluate_labels_a_non_default_ci_level(tmp_path, capsys):
     assert json.loads((tmp_path / "report.json").read_text())["ci_level"] == 0.8
 
 
+@pytest.mark.parametrize("method", ["exact", "score"])
+def test_evaluate_at_the_largest_level_below_1_writes_no_nan(tmp_path, capsys, method):
+    # 1 - (1 - level)/2 rounds to 1.0 at this level, so every quantile is
+    # taken from the lower tail, whose probability stays above 0.
+    cohort = tmp_path / "cohort.csv"
+    run(capsys, "synth", str(cohort), "--preset", "figS1-hbv", "--seed", "1")
+    level = math.nextafter(1.0, 0.0)
+    assert 1.0 - (1.0 - level) / 2.0 == 1.0
+    code, _, err = run(capsys, "evaluate", str(cohort), "--condition", "hbv", "--outdir",
+                       str(tmp_path / "o"), "--ci-method", method, "--ci-level", repr(level))
+    assert (code, err) == (0, "")
+    for path in sorted((tmp_path / "o").iterdir()):  # "nan" as a word: "pregnancy" holds it
+        assert not re.search(r"\bnan\b", path.read_text(encoding="utf-8"), re.I), path.name
+
+
 def _renamed_lexicon(tmp_path) -> Path:
     """The built-in lexicon with category 37 relabelled "Tiredness"."""
     label = default_lexicon().rule(37).label
@@ -483,15 +500,21 @@ def test_classify_lexicon_with_empty_query_keyword_is_exit_1(tmp_path, capsys):
     ("pattern: tok46", "pattern: tok46\n[polarity]\nstatement: known",
      "error: line 186: unknown polarity key 'statement'"),
     ("[category 9]", "[category 3]", "error: line 33: duplicate category 3, first at line 9"),
+    # A lone surrogate here is written as the byte it escapes.
+    ("[category 1]", "\udcff[category 1]",
+     "error: {lexicon}: line 1: not UTF-8 (byte 0xff: invalid start byte)"),
+    ("pattern: tok7\n", "pattern: caf\udce9\n",
+     "error: {lexicon}: line 28: not UTF-8 (byte 0xe9: invalid continuation byte)"),
 ])
 def test_classify_malformed_lexicon_is_exit_1(tmp_path, capsys, old, new, message):
     lexicon = tmp_path / "lexicon.txt"
-    lexicon.write_text("\n".join(_LEXICON_BLOCKS).replace(old, new, 1), encoding="utf-8")
+    lexicon.write_bytes(
+        "\n".join(_LEXICON_BLOCKS).replace(old, new, 1).encode("utf-8", "surrogateescape"))
     notes = tmp_path / "notes.txt"
     notes.write_text("tok7\n", encoding="utf-8")
     code, out, err = run(capsys, "classify", str(notes), "--lexicon", str(lexicon))
     assert code == 1 and out == ""
-    assert err.splitlines() == [message]
+    assert err.splitlines() == [message.format(lexicon=lexicon)]
 
 
 @pytest.mark.parametrize("argv", [
@@ -564,18 +587,44 @@ def test_evaluate_checks_flags_before_reading_the_input(tmp_path, capsys):
     assert err.splitlines() == ["error: confidence level must be in (0,1): 2.0"]
 
 
-def test_evaluate_without_scipy_ufuncs_is_exit_2(tmp_path, capsys, monkeypatch):
+@pytest.mark.parametrize("module, why", [
+    (None, "import of scipy.special._ufuncs_cxx halted; None in sys.modules"),
+    (types.SimpleNamespace(__pyx_capi__={}), "scipy.special._ufuncs_cxx: cannot read "
+     "_export_ibeta_inv_double: KeyError('_export_ibeta_inv_double')"),
+], ids=["no-module", "no-capsule"])
+def test_evaluate_without_scipy_ufuncs_cxx_is_exit_2(tmp_path, capsys, monkeypatch, module, why):
     # A failure that is not the input's fault is exit 2 and one line, no traceback.
     cohort = tmp_path / "cohort.csv"
     assert run(capsys, "synth", str(cohort), "--preset", "figS1-hbv", "--seed", "1")[0] == 0
-    monkeypatch.setitem(sys.modules, "scipy.special._ufuncs", None)
+    # The loader runs on the module's first import, so here under the patch.
+    monkeypatch.delitem(sys.modules, "notedta._ibeta", raising=False)
+    monkeypatch.setitem(sys.modules, "scipy.special._ufuncs_cxx", module)
     code, out, err = run(capsys, "evaluate", str(cohort), "--condition", "hbv",
                          "--outdir", str(tmp_path / "out"))
     assert code == 2 and out == ""
     assert err.splitlines() == [
-        "error: cannot import scipy (import of scipy.special._ufuncs halted; None in "
-        "sys.modules); exact intervals and a --ci-level other than 0.95 need it, "
-        "--ci-method score at the default level does not"]
+        f"error: cannot import scipy ({why}); exact intervals need it, --ci-method score does not"]
+
+
+_EVALUATE_TO = """
+import contextlib, io, json, sys
+from notedta.cli import main
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = main(["evaluate", sys.argv[1], "--condition", "hbv", "--outdir", sys.argv[2]])
+print(json.dumps([code, err.getvalue(), sorted({"numpy", "scipy"} & set(sys.modules))]))
+"""
+
+
+@pytest.mark.parametrize("outdir", ["file", "file/sub"])
+def test_evaluate_outdir_under_a_file_is_exit_1_before_the_cohort_is_read(tmp_path, outdir):
+    # The cohort file does not exist: the --outdir error comes first, and
+    # nothing has loaded numpy or scipy.
+    (tmp_path / "file").write_bytes(b"")
+    proc = run_python("-c", _EVALUATE_TO, str(tmp_path / "missing.csv"), str(tmp_path / outdir))
+    assert proc.returncode == 0, proc.stderr.decode()
+    assert json.loads(proc.stdout) == [
+        1, f"error: --outdir {tmp_path / outdir}: {tmp_path / 'file'} is not a directory\n", []]
 
 
 def test_import_error_outside_scipy_is_internal_error(tmp_path, capsys, monkeypatch):

@@ -11,7 +11,7 @@ import pytest
 import scipy
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.stats import beta, norm
+from scipy.stats import beta
 
 import notedta
 from notedta.metrics import (
@@ -361,17 +361,23 @@ def test_logit_bounds_within_16_ulps_of_mpmath_and_inside_0_1():
                     assert abs(got - exact) <= 16 * math.ulp(float(exact)), (k, n, level)
 
 
-def test_z_quantile_equals_scipy_stats_norm_ppf():
+def test_z_quantile_within_4_ulps_of_mpmath():
+    # The quantile at the float lower-tail probability the code computes,
+    # evaluated at 50 digits. The largest error measured is 3.55 ulps, at
+    # level 0.043 (z = 0.054); at 0.9 it is 0.84 ulps. scipy's ndtri of the
+    # upper tail read 2.84 ulps at 0.9 and 69.8 at 0.999.
     assert _z_quantile(0.95) == 1.959964  # fixed for stable reports
-    for level in (*LEVELS, *(i / 1000 for i in range(1, 1000))):
-        if abs(level - 0.95) < 1e-12:
-            continue
-        expected = float(norm.ppf(1.0 - (1.0 - level) / 2.0))
-        assert _z_quantile(level).hex() == expected.hex(), level
+    with mpmath.workdps(50):
+        for level in (*LEVELS, *(i / 1000 for i in range(1, 1000))):
+            if abs(level - 0.95) < 1e-12:
+                continue
+            exact = mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * mpmath.mpf((1.0 - level) / 2.0))
+            got = _z_quantile(level)
+            assert abs(got - exact) <= 4 * math.ulp(float(exact)), level
 
 
 _SUBMODULES = tuple(f"notedta.{m}" for m in (
-    "classifier", "cli", "evaluate", "ingest", "metrics", "model", "serology", "synth"))
+    "_ibeta", "classifier", "cli", "evaluate", "ingest", "metrics", "model", "serology", "synth"))
 _RUN_CLI = """
 import contextlib, io
 from notedta.cli import main
@@ -397,19 +403,25 @@ def cli_inputs(tmp_path_factory):
     return d
 
 
-# Only exact intervals and z quantiles at levels other than 0.95 need scipy.
+# Only exact intervals need numpy and scipy.
 _NUMPY_SCIPY = ("numpy", "scipy", "scipy.special", "scipy.stats")
 # `import dataclasses` pulls in inspect, ast, dis and tokenize: ~10 ms of
 # start-up. `decimal` is for the display formatters (~2 ms), `pathlib` for
 # `evaluate --outdir` (6-8 ms with shutil, urllib.parse and ipaddress) and
-# `json` for reports. No command loads `statistics`: the demographic summary
-# computes its mean and SD from exact integer sums.
+# `json` for reports. Only a z quantile at a level other than 0.95 loads
+# `statistics`: the demographic summary computes its mean and SD from exact
+# integer sums.
 _UNUSED_STDLIB = ("dataclasses", "inspect", "decimal", "json", "pathlib", "statistics")
-# `import scipy.special` costs ~0.5 s, ~0.3 s of it in its array-API layer
-# (numpy.f2py, charset_normalizer); scipy.stats ~1 s. numpy still loads
-# inspect, but nothing loads dataclasses.
-_BEYOND_UFUNCS = ("scipy.special", "scipy.special._support_alternative_backends",
-                  "scipy._lib._array_api", "scipy.stats", "dataclasses")
+# Exact intervals load numpy and scipy.special._ufuncs_cxx alone. scipy's
+# package init (scipy.__config__, scipy._lib._ccallback) and the betaincinv
+# ufunc's module, scipy.special._ufuncs, would cost ~5 MB and ~20 ms; a full
+# `import scipy.special` ~0.5 s more, ~0.3 s of it in its array-API layer
+# (numpy.f2py, charset_normalizer); scipy.stats ~1 s. The stand-ins for
+# scipy and scipy.special are gone again. numpy still loads inspect, but
+# nothing loads dataclasses.
+_BEYOND_UFUNCS_CXX = ("scipy", "scipy.special", "scipy.__config__", "scipy._lib._ccallback",
+                      "scipy.special._ufuncs", "scipy.special._support_alternative_backends",
+                      "scipy._lib._array_api", "scipy.stats", "dataclasses")
 # `import notedta.cli` keeps loading notedta.metrics, though only `evaluate`
 # computes metrics: perfbench's import probe reads metrics.import_s from the
 # `-X importtime` lines of that import, and stops when it finds none.
@@ -444,10 +456,13 @@ LOADS = {
                         "{d}/score", "--ci-method", "score"], (),
                        _NUMPY_SCIPY + ("dataclasses", "inspect", "statistics") + _SYNTH),
     "evaluate-exact": (["evaluate", "{d}/cohort.csv", "--condition", "hbv", "--outdir",
-                        "{d}/exact"], ("scipy.special._ufuncs",), _BEYOND_UFUNCS + _SYNTH),
+                        "{d}/exact"], ("notedta._ibeta", "numpy", "scipy.special._ufuncs_cxx"),
+                       _BEYOND_UFUNCS_CXX + _SYNTH),
+    # The z quantile at another level comes from the standard library.
     "evaluate-score-0.9": (["evaluate", "{d}/cohort.csv", "--condition", "hbv", "--outdir",
                             "{d}/level", "--ci-method", "score", "--ci-level", "0.9"],
-                           ("scipy.special._ufuncs",), _BEYOND_UFUNCS + _SYNTH),
+                           ("statistics",),
+                           _NUMPY_SCIPY + ("dataclasses", "inspect") + _SYNTH),
 }
 
 # Under -S no site hook loads anything first. numpy and scipy go back on the
@@ -475,39 +490,33 @@ def test_no_module_of_the_package_imports_dataclasses():
                 assert node.module != "dataclasses", path.name
 
 
-_QUANTILES_THEN_SCIPY_STATS = """
-from notedta.metrics import _scipy_ufuncs, _z_quantile, ci_proportion
+_BOUNDS_THEN_SCIPY_STATS = """
+from notedta.metrics import ci_proportion
 
 levels = (0.80, 0.95, 0.99)
 cases = [(k, n, level) for level in levels for n in range(1, 60) for k in range(n + 1)]
 bounds = [ci_proportion(k, n, level, "exact") for k, n, level in cases]
-z = [_z_quantile(level) for level in levels]
-ufuncs = _scipy_ufuncs()
-assert "scipy.special" not in sys.modules
+assert "notedta._ibeta" in sys.modules
+assert not {"scipy", "scipy.special", "scipy.special._ufuncs"} & set(sys.modules)
 
 import scipy.special
-from scipy.stats import beta, norm
+from scipy.stats import beta
 
-assert scipy.special.betaincinv is ufuncs.betaincinv
-assert scipy.special.ndtri is ufuncs.ndtri
-assert _scipy_ufuncs() is ufuncs
+assert "scipy.__config__" in sys.modules and "scipy._lib._array_api" in sys.modules
 for (k, n, level), (low, high) in zip(cases, bounds):
     alpha = 1.0 - level
     want_low = 0.0 if k == 0 else float(beta.ppf(alpha / 2.0, k, n - k + 1))
     want_high = 1.0 if k == n else float(beta.ppf(1.0 - alpha / 2.0, k + 1, n - k))
     assert (low.hex(), high.hex()) == (want_low.hex(), want_high.hex()), (k, n, level)
-assert z[1] == 1.959964
-for level, got in zip(levels, z):
-    if level != 0.95:
-        assert got.hex() == float(norm.ppf(1.0 - (1.0 - level) / 2.0)).hex(), level
+    assert ci_proportion(k, n, level, "exact") == (low, high)
 """
 
 
-def test_ufuncs_loaded_alone_equal_scipy_stats_loaded_after():
-    # The quantiles are computed before scipy.special or scipy.stats is
-    # imported, then checked bit for bit against scipy.stats; a full
-    # `import scipy.special` afterwards reuses the very same ufuncs.
-    assert "scipy.stats" in _modules_after(_QUANTILES_THEN_SCIPY_STATS)
+def test_ibeta_inv_loaded_alone_equals_scipy_stats_loaded_after():
+    # The bounds are computed before scipy or scipy.special is imported; a
+    # later `import scipy.stats` still runs both packages in full, and its
+    # beta.ppf agrees with them bit for bit.
+    assert "scipy.stats" in _modules_after(_BOUNDS_THEN_SCIPY_STATS)
 
 
 # The package's public names, by the submodule that defines each.

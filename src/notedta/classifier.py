@@ -27,8 +27,9 @@ VACCINATION_CATEGORY = 34
 # Notes are stock phrases, so `evaluate` and `classify` keep what each
 # distinct note gave for the rest of the run, in a `NoteMemo`. It holds the
 # first NOTE_MEMO_LIMIT distinct notes of at most NOTE_MEMO_MAX_CHARS
-# characters each and recomputes any other note at each occurrence, so that
-# all-distinct or long-line input keeps memory flat. Neither is a setting.
+# characters each (for `classify`, bytes of a raw line) and recomputes any
+# other note at each occurrence, so that all-distinct or long-line input
+# keeps memory flat. Neither is a setting.
 NOTE_MEMO_LIMIT = 4096
 NOTE_MEMO_MAX_CHARS = 256
 

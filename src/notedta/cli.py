@@ -10,7 +10,6 @@ import argparse
 import contextlib
 import gc
 import importlib
-import io
 import sys
 
 from .classifier import NoteMemo, classify_note, default_lexicon, load_lexicon
@@ -58,7 +57,7 @@ def __getattr__(name):
 
 _CONDITIONS = {"hbv": Condition.HEPATITIS_B, "hcv": Condition.HEPATITIS_C}
 _LEXICON_HELP = "lexicon file (default: built-in)"
-_BLOCK_HINT = 1 << 16  # characters of a file that classify reads per write
+_BLOCK_HINT = 1 << 16  # bytes of a file that classify reads per write
 
 
 def _load_lexicon(path: str | None):
@@ -138,44 +137,36 @@ def _cmd_validate(args) -> int:
     return 0
 
 
-@contextlib.contextmanager
-def _utf8_stdin():
-    """stdin decoded as strict UTF-8 and split at "\n" only, as a file is.
-
-    The wrapper is detached on the way out, so stdin stays open. A text
-    stream put in place of stdin, with no bytes under it, is read as it is.
-    """
-    if sys.stdin is None:  # the process was started with fd 0 closed
-        raise OSError("cannot read stdin: it is closed")
-    buffer = getattr(sys.stdin, "buffer", None)
-    if buffer is None:
-        yield sys.stdin
-        return
-    fh = io.TextIOWrapper(buffer, encoding="utf-8", newline="\n")
-    try:
-        yield fh
-    finally:
-        fh.detach()
-
-
 def _cmd_classify(args) -> int:
     lexicon = _load_lexicon(args.lexicon)
 
-    def render(line: str) -> str:
-        c = classify_note(line.rstrip("\n"), lexicon)
+    def render(line: bytes) -> str:
+        c = classify_note(line.decode().rstrip("\n"), lexicon)  # strict UTF-8
         return f"{c.category_id}\t{c.hbv_label}\t{c.hcv_label}\t{c.matched_pattern}\n"
 
     rendered = NoteMemo(render)  # raw line -> its output line
     write = sys.stdout.write
     stdin = args.input == "-"
-    # A bare "\r" stays inside its note. Only a file this command opened is closed.
-    with _utf8_stdin() if stdin else open(args.input, encoding="utf-8", newline="\n") as fh:
-        # One write per block: a file's block is about _BLOCK_HINT characters
-        # of lines; stdin's is one line, so under -u each line is written
+    if stdin and sys.stdin is None:  # the process was started with fd 0 closed
+        raise OSError("cannot read stdin: it is closed")
+    # Binary lines end at b"\n" only, so a bare "\r" stays inside its note.
+    # Only a file this command opened is closed.
+    with contextlib.nullcontext(sys.stdin.buffer) if stdin else open(args.input, "rb") as fh:
+        # One write per block: a file's block is about _BLOCK_HINT bytes of
+        # lines; stdin's is one line, so under -u each line is written
         # before the next note is read.
         blocks = ([line] for line in fh) if stdin else iter(lambda: fh.readlines(_BLOCK_HINT), [])
+        n = 0  # the lines of the blocks before this one
         for lines in blocks:
-            write("".join(map(rendered.__getitem__, lines)))
+            try:
+                write("".join(map(rendered.__getitem__, lines)))
+            except UnicodeDecodeError as err:  # the lines before the bad one are written
+                i = lines.index(err.object)  # the first line that `render` could not decode
+                write("".join(map(rendered.__getitem__, lines[:i])))
+                name = "stdin" if stdin else args.input
+                raise ValueError(f"{name}: line {n + i + 1}: not UTF-8 (byte "
+                                 f"0x{lines[i][err.start]:02x}: {err.reason})") from None
+            n += len(lines)
     return 0
 
 

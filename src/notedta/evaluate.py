@@ -139,9 +139,10 @@ def evaluate_condition(
     del rows
     tables = {cid: build_contingency(pairs.pop(cid)) for cid in evaluated}
     summary = summarize_demographics(cohort)
-    # The first exact bound loads numpy and scipy's ufuncs (~19 MB). Dropping
-    # the records first lets that import reuse their memory, so the peak is
-    # the larger of the two phases rather than their sum.
+    # The first exact bound loads numpy and scipy.special._ufuncs_cxx (about
+    # 11 MB resident). Dropping the records first lets that import reuse
+    # their memory, so the peak is the larger of the two phases rather than
+    # their sum.
     del cohort
 
     def category_result(cid: int) -> CategoryResult:

@@ -9,6 +9,7 @@ rules (age, year and assay ranges, a non-empty id) are
 ``PathologyRecord``'s, reported here with the row and column.
 """
 
+import codecs
 import csv
 import math
 from collections import Counter, namedtuple
@@ -78,36 +79,47 @@ def _read_records(path, strict: bool, skipped: list, warnings: list):
     an error in both modes.
     """
     seen: set[str] = set()
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        # csv.Error (a field over csv.field_size_limit()) is raised while a row
-        # is read, before it is counted; it fails the file in both modes.
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            # csv.Error (a field over csv.field_size_limit()) is raised while a row
+            # is read, before it is counted; it fails the file in both modes.
+            try:
+                header = next(reader)
+            except StopIteration:
+                raise CohortFormatError(f"{path}: empty file, header row required")
+            except csv.Error as err:
+                raise CohortFormatError(f"row 1: {err}") from None
+            if header != HEADER:
+                raise CohortFormatError(f"{path}: bad header {header!r}, expected {HEADER!r}")
+            rownum = 1  # the last row read
+            try:
+                for rownum, row in enumerate(reader, start=2):
+                    if not row:  # a blank line, skipped as csv.DictReader does
+                        continue
+                    if row[0] in seen:  # never skipped, even in lenient mode
+                        raise CohortFormatError(f"row {rownum}: duplicate record_id {row[0]!r}")
+                    try:
+                        record = _parse_row(row, rownum, warnings)
+                    except CohortFormatError as err:
+                        if strict:
+                            raise
+                        skipped.append({"row": rownum, "reason": str(err)})
+                        continue
+                    seen.add(row[0])
+                    yield record
+            except csv.Error as err:
+                raise CohortFormatError(f"row {rownum + 1}: {err}") from None
+    except UnicodeDecodeError:  # found again in the file's bytes, to name its line
+        with open(path, "rb") as fh:
+            data = fh.read().removeprefix(codecs.BOM_UTF8)
         try:
-            header = next(reader)
-        except StopIteration:
-            raise CohortFormatError(f"{path}: empty file, header row required")
-        except csv.Error as err:
-            raise CohortFormatError(f"row 1: {err}") from None
-        if header != HEADER:
-            raise CohortFormatError(f"{path}: bad header {header!r}, expected {HEADER!r}")
-        rownum = 1  # the last row read
-        try:
-            for rownum, row in enumerate(reader, start=2):
-                if not row:  # a blank line, skipped as csv.DictReader does
-                    continue
-                if row[0] in seen:  # never skipped, even in lenient mode
-                    raise CohortFormatError(f"row {rownum}: duplicate record_id {row[0]!r}")
-                try:
-                    record = _parse_row(row, rownum, warnings)
-                except CohortFormatError as err:
-                    if strict:
-                        raise
-                    skipped.append({"row": rownum, "reason": str(err)})
-                    continue
-                seen.add(row[0])
-                yield record
-        except csv.Error as err:
-            raise CohortFormatError(f"row {rownum + 1}: {err}") from None
+            data.decode()
+        except UnicodeDecodeError as err:
+            line = data.count(b"\n", 0, err.start) + 1
+            raise CohortFormatError(f"{path}: line {line}: not UTF-8 (byte "
+                                    f"0x{data[err.start]:02x}: {err.reason})") from None
+        raise
 
 
 def _parse_row(row, rownum: int, warnings: list) -> PathologyRecord:

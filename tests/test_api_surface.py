@@ -4,7 +4,9 @@ An `ast` scan of `src/notedta/*.py` lists `module.Qualname(param)` for every
 parameter of every public function and method, and of each public class's
 constructor (`__new__` or `__init__`); `self` and `cls` are left out. The
 sorted list must equal `SURFACE`, so a parameter added or removed shows up
-as one line of this file's diff. `OPTIONS` does the same for the arguments
+as one line of this file's diff. The package module itself binds only
+`__version__`: each public name has one import path, its submodule's.
+`OPTIONS` does the same for the arguments
 of each subcommand, read from the parser, and no module reads the
 environment: every setting of a run is on its command line. Only
 `classifier` names the note memo's bounds. Every `notedta` line of
@@ -131,8 +133,20 @@ def public_parameters() -> list[str]:
     )
 
 
+def package_bindings() -> list[str]:
+    """The names `notedta/__init__.py` binds: by assignment, def, class or import."""
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    return sorted({
+        node.id if isinstance(node, ast.Name) else getattr(node, "asname", None) or node.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        or isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef, ast.alias))
+    })
+
+
 def test_public_surface_is_the_ledger():
     assert public_parameters() == SURFACE
+    assert package_bindings() == ["__version__"]
 
 
 # Each subcommand's option strings, and its positional arguments by name.

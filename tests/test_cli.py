@@ -1,3 +1,4 @@
+import contextlib
 import io
 import json
 import math
@@ -10,6 +11,8 @@ from importlib.resources import files
 from pathlib import Path
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from notedta import cli, evaluate, ingest
 from notedta.classifier import (
@@ -182,9 +185,85 @@ def test_classify_invalid_utf8_is_exit_1(tmp_path, source):
         proc = run_python("-X", "utf8", "-m", "notedta.cli", "classify",
                           str(notes) if source == "file" else "-",
                           stdin=stdin, env={"PYTHONIOENCODING": None})
-    assert proc.returncode == 1
-    (line,) = proc.stderr.decode("utf-8").splitlines()
-    assert line.startswith("error: 'utf-8' codec can't decode byte 0xff")
+    assert (proc.returncode, proc.stdout) == (1, _classified("Known Hep B"))
+    name = notes if source == "file" else "stdin"
+    assert proc.stderr.decode("utf-8").splitlines() == [
+        f"error: {name}: line 2: not UTF-8 (byte 0xff: invalid start byte)"]
+
+
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_classify_names_a_bad_line_past_the_first_block(tmp_path, source):
+    # Three stock notes repeat, so every line after the first three is a
+    # memo hit; the bad line sits inside a block, past the first.
+    good = "".join(f"{('Known Hep B', '?Hep C', 'fatigue')[i % 3]} x\n" for i in range(20_000))
+    assert len(good) > 2 * cli._BLOCK_HINT
+    notes = tmp_path / "notes.txt"
+    notes.write_bytes(good.encode() + b"Hep B caf\xe9\nKnown Hep C\n")
+    with open(notes, "rb") as stdin:
+        proc = run_python("-m", "notedta.cli", "classify",
+                          str(notes) if source == "file" else "-", stdin=stdin)
+    assert (proc.returncode, proc.stdout) == (1, _classified(good[:-1]))
+    name = notes if source == "file" else "stdin"
+    assert proc.stderr.decode("utf-8").splitlines() == [
+        f"error: {name}: line 20001: not UTF-8 (byte 0xe9: invalid continuation byte)"]
+
+
+# Byte lines for the property below: stock notes (with a BOM, a bare CR and
+# a CRLF ending), non-ASCII text, and lines of more than NOTE_MEMO_MAX_CHARS
+# bytes, two of them with at most that many characters.
+_LINES = st.one_of(
+    st.sampled_from([b"", b"Known Hep B", b"?Hep C\r", b"Known Hep B\rpsi", b"\xef\xbb\xbfHep C",
+                     "h\u00e9patite C".encode(), b"x" * (NOTE_MEMO_MAX_CHARS + 1),
+                     "\u00e9".encode() * NOTE_MEMO_MAX_CHARS,
+                     "Hep B \u00e9".encode() * (NOTE_MEMO_MAX_CHARS // 8)]),
+    st.text(st.characters(blacklist_categories=["Cs"], blacklist_characters="\n"),
+            max_size=12).map(str.encode),
+)
+# Not UTF-8: a bad start byte, a bad continuation, a truncated sequence, an
+# encoded surrogate and an overlong form.
+_NOT_UTF8 = [b"\xff", b"\xe9t\xe9", b"\xe2\x82", b"\xed\xa0\x80", b"\xc0\xaf"]
+
+
+@pytest.fixture(scope="module")
+def property_notes(tmp_path_factory):
+    return tmp_path_factory.mktemp("classify") / "notes.txt"
+
+
+@given(lines=st.lists(_LINES, min_size=1, max_size=4).flatmap(
+           lambda pool: st.lists(st.sampled_from(pool), max_size=30)),
+       bad=st.none() | st.tuples(st.integers(0, 30), _LINES, st.sampled_from(_NOT_UTF8)),
+       final_newline=st.booleans())
+def test_classify_reads_byte_lines_up_to_the_first_bad_one(property_notes, lines, bad,
+                                                            final_newline):
+    if bad is not None:
+        at, prefix, byte = bad
+        lines.insert(min(at, len(lines)), prefix + byte)
+    data = b"\n".join(lines) + b"\n" * final_newline
+    property_notes.write_bytes(data)
+    # The file's lines, each with the b"\n" that ends it: a final newline
+    # ends the last line, and starts none.
+    raw = [line + b"\n" for line in data.split(b"\n")]
+    raw[-1] = raw[-1][:-1]
+    if not raw[-1]:
+        raw.pop()
+    good = []
+    for line in raw:
+        try:
+            good.append(line.decode("utf-8").rstrip("\n"))
+        except UnicodeDecodeError as err:
+            error = (f"error: {property_notes}: line {len(good) + 1}: not UTF-8 "
+                     f"(byte 0x{line[err.start]:02x}: {err.reason})\n")
+            break
+    else:
+        error = ""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(["classify", str(property_notes)])
+    assert (code, err.getvalue()) == (1 if error else 0, error)
+    lexicon = default_lexicon()
+    assert out.getvalue() == "".join(
+        f"{c.category_id}\t{c.hbv_label}\t{c.hcv_label}\t{c.matched_pattern}\n"
+        for c in (classify_note(note, lexicon) for note in good))
 
 
 # Run by a small interpreter of its own: a child's peak RSS starts from its
@@ -239,7 +318,7 @@ def test_classify_stdin_streams_under_u():
 
 
 def test_classify_stdin_is_left_open(monkeypatch, capsys):
-    stdin = io.StringIO("Known Hep B\n?Hep C")
+    stdin = io.TextIOWrapper(io.BytesIO(b"Known Hep B\n?Hep C"), encoding="utf-8")
     monkeypatch.setattr(sys, "stdin", stdin)
     code, out, _ = run(capsys, "classify", "-")
     assert code == 0 and not stdin.closed
@@ -527,6 +606,27 @@ def test_empty_cohort_file_is_exit_1(tmp_path, capsys, argv):
     code, out, err = run(capsys, *(a.format(cohort=cohort, tmp=tmp_path) for a in argv))
     assert code == 1 and out == ""
     assert err.splitlines() == [f"error: {cohort}: empty file, header row required"]
+
+
+@pytest.mark.parametrize("argv", [
+    ("validate", "{cohort}"),
+    ("validate", "--strict", "{cohort}"),
+    ("evaluate", "{cohort}", "--condition", "hbv", "--outdir", "{tmp}/out"),
+])
+@pytest.mark.parametrize("rows_before", [1, 2000], ids=["in-the-first-chunk", "past-it"])
+def test_cohort_not_utf8_is_exit_1(tmp_path, capsys, argv, rows_before):
+    # Lines count from the header, a byte-order mark aside; the record
+    # before the bad one has a note over two lines.
+    cohort = tmp_path / "cohort.csv"
+    rows = "".join(f"r{i},40,F,Known Hep B,,,2001\n" for i in range(rows_before - 1))
+    cohort.write_bytes(b"\xef\xbb\xbf" + ",".join(ingest.HEADER).encode() + b"\n"
+                       + rows.encode() + b'x,50,M,"Hep C\nPos",,,2002\n'
+                       + b"y,60,M,caf\xe9,0.2,,2002\n")
+    code, out, err = run(capsys, *(a.format(cohort=cohort, tmp=tmp_path) for a in argv))
+    assert (code, out) == (1, "")
+    assert err.splitlines() == [f"error: {cohort}: line {rows_before + 3}: not UTF-8 "
+                                "(byte 0xe9: invalid continuation byte)"]
+    assert not (tmp_path / "out").exists()
 
 
 def test_validate_builds_no_cohort(tmp_path, capsys, monkeypatch):

@@ -272,7 +272,10 @@ def classify_note(text: str, lexicon: Lexicon) -> NoteClassification:
 
 
 def load_lexicon(path) -> Lexicon:
-    """The lexicon of the UTF-8 file `path`, which may start with a byte-order mark."""
+    """The lexicon of the UTF-8 file `path`, which may start with a byte-order mark.
+
+    Every error names the file and the line: `<path>: line N: ...`.
+    """
     with open(path, "rb") as fh:
         data = fh.read().removeprefix(codecs.BOM_UTF8)
     try:
@@ -282,7 +285,10 @@ def load_lexicon(path) -> Lexicon:
         line = len((data[:err.start].decode("utf-8") + "x").splitlines())
         raise ValueError(f"{path}: line {line}: not UTF-8 (byte 0x{data[err.start]:02x}: "
                          f"{err.reason})") from None
-    return parse_lexicon(text)
+    try:
+        return parse_lexicon(text)
+    except ValueError as err:
+        raise ValueError(f"{path}: {err}") from None
 
 
 @functools.cache

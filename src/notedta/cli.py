@@ -64,6 +64,10 @@ def _load_lexicon(path: str | None):
     return load_lexicon(path) if path else default_lexicon()
 
 
+def _no_records(path: str):
+    raise ValueError(f"{path}: no records")
+
+
 class _PresetNames:
     """`sorted(PRESETS)` as `--preset`'s choices, read only when argparse reads them.
 
@@ -174,10 +178,10 @@ def _cmd_evaluate(args) -> int:
     """Check the flags, then read, evaluate and report the cohort.
 
     The flags, the output directory and the lexicon are checked before the
-    cohort file is read, so a bad flag is reported first. The cohort is
-    passed to `evaluate_condition` without a name: on CPython 3.11+ the
-    callee then holds its last reference and frees the records before the
-    intervals.
+    cohort file is read, so a bad flag is reported first. A cohort with no
+    records is an input error. The cohort is passed to `evaluate_condition`
+    without a name: on CPython 3.11+ the callee then holds its last
+    reference and frees the records before the intervals.
     """
     from pathlib import Path
 
@@ -197,7 +201,8 @@ def _cmd_evaluate(args) -> int:
                 raise ValueError(f"--outdir {outdir}: {path} is not a directory")
             break
     lexicon = _load_lexicon(args.lexicon)
-    result = evaluate_condition(parse_cohort_file(args.input), config, lexicon)
+    result = evaluate_condition(parse_cohort_file(args.input) or _no_records(args.input),
+                                config, lexicon)
     outdir.mkdir(parents=True, exist_ok=True)
     (outdir / "report.md").write_text(emit_report(result, "markdown"), encoding="utf-8")
     (outdir / "report.csv").write_text(emit_report(result, "csv"), encoding="utf-8")

@@ -30,7 +30,7 @@ Z_95 = 1.959964
 
 
 def _z_quantile(level: float) -> float:
-    if abs(level - 0.95) < 1e-12:
+    if level == 0.95:  # the rule emit_report uses to leave the level out
         return Z_95
     # Imported here, as only another level needs it. The lower tail keeps
     # every digit of alpha/2; 1 - alpha/2 loses them, and at the largest

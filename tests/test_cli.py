@@ -37,47 +37,6 @@ def run(capsys, *argv):
     return code, out.out, out.err
 
 
-def test_synth_preset_deterministic(tmp_path, capsys):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    assert run(capsys, "synth", str(a), "--preset", "figS1-hbv", "--seed", "1")[0] == 0
-    assert run(capsys, "synth", str(b), "--preset", "figS1-hbv", "--seed", "1")[0] == 0
-    assert a.read_bytes() == b.read_bytes()
-    assert len(a.read_text().splitlines()) == 1 + 241
-
-
-def test_synth_then_evaluate_pipeline(tmp_path, capsys):
-    cohort = tmp_path / "cohort.csv"
-    outdir = tmp_path / "out"
-    assert run(capsys, "synth", str(cohort), "--preset", "figS1-hbv", "--seed", "1")[0] == 0
-    code, out, _ = run(
-        capsys, "evaluate", str(cohort), "--condition", "hbv", "--outdir", str(outdir)
-    )
-    assert code == 0
-    assert "n=179" in out
-    md = (outdir / "report.md").read_text()
-    assert "Sn 90 (80.6-95.4)" in md
-    payload = json.loads((outdir / "report.json").read_text())
-    assert payload["primary"]["counts"] == {"tp": 69, "fp": 45, "fn": 8, "tn": 57}
-    for name in (
-        "report.csv",
-        "plotdata_sensitivity.csv",
-        "plotdata_specificity.csv",
-        "demographics.csv",
-    ):
-        assert (outdir / name).exists()
-
-
-def test_classify_streams_labels(tmp_path, capsys):
-    notes = tmp_path / "notes.txt"
-    notes.write_text("?Hep C\nKnown Hep B\n\n", encoding="utf-8")
-    code, out, _ = run(capsys, "classify", str(notes))
-    assert code == 0
-    lines = out.splitlines()
-    assert lines[0].split("\t")[:3] == ["2", "negative", "negative"]
-    assert lines[1].split("\t")[:3] == ["1", "positive", "negative"]
-    assert lines[2].split("\t")[0] == "45"
-
-
 def _classified(text: str) -> bytes:
     lexicon = default_lexicon()
     cs = [classify_note(line, lexicon) for line in text.split("\n")]
@@ -359,32 +318,6 @@ def test_evaluate_warns_when_primary_category_evaluates_nothing(tmp_path, capsys
     assert (code, err) == (0, "")
 
 
-def test_validate_writes_report(tmp_path, capsys):
-    cohort = tmp_path / "c.csv"
-    cohort.write_text(
-        "record_id,age,sex,note_text,hbsag_iu,anti_hcv_iu,collection_year\n"
-        "r1,38,M,Hep B,2.4,,\n"
-        "r2,bad,F,x,,,\n",
-        encoding="utf-8",
-    )
-    report = tmp_path / "report.json"
-    code, out, _ = run(capsys, "validate", str(cohort), "--report", str(report))
-    assert code == 0
-    assert "1 records parsed, 1 skipped" in out
-    assert json.loads(report.read_text())["n_skipped"] == 1
-
-
-def test_validate_strict_fails_on_bad_row(tmp_path, capsys):
-    cohort = tmp_path / "c.csv"
-    cohort.write_text(
-        "record_id,age,sex,note_text,hbsag_iu,anti_hcv_iu,collection_year\nr1,bad,M,x,,,\n",
-        encoding="utf-8",
-    )
-    code, _, err = run(capsys, "validate", str(cohort), "--strict")
-    assert code == 1
-    assert "row 2" in err
-
-
 def test_blank_cohort_lines_are_skipped(tmp_path, capsys):
     plain = tmp_path / "plain.csv"
     assert run(capsys, "synth", str(plain), "--preset", "figS1-hbv", "--seed", "1")[0] == 0
@@ -401,54 +334,6 @@ def test_blank_cohort_lines_are_skipped(tmp_path, capsys):
         assert (tmp_path / "blank" / name).read_bytes() == (tmp_path / "plain" / name).read_bytes()
     code, out, _ = run(capsys, "validate", str(blank))
     assert (code, out) == (0, f"{blank}: 241 records parsed, 0 skipped, 0 warnings\n")
-
-
-def test_blank_cohort_line_counts_in_later_row_numbers(tmp_path, capsys):
-    cohort = tmp_path / "c.csv"
-    cohort.write_text("record_id,age,sex,note_text,hbsag_iu,anti_hcv_iu,collection_year\n"
-                      "r1,38,M,x,,,\n\nr2,bad,M,x,,,\n", encoding="utf-8")
-    code, _, err = run(capsys, "validate", str(cohort), "--strict")
-    assert (code, err) == (1, "error: row 4, column age: not an integer: 'bad'\n")
-
-
-def test_missing_input_is_exit_1(capsys):
-    code, _, err = run(capsys, "evaluate", "/nonexistent.csv", "--condition", "hbv")
-    assert code == 1
-    assert "error" in err
-
-
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("evaluate", "{dir}", "--condition", "hbv", "--outdir", "{tmp}/o"),
-        ("classify", "{dir}"),
-        ("validate", "{dir}"),
-        ("evaluate", "{cohort}", "--condition", "hbv", "--outdir", "{cohort}"),
-    ],
-    ids=["evaluate-dir", "classify-dir", "validate-dir", "evaluate-outdir-is-file"],
-)
-def test_unreadable_path_is_exit_1(tmp_path, capsys, argv):
-    # A directory given as input, or an --outdir that is an existing file, is
-    # an input error (exit 1), not an internal failure (exit 2).
-    cohort = tmp_path / "c.csv"
-    run(capsys, "synth", str(cohort), "--preset", "figS1-hbv", "--seed", "1")
-    (tmp_path / "d").mkdir()
-    fill = {"dir": str(tmp_path / "d"), "tmp": str(tmp_path), "cohort": str(cohort)}
-    code, _, err = run(capsys, *(a.format(**fill) for a in argv))
-    assert code == 1
-    assert err.startswith("error: ")
-    assert "internal error" not in err
-
-
-def test_evaluate_labels_a_non_default_ci_level(tmp_path, capsys):
-    cohort = tmp_path / "cohort.csv"
-    run(capsys, "synth", str(cohort), "--preset", "figS1-hbv", "--seed", "1")
-    code, _, _ = run(capsys, "evaluate", str(cohort), "--condition", "hbv",
-                     "--outdir", str(tmp_path), "--ci-level", "0.8")
-    assert code == 0
-    written = (tmp_path / "report.md").read_text(encoding="utf-8")
-    assert "(80% CI)" in written and "95%" not in written
-    assert json.loads((tmp_path / "report.json").read_text())["ci_level"] == 0.8
 
 
 @pytest.mark.parametrize("method", ["exact", "score"])
@@ -514,119 +399,181 @@ def test_score_interval_bounds_stay_inside_0_1(tmp_path, capsys):
     assert not [f for row in rows for f in row.split(",") if f.startswith("-")]
 
 
-def test_validate_lenient_duplicate_id_is_exit_1(tmp_path, capsys):
-    cohort = tmp_path / "c.csv"
-    cohort.write_text(
-        "record_id,age,sex,note_text,hbsag_iu,anti_hcv_iu,collection_year\n"
-        "r1,38,M,Hep B,2.4,,\n"
-        "r1,40,F,x,,,\n",
-        encoding="utf-8",
-    )
-    code, out, err = run(capsys, "validate", str(cohort))
-    assert code == 1
-    assert "duplicate record_id 'r1'" in err
+# -- the error contract --------------------------------------------------------
 
-
-@pytest.mark.parametrize("argv", [
-    ("evaluate", "{cohort}", "--condition", "hbv", "--outdir", "{tmp}"),
-    ("validate", "{cohort}"),
-])
-def test_field_over_csv_limit_is_exit_1(tmp_path, capsys, argv):
-    cohort = tmp_path / "c.csv"
-    cohort.write_text(
-        "record_id,age,sex,note_text,hbsag_iu,anti_hcv_iu,collection_year\n"
-        "r1,38,M,Hep B,2.4,,\n"
-        f"r2,40,F,{'x' * 140_000},,,\n",
-        encoding="utf-8",
-    )
-    code, out, err = run(capsys, *(a.format(cohort=cohort, tmp=tmp_path) for a in argv))
-    assert code == 1 and out == ""
-    assert err.splitlines() == ["error: row 3: field larger than field limit (131072)"]
-
-
+_HEADER = ",".join(ingest.HEADER) + "\n"
+_COHORT = {"c.csv": _HEADER + "r1,38,M,Known Hep B,2.4,,2001\n"}
+_USAGE = "usage: notedta ..."  # stands for argparse's usage text, checked by its first line
 _LEXICON_BLOCKS = [f"[category {i}]\nlabel: c{i}\nchapter: -\npattern: tok{i}"
                    for i in range(1, 47)]
 
 
-def test_classify_lexicon_without_label_is_exit_1(tmp_path, capsys):
-    lexicon = tmp_path / "lexicon.txt"
-    lexicon.write_text("\n".join(_LEXICON_BLOCKS).replace("label: c7\n", ""), encoding="utf-8")
-    notes = tmp_path / "notes.txt"
-    notes.write_text("tok7\n", encoding="utf-8")
-    code, out, err = run(capsys, "classify", str(notes), "--lexicon", str(lexicon))
-    assert code == 1 and out == ""
-    assert err.splitlines() == ["error: line 25: category 7 has no label"]
+def _lexicon_error(old: str, new: str, message: str) -> tuple:
+    """The row of `classify` with the 46-block lexicon whose first `old` is `new`."""
+    # A lone surrogate in `new` is written as the byte it escapes.
+    lexicon = "\n".join(_LEXICON_BLOCKS).replace(old, new, 1).encode("utf-8", "surrogateescape")
+    return ("classify notes.txt --lexicon lexicon.txt",
+            {"lexicon.txt": lexicon, "notes.txt": "tok7\n"}, 1, "", [message])
 
 
-def test_classify_lexicon_with_empty_query_keyword_is_exit_1(tmp_path, capsys):
-    lexicon = tmp_path / "lexicon.txt"
-    lexicon.write_text("\n".join(_LEXICON_BLOCKS) + "\n[polarity]\nquery: -\n", encoding="utf-8")
-    notes = tmp_path / "notes.txt"
-    notes.write_text("tok7\n", encoding="utf-8")
-    code, out, err = run(capsys, "classify", str(notes), "--lexicon", str(lexicon))
-    assert code == 1 and out == ""
-    assert err.splitlines() == ["error: line 186: empty query keyword"]
-
-
-@pytest.mark.parametrize("old, new, message", [
-    ("[category 1]", "label: stray\n[category 1]", "error: line 1: content outside any block"),
-    ("label: c7\n", "label: c7\ncolour: red\n", "error: line 27: unknown key 'colour'"),
-    ("[category 1]", "[category 0]", "error: line 1: category_id out of range: 0"),
-    ("pattern: tok7\n", "", "error: line 25: category 7 has no patterns"),
-    ("label: c7\n", "label:\n", "error: line 25: category 7 label must be a non-empty str: ''"),
-    # Block order ranks the categories; a lexicon no longer numbers them.
-    ("label: c7\n", "label: c7\npriority: 7\n", "error: line 27: unknown key 'priority'"),
-    ("pattern: tok46", "pattern: tok46\n[polarity]\nstatement: known",
-     "error: line 186: unknown polarity key 'statement'"),
-    ("[category 9]", "[category 3]", "error: line 33: duplicate category 3, first at line 9"),
-    # A lone surrogate here is written as the byte it escapes.
-    ("[category 1]", "\udcff[category 1]",
-     "error: {lexicon}: line 1: not UTF-8 (byte 0xff: invalid start byte)"),
-    ("pattern: tok7\n", "pattern: caf\udce9\n",
-     "error: {lexicon}: line 28: not UTF-8 (byte 0xe9: invalid continuation byte)"),
-])
-def test_classify_malformed_lexicon_is_exit_1(tmp_path, capsys, old, new, message):
-    lexicon = tmp_path / "lexicon.txt"
-    lexicon.write_bytes(
-        "\n".join(_LEXICON_BLOCKS).replace(old, new, 1).encode("utf-8", "surrogateescape"))
-    notes = tmp_path / "notes.txt"
-    notes.write_text("tok7\n", encoding="utf-8")
-    code, out, err = run(capsys, "classify", str(notes), "--lexicon", str(lexicon))
-    assert code == 1 and out == ""
-    assert err.splitlines() == [message.format(lexicon=lexicon)]
-
-
-@pytest.mark.parametrize("argv", [
-    ("validate", "{cohort}"),
-    ("evaluate", "{cohort}", "--condition", "hbv", "--outdir", "{tmp}/out"),
-])
-def test_empty_cohort_file_is_exit_1(tmp_path, capsys, argv):
-    cohort = tmp_path / "empty.csv"
-    cohort.write_bytes(b"")
-    code, out, err = run(capsys, *(a.format(cohort=cohort, tmp=tmp_path) for a in argv))
-    assert code == 1 and out == ""
-    assert err.splitlines() == [f"error: {cohort}: empty file, header row required"]
-
-
-@pytest.mark.parametrize("argv", [
-    ("validate", "{cohort}"),
-    ("validate", "--strict", "{cohort}"),
-    ("evaluate", "{cohort}", "--condition", "hbv", "--outdir", "{tmp}/out"),
-])
-@pytest.mark.parametrize("rows_before", [1, 2000], ids=["in-the-first-chunk", "past-it"])
-def test_cohort_not_utf8_is_exit_1(tmp_path, capsys, argv, rows_before):
+def _not_utf8_error(command: str, rows_before: int) -> tuple:
+    """The row of `command` over a cohort whose record `rows_before + 1` is not UTF-8."""
     # Lines count from the header, a byte-order mark aside; the record
     # before the bad one has a note over two lines.
-    cohort = tmp_path / "cohort.csv"
     rows = "".join(f"r{i},40,F,Known Hep B,,,2001\n" for i in range(rows_before - 1))
-    cohort.write_bytes(b"\xef\xbb\xbf" + ",".join(ingest.HEADER).encode() + b"\n"
-                       + rows.encode() + b'x,50,M,"Hep C\nPos",,,2002\n'
-                       + b"y,60,M,caf\xe9,0.2,,2002\n")
-    code, out, err = run(capsys, *(a.format(cohort=cohort, tmp=tmp_path) for a in argv))
-    assert (code, out) == (1, "")
-    assert err.splitlines() == [f"error: {cohort}: line {rows_before + 3}: not UTF-8 "
-                                "(byte 0xe9: invalid continuation byte)"]
-    assert not (tmp_path / "out").exists()
+    cohort = (b"\xef\xbb\xbf" + _HEADER.encode() + rows.encode()
+              + b'x,50,M,"Hep C\nPos",,,2002\ny,60,M,caf\xe9,0.2,,2002\n')
+    return (command, {"c.csv": cohort}, 1, "", [
+        f"error: c.csv: line {rows_before + 3}: not UTF-8 (byte 0xe9: invalid continuation byte)"])
+
+
+_OVER_CSV_LIMIT = {"c.csv": _HEADER + f"r1,38,M,Hep B,2.4,,\nr2,40,F,{'x' * 140_000},,,\n"}
+_COHORT_READERS = {"validate": "validate c.csv", "validate-strict": "validate --strict c.csv",
+                   "evaluate": "evaluate c.csv --condition hbv --outdir o"}
+
+# Id -> (command line, input files, exit code, stdout, stderr lines) of each
+# failing command: an input error, a malformed command line included, is
+# exit 1 with one `error:` line and writes no file. An input named with a
+# trailing '/' is an empty directory. A usage error prints argparse's usage
+# text, then its error line.
+ERRORS = {
+    # -- cohort files
+    "validate-strict-bad-age": ("validate c.csv --strict", {"c.csv": _HEADER + "r1,bad,M,x,,,\n"},
+                                1, "", ["error: row 2, column age: not an integer: 'bad'"]),
+    "validate-strict-blank-line-counts": (
+        "validate c.csv --strict", {"c.csv": _HEADER + "r1,38,M,x,,,\n\nr2,bad,M,x,,,\n"},
+        1, "", ["error: row 4, column age: not an integer: 'bad'"]),
+    "validate-duplicate-id": (
+        "validate c.csv", {"c.csv": _HEADER + "r1,38,M,Hep B,2.4,,\nr1,40,F,x,,,\n"},
+        1, "", ["error: row 3: duplicate record_id 'r1'"]),
+    "validate-over-csv-limit": ("validate c.csv", _OVER_CSV_LIMIT, 1, "",
+                                ["error: row 3: field larger than field limit (131072)"]),
+    "evaluate-over-csv-limit": ("evaluate c.csv --condition hbv --outdir o", _OVER_CSV_LIMIT, 1, "",
+                                ["error: row 3: field larger than field limit (131072)"]),
+    "validate-empty-file": ("validate c.csv", {"c.csv": ""}, 1, "",
+                            ["error: c.csv: empty file, header row required"]),
+    "evaluate-empty-file": ("evaluate c.csv --condition hbv --outdir o", {"c.csv": ""}, 1, "",
+                            ["error: c.csv: empty file, header row required"]),
+    "evaluate-no-records": ("evaluate c.csv --condition hbv", {"c.csv": _HEADER}, 1, "",
+                            ["error: c.csv: no records"]),
+    **{f"{name}-not-utf8-{where}": _not_utf8_error(command, rows_before)
+       for name, command in _COHORT_READERS.items()
+       for where, rows_before in (("in-the-first-chunk", 1), ("past-it", 2000))},
+    # -- paths
+    "evaluate-missing-input": ("evaluate missing.csv --condition hbv", {}, 1, "",
+                               ["error: [Errno 2] No such file or directory: 'missing.csv'"]),
+    "evaluate-dir": ("evaluate d --condition hbv --outdir o", {"d/": None}, 1, "",
+                     ["error: [Errno 21] Is a directory: 'd'"]),
+    "classify-dir": ("classify d", {"d/": None}, 1, "", ["error: [Errno 21] Is a directory: 'd'"]),
+    "validate-dir": ("validate d", {"d/": None}, 1, "", ["error: [Errno 21] Is a directory: 'd'"]),
+    "evaluate-outdir-is-file": ("evaluate c.csv --condition hbv --outdir c.csv", _COHORT, 1, "",
+                                ["error: --outdir c.csv: c.csv is not a directory"]),
+    "evaluate-missing-lexicon": ("evaluate c.csv --condition hbv --lexicon l.txt", _COHORT, 1, "",
+                                 ["error: [Errno 2] No such file or directory: 'l.txt'"]),
+    "validate-report-in-missing-dir": ("validate c.csv --report no/r.json", _COHORT, 1, "",
+                                       ["error: [Errno 2] No such file or directory: 'no/r.json'"]),
+    # -- flags, checked before the input is read
+    "evaluate-ci-level-before-input": ("evaluate missing.csv --condition hbv --ci-level 2", {},
+                                       1, "", ["error: confidence level must be in (0,1): 2.0"]),
+    "evaluate-nan-cutoff": ("evaluate c.csv --condition hbv --outdir o --cutoff nan", _COHORT,
+                            1, "", ["error: cutoff must be finite and > 0: nan"]),
+    "evaluate-inf-cutoff": ("evaluate c.csv --condition hbv --outdir o --cutoff inf", _COHORT,
+                            1, "", ["error: cutoff must be finite and > 0: inf"]),
+    "synth-preset-with-condition": ("synth x.csv --preset figS1-hbv --condition hcv", {}, 1, "",
+                                    ["error: --condition and --prevalence apply only with --n"]),
+    "synth-preset-with-prevalence": ("synth x.csv --preset figS1-hbv --prevalence 0.1", {}, 1, "",
+                                     ["error: --condition and --prevalence apply only with --n"]),
+    "synth-negative-n": ("synth x.csv --n -1", {}, 1, "", ["error: n must be >= 0"]),
+    "synth-prevalence-over-1": ("synth x.csv --n 5 --prevalence 1.5", {}, 1, "",
+                                ["error: prevalence must be in [0,1]"]),
+    # -- lexicons: every error names the file and the line
+    "lexicon-no-label": _lexicon_error(
+        "label: c7\n", "", "error: lexicon.txt: line 25: category 7 has no label"),
+    "lexicon-empty-query-keyword": _lexicon_error(
+        "pattern: tok46", "pattern: tok46\n[polarity]\nquery: -",
+        "error: lexicon.txt: line 186: empty query keyword"),
+    "lexicon-content-outside-a-block": _lexicon_error(
+        "[category 1]", "label: stray\n[category 1]",
+        "error: lexicon.txt: line 1: content outside any block"),
+    "lexicon-unknown-key": _lexicon_error(
+        "label: c7\n", "label: c7\ncolour: red\n",
+        "error: lexicon.txt: line 27: unknown key 'colour'"),
+    "lexicon-id-out-of-range": _lexicon_error(
+        "[category 1]", "[category 0]", "error: lexicon.txt: line 1: category_id out of range: 0"),
+    "lexicon-no-patterns": _lexicon_error(
+        "pattern: tok7\n", "", "error: lexicon.txt: line 25: category 7 has no patterns"),
+    "lexicon-empty-label": _lexicon_error(
+        "label: c7\n", "label:\n",
+        "error: lexicon.txt: line 25: category 7 label must be a non-empty str: ''"),
+    # Block order ranks the categories; a lexicon no longer numbers them.
+    "lexicon-priority-key": _lexicon_error(
+        "label: c7\n", "label: c7\npriority: 7\n",
+        "error: lexicon.txt: line 27: unknown key 'priority'"),
+    "lexicon-statement-key": _lexicon_error(
+        "pattern: tok46", "pattern: tok46\n[polarity]\nstatement: known",
+        "error: lexicon.txt: line 186: unknown polarity key 'statement'"),
+    "lexicon-duplicate-category": _lexicon_error(
+        "[category 9]", "[category 3]",
+        "error: lexicon.txt: line 33: duplicate category 3, first at line 9"),
+    "lexicon-not-utf8-first-line": _lexicon_error(
+        "[category 1]", "\udcff[category 1]",
+        "error: lexicon.txt: line 1: not UTF-8 (byte 0xff: invalid start byte)"),
+    "lexicon-not-utf8-in-a-pattern": _lexicon_error(
+        "pattern: tok7\n", "pattern: caf\udce9\n",
+        "error: lexicon.txt: line 28: not UTF-8 (byte 0xe9: invalid continuation byte)"),
+    # -- malformed command lines: exit 1, not argparse's 2, which means an
+    # internal failure
+    "usage-bad-choice": ("synth x.csv --preset nope", {}, 1, "", [_USAGE, (
+        "notedta synth: error: argument --preset: invalid choice: 'nope' "
+        "(choose from 'figS1-hbv', 'figS1-hcv')")]),
+    "usage-missing-required": ("evaluate c.csv", {}, 1, "", [_USAGE, (
+        "notedta evaluate: error: the following arguments are required: --condition")]),
+    "usage-bad-int": ("synth x.csv --n abc", {}, 1, "", [_USAGE, (
+        "notedta synth: error: argument --n: invalid int value: 'abc'")]),
+    "usage-unknown-subcommand": ("bogus", {}, 1, "", [_USAGE, (
+        "notedta: error: argument subcommand: invalid choice: 'bogus' "
+        "(choose from 'validate', 'classify', 'evaluate', 'synth')")]),
+    "usage-synth-neither": ("synth x.csv", {}, 1, "", [_USAGE, (
+        "notedta synth: error: one of the arguments --preset --n is required")]),
+    "usage-synth-both": ("synth x.csv --preset figS1-hbv --n 500", {}, 1, "", [_USAGE, (
+        "notedta synth: error: argument --n: not allowed with argument --preset")]),
+    "usage-removed-hbsag-cutoff": ("evaluate c.csv --condition hbv --hbsag-cutoff 2", {}, 1, "", [
+        _USAGE, "notedta: error: unrecognized arguments: --hbsag-cutoff 2"]),
+    "usage-removed-anti-hcv-cutoff": ("evaluate c.csv --condition hcv --anti-hcv-cutoff 2", {},
+                                      1, "", [_USAGE, (
+        "notedta: error: unrecognized arguments: --anti-hcv-cutoff 2")]),
+    "usage-removed-report": ("report out/report.json", {}, 1, "", [_USAGE, (
+        "notedta: error: argument subcommand: invalid choice: 'report' "
+        "(choose from 'validate', 'classify', 'evaluate', 'synth')")]),
+}
+
+
+def _tree(top: Path) -> dict[str, bytes | None]:
+    """Every path below `top`: a file's with its bytes, a directory's with a '/' and None."""
+    return {p.relative_to(top).as_posix() + "/" * p.is_dir():
+            None if p.is_dir() else p.read_bytes() for p in top.rglob("*")}
+
+
+@pytest.mark.parametrize("argv, inputs, code, out, err", ERRORS.values(), ids=ERRORS)
+def test_error_contract(tmp_path, monkeypatch, capsys, argv, inputs, code, out, err):
+    # Run in the inputs' directory, as the golden cases run, so messages
+    # name the paths as given.
+    monkeypatch.chdir(tmp_path)
+    inputs = {name: data.encode() if isinstance(data, str) else data
+              for name, data in inputs.items()}
+    for name, data in inputs.items():
+        Path(name).mkdir() if data is None else Path(name).write_bytes(data)
+    try:
+        got, usage = main(argv.split()), False
+    except SystemExit as stop:  # argparse: its usage text, then one error line
+        got, usage = stop.code, True
+    printed = capsys.readouterr()
+    lines = printed.err.splitlines()
+    if usage:
+        assert lines[0].startswith("usage: notedta"), lines
+        lines = [_USAGE, lines[-1]]
+    assert (got, printed.out, lines) == (code, out, err)
+    assert _tree(tmp_path) == inputs  # no file written, made or changed
 
 
 def test_validate_builds_no_cohort(tmp_path, capsys, monkeypatch):
@@ -678,13 +625,6 @@ def test_evaluate_frees_the_records_before_the_first_interval(tmp_path, capsys, 
     # callee takes them over and can drop the last reference.
     if sys.version_info >= (3, 11):
         assert freed_at_first_interval == [True]
-
-
-def test_evaluate_checks_flags_before_reading_the_input(tmp_path, capsys):
-    code, out, err = run(capsys, "evaluate", str(tmp_path / "missing.csv"), "--condition", "hbv",
-                         "--ci-level", "2", "--outdir", str(tmp_path))
-    assert code == 1 and out == ""
-    assert err.splitlines() == ["error: confidence level must be in (0,1): 2.0"]
 
 
 @pytest.mark.parametrize("module, why", [
@@ -744,41 +684,12 @@ def test_synth_preset_matches_preset_spec(tmp_path, capsys):
     assert path.read_bytes() == expected.read_bytes()
 
 
-def test_synth_random_mode(tmp_path, capsys):
-    out_path = tmp_path / "r.csv"
-    code, out, _ = run(
-        capsys, "synth", str(out_path), "--n", "50", "--prevalence", "0.2",
-        "--condition", "hcv", "--seed", "3",
-    )
-    assert code == 0
-    assert len(out_path.read_text().splitlines()) == 51
-
-
 def test_synth_random_prevalence_defaults_to_0_1(tmp_path, capsys):
     assert run(capsys, "synth", str(tmp_path / "r.csv"), "--n", "50", "--seed", "2")[0] == 0
     expected = tmp_path / "expected.csv"
     write_cohort_file(synthesize_random(50, 0.1, {1: 0.5, 32: 0.2, 37: 0.2, 45: 0.1}, seed=2),
                       expected)
     assert (tmp_path / "r.csv").read_bytes() == expected.read_bytes()
-
-
-@pytest.mark.parametrize("flag, value", [("--condition", "hcv"), ("--prevalence", "0.1")])
-def test_synth_preset_rejects_random_cohort_flags(tmp_path, capsys, flag, value):
-    out_path = tmp_path / "x.csv"
-    code, out, err = run(capsys, "synth", str(out_path), "--preset", "figS1-hbv", flag, value)
-    assert code == 1 and out == "" and not out_path.exists()
-    assert err.splitlines() == ["error: --condition and --prevalence apply only with --n"]
-
-
-@pytest.mark.parametrize("size, message", [
-    (("--n", "-1"), "error: n must be >= 0"),
-    (("--n", "5", "--prevalence", "1.5"), "error: prevalence must be in [0,1]"),
-])
-def test_synth_random_bad_size_or_prevalence_is_exit_1(tmp_path, capsys, size, message):
-    out_path = tmp_path / "x.csv"
-    code, out, err = run(capsys, "synth", str(out_path), *size)
-    assert code == 1 and out == "" and not out_path.exists()
-    assert err.splitlines() == [message]
 
 
 def test_cutoff_flags(tmp_path, capsys):
@@ -800,54 +711,6 @@ def test_cutoff_flags(tmp_path, capsys):
             payload = json.loads((outdir / "report.json").read_text())
             assert payload["primary"]["counts"] == dict(zip(("tp", "fp", "fn", "tn"),
                                                             [*counts, 0, 0]))
-
-
-@pytest.mark.parametrize("value", ["nan", "inf"])
-def test_non_finite_cutoff_is_exit_1(tmp_path, capsys, value):
-    cohort = tmp_path / "c.csv"
-    run(capsys, "synth", str(cohort), "--preset", "figS1-hbv", "--seed", "1")
-    code, _, err = run(capsys, "evaluate", str(cohort), "--condition", "hbv",
-                       "--outdir", str(tmp_path / "o"), "--cutoff", value)
-    assert code == 1
-    assert err == f"error: cutoff must be finite and > 0: {value}\n"
-
-
-def test_inputs_not_mutated(tmp_path, capsys):
-    cohort = tmp_path / "cohort.csv"
-    run(capsys, "synth", str(cohort), "--preset", "figS1-hbv", "--seed", "1")
-    before = cohort.read_bytes()
-    run(capsys, "evaluate", str(cohort), "--condition", "hbv", "--outdir", str(tmp_path / "o"))
-    assert cohort.read_bytes() == before
-
-
-@pytest.mark.parametrize(
-    "argv, message",
-    [
-        (("synth", "x.csv", "--preset", "nope"),
-         "argument --preset: invalid choice: 'nope' (choose from 'figS1-hbv', 'figS1-hcv')"),
-        (("evaluate", "c.csv"), "the following arguments are required: --condition"),
-        (("synth", "x.csv", "--n", "abc"), "argument --n: invalid int value: 'abc'"),
-        (("bogus",), "argument subcommand: invalid choice: 'bogus'"),
-        (("synth", "x.csv"), "one of the arguments --preset --n is required"),
-        (("synth", "x.csv", "--preset", "figS1-hbv", "--n", "500"),
-         "argument --n: not allowed with argument --preset"),
-        (("evaluate", "c.csv", "--condition", "hbv", "--hbsag-cutoff", "2"),
-         "unrecognized arguments: --hbsag-cutoff 2"),
-        (("evaluate", "c.csv", "--condition", "hcv", "--anti-hcv-cutoff", "2"),
-         "unrecognized arguments: --anti-hcv-cutoff 2"),
-        (("report", "out/report.json"), "argument subcommand: invalid choice: 'report'"),
-    ],
-    ids=["bad-choice", "missing-required", "bad-int", "unknown-subcommand", "synth-neither",
-         "synth-both", "removed-hbsag-cutoff", "removed-anti-hcv-cutoff", "removed-report"],
-)
-def test_usage_error_is_exit_1(capsys, argv, message):
-    # Exit 2 means an internal failure; a bad command line is an input error.
-    with pytest.raises(SystemExit) as exit_info:
-        main(list(argv))
-    assert exit_info.value.code == 1
-    err = capsys.readouterr().err
-    assert err.startswith("usage: notedta")
-    assert f"error: {message}" in err.splitlines()[-1]
 
 
 @pytest.mark.parametrize("argv", [("--help",), ("synth", "--help")])

@@ -83,7 +83,7 @@ CASES = {
     # Control rows with real percentages, where every preset control row prints n.d.
     "random-hbv": [
         "synth cohort.csv --n 200 --prevalence 0.2 --condition hbv --seed 3",
-        "evaluate cohort.csv --condition hbv --outdir .",
+        "evaluate cohort.csv --condition hbv --outdir . > stdout.txt",
     ],
     "classify": ["classify notes.txt > stdout.txt"],
     "classify-lexicon": ["classify notes.txt > stdout.txt"],

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 from pathlib import Path
+from statistics import NormalDist
 
 import mpmath
 import numpy as np
@@ -367,9 +368,12 @@ def test_z_quantile_within_4_ulps_of_mpmath():
     # level 0.043 (z = 0.054); at 0.9 it is 0.84 ulps. scipy's ndtri of the
     # upper tail read 2.84 ulps at 0.9 and 69.8 at 0.999.
     assert _z_quantile(0.95) == 1.959964  # fixed for stable reports
+    # Only at exactly 0.95, the level emit_report leaves out of report.json.
+    for level in (math.nextafter(0.95, 0.0), math.nextafter(0.95, 1.0)):
+        assert _z_quantile(level) == -NormalDist().inv_cdf((1.0 - level) / 2.0), level
     with mpmath.workdps(50):
         for level in (*LEVELS, *(i / 1000 for i in range(1, 1000))):
-            if abs(level - 0.95) < 1e-12:
+            if level == 0.95:
                 continue
             exact = mpmath.sqrt(2) * mpmath.erfinv(1 - 2 * mpmath.mpf((1.0 - level) / 2.0))
             got = _z_quantile(level)
